@@ -28,6 +28,17 @@ classes carrying derived mutable state (memo tables, topo-order caches)
 need an explicit fingerprint here instead — :func:`dag_fingerprint` and
 :func:`schedule_fingerprint` exist precisely because :class:`TaskGraph`
 and :class:`Schedule` are such classes.
+
+Pre-encoded fragments: a study hashes three keys per cell, and they
+repeat the same large fingerprints — a calibrated suite's models are
+several KB of profile tables and fits.  :func:`encoded_fingerprint`
+encodes a fingerprint once into a :class:`Fragment`, which
+:func:`canonical_bytes` splices in verbatim, so a key holding fragments
+hashes exactly like the same key holding the plain fingerprints.
+:class:`StudyKeys` builds every key of one study that way; the layer
+key layouts (:func:`schedule_key`, :func:`simulation_key`,
+:func:`testbed_key`) are shared with the per-call paths, so both
+address the same entries.
 """
 
 from __future__ import annotations
@@ -36,24 +47,44 @@ import dataclasses
 import enum
 import hashlib
 import struct
-from typing import Any
+from types import SimpleNamespace
+from typing import Any, Sequence
 
 from repro.util.errors import ReproError
 
 __all__ = [
     "CacheKeyError",
+    "CellKeys",
+    "Fragment",
+    "StudyKeys",
     "canonical_bytes",
     "canonical_hash",
     "dag_fingerprint",
+    "encoded_fingerprint",
     "schedule_fingerprint",
+    "schedule_key",
+    "simulation_key",
+    "simulator_fingerprint",
     "suite_fingerprint",
     "emulator_fingerprint",
     "costs_fingerprint",
+    "testbed_key",
 ]
 
 
 class CacheKeyError(ReproError):
     """An object cannot be canonically encoded into a cache key."""
+
+
+@dataclasses.dataclass(frozen=True)
+class Fragment:
+    """A key part already in canonical form, spliced in verbatim.
+
+    Make one with :func:`encoded_fingerprint`, never from arbitrary
+    bytes: its ``data`` must be the :func:`canonical_bytes` of a value.
+    """
+
+    data: bytes
 
 
 def _join(tag: bytes, parts: list[bytes]) -> bytes:
@@ -81,6 +112,8 @@ def _encode(obj: Any, stack: tuple[int, ...]) -> bytes:
         return b"s" + obj.encode("utf-8")
     if cls is bytes:
         return b"b" + obj
+    if cls is Fragment:
+        return obj.data
     # Containers: guard against cycles via the identity stack.
     if id(obj) in stack:
         raise CacheKeyError("cannot encode a cyclic structure into a cache key")
@@ -150,6 +183,11 @@ def canonical_hash(obj: Any) -> str:
     return hashlib.sha256(canonical_bytes(obj)).hexdigest()
 
 
+def encoded_fingerprint(fingerprint: Any) -> Fragment:
+    """``fingerprint`` encoded once, to splice into many keys."""
+    return Fragment(canonical_bytes(fingerprint))
+
+
 # ----------------------------------------------------------------------
 # domain fingerprints
 # ----------------------------------------------------------------------
@@ -212,6 +250,17 @@ def costs_fingerprint(costs) -> dict:
     }
 
 
+def simulator_fingerprint(simulator) -> dict:
+    """Semantic content of an :class:`ApplicationSimulator`.
+
+    Everything its ``run`` depends on besides the (graph, schedule)
+    pair: the platform, the three cost models and the contention
+    switch.  The engine backend is deliberately absent: backends are
+    bit-identical, so cached results are engine-agnostic.
+    """
+    return {**costs_fingerprint(simulator), "contention": simulator.contention}
+
+
 def emulator_fingerprint(emulator) -> dict:
     """Semantic content of the testbed emulator.
 
@@ -226,3 +275,115 @@ def emulator_fingerprint(emulator) -> dict:
             for f in dataclasses.fields(emulator)
         },
     }
+
+
+# ----------------------------------------------------------------------
+# layer keys
+# ----------------------------------------------------------------------
+# The on-disk layout of the study's three layer keys.  Every part may be
+# a plain fingerprint or its Fragment: both encode to the same bytes.
+def schedule_key(algorithm: str, dag: Any, costs: Any) -> dict:
+    """``"schedule"`` layer key: one algorithm on one DAG and cost model."""
+    return {"algorithm": algorithm, "dag": dag, "costs": costs}
+
+
+def simulation_key(simulator: Any, dag: Any, schedule: Any) -> dict:
+    """``"simulation"`` layer key of a schedule's simulated trace."""
+    return {
+        "executor": "simulator",
+        "simulator": simulator,
+        "dag": dag,
+        "schedule": schedule,
+    }
+
+
+def testbed_key(emulator: Any, dag: Any, schedule: Any) -> dict:
+    """``"simulation"`` layer key of a schedule's emulated trace.
+
+    The study executes each schedule once, under the emulator's default
+    run label 0.
+    """
+    return {
+        "executor": "testbed",
+        "emulator": emulator,
+        "dag": dag,
+        "schedule": schedule,
+        "run_label": 0,
+    }
+
+
+def _suite_executor(platform, suite) -> SimpleNamespace:
+    """What a suite's ``SchedulingCosts`` and ``ApplicationSimulator`` hold.
+
+    Both default a missing overhead model to its zero model, and the
+    study's simulators keep contention on.
+    """
+    from repro.models.overheads import (
+        ZeroRedistributionOverheadModel,
+        ZeroStartupModel,
+    )
+
+    return SimpleNamespace(
+        platform=platform,
+        task_model=suite.task_model,
+        startup_model=suite.startup_model or ZeroStartupModel(),
+        redistribution_model=(
+            suite.redistribution_model or ZeroRedistributionOverheadModel()
+        ),
+        contention=True,
+    )
+
+
+@dataclasses.dataclass(frozen=True)
+class CellKeys:
+    """The fragments shared by the cells of one (suite, DAG) pair."""
+
+    emulator: Fragment
+    simulator: Fragment
+    costs: Fragment
+    dag: Fragment
+
+    def schedule(self, algorithm: str) -> dict:
+        return schedule_key(algorithm, self.dag, self.costs)
+
+    def executions(self, schedule) -> tuple[dict, dict]:
+        """The simulated and the emulated trace keys of ``schedule``.
+
+        The schedule is encoded once for both.
+        """
+        encoded = encoded_fingerprint(schedule_fingerprint(schedule))
+        return (
+            simulation_key(self.simulator, self.dag, encoded),
+            testbed_key(self.emulator, self.dag, encoded),
+        )
+
+
+class StudyKeys:
+    """Every cache key of one study, built from fragments encoded once.
+
+    The emulator, each suite's cost and simulator models and each DAG
+    are encoded when the study starts.  The fragments are snapshots of
+    those inputs: make a new object per study and drop it when the
+    study returns, so an input changed between two studies is encoded
+    afresh.
+    """
+
+    def __init__(
+        self, emulator, suites: Sequence, graphs: Sequence
+    ) -> None:
+        self.emulator = encoded_fingerprint(emulator_fingerprint(emulator))
+        self.dags = [encoded_fingerprint(dag_fingerprint(g)) for g in graphs]
+        executors = [_suite_executor(emulator.platform, s) for s in suites]
+        self.costs = [
+            encoded_fingerprint(costs_fingerprint(e)) for e in executors
+        ]
+        self.simulators = [
+            encoded_fingerprint(simulator_fingerprint(e)) for e in executors
+        ]
+
+    def cell(self, suite: int, dag: int) -> CellKeys:
+        """The keys of the cells of suite ``suite`` on DAG ``dag``."""
+        return CellKeys(
+            self.emulator, self.simulators[suite], self.costs[suite],
+            self.dags[dag],
+        )

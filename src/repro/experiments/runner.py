@@ -31,9 +31,8 @@ The parallel path runs in three stages, all bit-identical to the
 serial loop:
 
 1. **Planner** (:func:`_plan_cache_hits`): with a cache attached, every
-   cell's schedule/simulation/testbed keys are hashed in one pass —
-   shared fingerprints (emulator, platform+models, per-DAG content)
-   are computed once, not per cell — and probed *side-effect-free*
+   cell's schedule/simulation/testbed keys are hashed in one pass and
+   probed *side-effect-free*
    (:meth:`~repro.cache.result_cache.ResultCache.peek`).  Fully cached
    cells never reach the pool: the parent replays them inline through
    the exact per-cell path, so their counters and records are the ones
@@ -55,6 +54,16 @@ serial loop:
    at each cell's grid position, with worker-local run ids rebased per
    slice — so records, counters, timelines and profiles come out
    exactly as the serial loop emits them.
+
+Cache keys
+----------
+With a cache attached, ``run_study`` builds one
+:class:`~repro.cache.keys.StudyKeys` and every cell path takes its keys
+from it: the serial loop, the planner, the parent's inline replay of
+hits and the pool workers.  The shared fingerprints (emulator, each
+suite's cost and simulator models, each DAG) are encoded once per
+study, not per cell, and each cell's schedule once for its two
+execution keys.  Without a cache nothing is built.
 """
 
 from __future__ import annotations
@@ -68,12 +77,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.cache.keys import (
-    costs_fingerprint,
-    dag_fingerprint,
-    emulator_fingerprint,
-    schedule_fingerprint,
-)
+from repro.cache.keys import CellKeys, StudyKeys
 from repro.cache.result_cache import ResultCache
 from repro.dag.generator import DagParameters
 from repro.dag.graph import TaskGraph
@@ -258,6 +262,7 @@ def _run_cell(
     engine: str | None = None,
     simulator: ApplicationSimulator | None = None,
     sched: str | None = None,
+    keys: CellKeys | None = None,
 ) -> RunRecord:
     """One grid cell: schedule, simulate, execute, record.
 
@@ -271,13 +276,13 @@ def _run_cell(
     and the emulated trace; results are bit-identical either way, so
     the engine never enters a cache key.
 
-    With a ``cache``, all three phases are memoised: the schedule under
-    the ``"schedule"`` layer and the simulated and emulated traces
-    under the ``"simulation"`` layer.  Each phase is deterministic in
-    exactly its key — the emulator derives its RNG from its own
-    configuration plus (dag, algorithm, run label), never from shared
-    sequential state — so cached replays are bit-identical to fresh
-    computation, serial or pooled.
+    With a ``cache`` (and this cell's ``keys``), all three phases are
+    memoised: the schedule under the ``"schedule"`` layer and the
+    simulated and emulated traces under the ``"simulation"`` layer.
+    Each phase is deterministic in exactly its key — the emulator
+    derives its RNG from its own configuration plus (dag, algorithm,
+    run label), never from shared sequential state — so cached replays
+    are bit-identical to fresh computation, serial or pooled.
     """
     platform = emulator.platform
     obs = get_recorder()
@@ -291,7 +296,7 @@ def _run_cell(
         return _run_cell_body(
             suite, params, graph, algorithm, emulator, obs,
             costs=costs, cache=cache, engine=engine, simulator=simulator,
-            sched=sched,
+            sched=sched, keys=keys,
         )
 
 
@@ -307,6 +312,7 @@ def _run_cell_body(
     engine: str | None = None,
     simulator: ApplicationSimulator | None = None,
     sched: str | None = None,
+    keys: CellKeys | None = None,
 ) -> RunRecord:
     platform = emulator.platform
     if costs is None:
@@ -320,7 +326,14 @@ def _run_cell_body(
     with obs.span(
         "study.schedule", algorithm=algorithm, simulator=suite.name
     ):
-        schedule = schedule_dag(graph, costs, algorithm, cache=cache, sched=sched)
+        if cache is None:
+            schedule = schedule_dag(graph, costs, algorithm, sched=sched)
+        else:
+            schedule = cache.get_or_compute(
+                "schedule",
+                keys.schedule(algorithm),
+                lambda: schedule_dag(graph, costs, algorithm, sched=sched),
+            )
     if simulator is None:
         simulator = ApplicationSimulator(
             platform,
@@ -332,20 +345,19 @@ def _run_cell_body(
     with obs.span(
         "study.simulate", algorithm=algorithm, simulator=suite.name
     ):
-        sim_trace = simulator.run_cached(graph, schedule, cache)
+        if cache is None:
+            sim_trace = simulator.run(graph, schedule)
+        else:
+            sim_key, exp_key = keys.executions(schedule)
+            sim_trace = cache.get_or_compute(
+                "simulation", sim_key, lambda: simulator.run(graph, schedule)
+            )
     with obs.span(
         "study.execute", algorithm=algorithm, simulator=suite.name
     ):
         if cache is None:
             exp_trace = emulator.execute(graph, schedule, engine=engine)
         else:
-            exp_key = {
-                "executor": "testbed",
-                "emulator": emulator_fingerprint(emulator),
-                "dag": dag_fingerprint(graph),
-                "schedule": schedule_fingerprint(schedule),
-                "run_label": 0,
-            }
             exp_trace = cache.get_or_compute(
                 "simulation",
                 exp_key,
@@ -392,6 +404,7 @@ def _pool_init(
     profiler_enabled: bool = False,
     sched: str | None = None,
     live: tuple | None = None,
+    keys: StudyKeys | None = None,
 ) -> None:
     _POOL_STATE["dags"] = dags
     _POOL_STATE["suites"] = suites
@@ -402,6 +415,7 @@ def _pool_init(
     _POOL_STATE["timeline_enabled"] = timeline_enabled
     _POOL_STATE["profiler_enabled"] = profiler_enabled
     _POOL_STATE["sched"] = sched
+    _POOL_STATE["keys"] = keys
     # Per-suite simulator reuse within a worker: the array backend's
     # arena and consumption memos then amortize across every cell the
     # worker processes (simulators are reusable across runs).
@@ -450,10 +464,12 @@ def _chunk_cell(cell: tuple[int, int, str], state: dict) -> RunRecord:
             redistribution_model=suite.redistribution_model,
         )
         state["costs"][(suite_idx, dag_idx)] = costs
+    keys = state.get("keys")
     return _run_cell(
         suite, params, graph, algorithm, emulator, costs=costs,
         cache=state.get("cache"), engine=engine, simulator=simulator,
         sched=state.get("sched"),
+        keys=keys.cell(suite_idx, dag_idx) if keys is not None else None,
     )
 
 
@@ -533,17 +549,14 @@ def _pool_run_chunk(
 
 def _plan_cache_hits(
     cells: Sequence[tuple[int, int, str]],
-    dags: Sequence[tuple[DagParameters, TaskGraph]],
-    suites: Sequence[SimulatorSuite],
-    emulator: TGridEmulator,
     cache: ResultCache | None,
+    keys: StudyKeys | None,
 ) -> list[bool]:
     """One-pass batched cache probe: which cells are fully cached?
 
-    Hashes every cell's schedule/simulation/testbed keys with shared
-    fingerprints computed once — the emulator's, one costs/simulator
-    model fingerprint per suite (they do not depend on the DAG), one
-    DAG fingerprint per DAG — and probes the cache *side-effect-free*
+    Hashes every cell's schedule/simulation/testbed keys from the
+    study's pre-encoded fragments and probes the cache
+    *side-effect-free*
     (:meth:`~repro.cache.result_cache.ResultCache.peek` /
     :meth:`~repro.cache.result_cache.ResultCache.contains`), so the
     probe leaves hit/miss counters, byte counters and the LRU exactly
@@ -554,59 +567,14 @@ def _plan_cache_hits(
     """
     if cache is None:
         return [False] * len(cells)
-    platform = emulator.platform
-    emulator_fp = emulator_fingerprint(emulator)
-    dag_fps: dict[int, dict] = {}
-    suite_fps: dict[int, tuple[dict, dict]] = {}
     hits: list[bool] = []
     for suite_idx, dag_idx, algorithm in cells:
-        fps = suite_fps.get(suite_idx)
-        if fps is None:
-            suite = suites[suite_idx]
-            # Built exactly the way the cell path builds them, so the
-            # fingerprints match byte for byte (model defaulting
-            # included).
-            costs_fp = costs_fingerprint(
-                SchedulingCosts(
-                    dags[dag_idx][1],
-                    platform,
-                    suite.task_model,
-                    startup_model=suite.startup_model,
-                    redistribution_model=suite.redistribution_model,
-                )
-            )
-            sim_fp = ApplicationSimulator(
-                platform,
-                suite.task_model,
-                startup_model=suite.startup_model,
-                redistribution_model=suite.redistribution_model,
-            ).model_fingerprint()
-            fps = suite_fps[suite_idx] = (costs_fp, sim_fp)
-        costs_fp, sim_fp = fps
-        dag_fp = dag_fps.get(dag_idx)
-        if dag_fp is None:
-            dag_fp = dag_fps[dag_idx] = dag_fingerprint(dags[dag_idx][1])
-        found, schedule = cache.peek(
-            "schedule",
-            {"algorithm": algorithm, "dag": dag_fp, "costs": costs_fp},
-        )
+        cell_keys = keys.cell(suite_idx, dag_idx)
+        found, schedule = cache.peek("schedule", cell_keys.schedule(algorithm))
         if not found:
             hits.append(False)
             continue
-        sched_fp = schedule_fingerprint(schedule)
-        sim_key = {
-            "executor": "simulator",
-            "simulator": sim_fp,
-            "dag": dag_fp,
-            "schedule": sched_fp,
-        }
-        exp_key = {
-            "executor": "testbed",
-            "emulator": emulator_fp,
-            "dag": dag_fp,
-            "schedule": sched_fp,
-            "run_label": 0,
-        }
+        sim_key, exp_key = cell_keys.executions(schedule)
         hits.append(
             cache.contains("simulation", sim_key)
             and cache.contains("simulation", exp_key)
@@ -654,6 +622,7 @@ def _run_grid_chunked(
     chunk: int | None,
     obs: Recorder,
     telemetry: LiveTelemetry | None = None,
+    keys: StudyKeys | None = None,
 ) -> float:
     """Plan, dispatch and merge the parallel grid; returns the seconds
     the parent spent blocked on pool futures (the dispatch wait).
@@ -673,7 +642,7 @@ def _run_grid_chunked(
     ]
     if not cells:
         return 0.0
-    hits = _plan_cache_hits(cells, dags, suites, emulator, cache)
+    hits = _plan_cache_hits(cells, cache, keys)
     misses = [pos for pos, hit in enumerate(hits) if not hit]
     pool_workers = max(1, min(workers, len(misses)))
     chunk_size = resolve_chunk(chunk)
@@ -721,6 +690,7 @@ def _run_grid_chunked(
         return _run_cell(
             suite, params, graph, algorithm, emulator, costs=costs,
             cache=cache, engine=engine, simulator=simulator, sched=sched,
+            keys=keys.cell(suite_idx, dag_idx) if keys is not None else None,
         )
 
     if not chunks:
@@ -769,7 +739,7 @@ def _run_grid_chunked(
         initargs=(
             dags, suites, emulator, obs.enabled, cache, engine,
             obs.timeline is not None, obs.profiler is not None,
-            sched, live,
+            sched, live, keys,
         ),
     ) as pool:
         # All chunks are submitted up front into the pool's shared
@@ -906,10 +876,15 @@ def run_study(
             obs.count("runner.workers_clamped")
     grid_t0 = time.perf_counter()
     dispatch_wait = 0.0
+    keys = (
+        StudyKeys(emulator, suites, [graph for _params, graph in dags])
+        if cache is not None
+        else None
+    )
     if requested > 1:
         dispatch_wait = _run_grid_chunked(
             result, dags, suites, emulator, algorithms, workers,
-            cache, engine, sched, chunk, obs, telemetry,
+            cache, engine, sched, chunk, obs, telemetry, keys,
         )
     else:
         if telemetry is not None and suites and dags and algorithms:
@@ -917,7 +892,7 @@ def run_study(
                 len(suites) * len(dags) * len(algorithms), 0
             )
         pos = 0
-        for suite in suites:
+        for suite_idx, suite in enumerate(suites):
             simulator = ApplicationSimulator(
                 platform,
                 suite.task_model,
@@ -925,13 +900,16 @@ def run_study(
                 redistribution_model=suite.redistribution_model,
                 engine=engine,
             )
-            for params, graph in dags:
+            for dag_idx, (params, graph) in enumerate(dags):
                 costs = SchedulingCosts(
                     graph,
                     platform,
                     suite.task_model,
                     startup_model=suite.startup_model,
                     redistribution_model=suite.redistribution_model,
+                )
+                cell_keys = (
+                    keys.cell(suite_idx, dag_idx) if keys is not None else None
                 )
                 for algorithm in algorithms:
                     if telemetry is not None:
@@ -942,7 +920,7 @@ def run_study(
                         _run_cell(
                             suite, params, graph, algorithm, emulator,
                             costs=costs, cache=cache, engine=engine,
-                            simulator=simulator, sched=sched,
+                            simulator=simulator, sched=sched, keys=cell_keys,
                         )
                     )
                     if telemetry is not None:

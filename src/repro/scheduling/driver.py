@@ -5,7 +5,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import Callable
 
-from repro.cache.keys import costs_fingerprint, dag_fingerprint
+from repro.cache.keys import costs_fingerprint, dag_fingerprint, schedule_key
 from repro.cache.result_cache import ResultCache
 from repro.dag.graph import TaskGraph
 from repro.obs.recorder import get_recorder
@@ -76,11 +76,9 @@ def schedule_dag(
         entries replay across backends.
     """
     if cache is not None:
-        key = {
-            "algorithm": algorithm,
-            "dag": dag_fingerprint(graph),
-            "costs": costs_fingerprint(costs),
-        }
+        key = schedule_key(
+            algorithm, dag_fingerprint(graph), costs_fingerprint(costs)
+        )
         return cache.get_or_compute(
             "schedule",
             key,

@@ -330,23 +330,6 @@ class ApplicationSimulator:
         self._task_entries_memo: dict = {}
 
     # ------------------------------------------------------------------
-    def model_fingerprint(self) -> dict:
-        """Cache-key content of this simulator's configuration.
-
-        Everything :meth:`run` depends on besides the (graph, schedule)
-        pair: the platform, the three cost models and the contention
-        switch.  Used by :meth:`run_cached` and the study runner.  The
-        engine backend is deliberately absent: backends are bit-
-        identical, so cached results are engine-agnostic.
-        """
-        return {
-            "platform": self.platform,
-            "task_model": self.task_model,
-            "startup_model": self.startup_model,
-            "redistribution_model": self.redistribution_model,
-            "contention": self.contention,
-        }
-
     def run_cached(
         self, graph: TaskGraph, schedule: Schedule, cache
     ) -> SimulationTrace:
@@ -358,16 +341,20 @@ class ApplicationSimulator:
         (suite models); the testbed's ground-truth models draw from an
         RNG stream and are cached at the study-cell level instead.
         """
-        from repro.cache.keys import dag_fingerprint, schedule_fingerprint
+        from repro.cache.keys import (
+            dag_fingerprint,
+            schedule_fingerprint,
+            simulation_key,
+            simulator_fingerprint,
+        )
 
         if cache is None:
             return self.run(graph, schedule)
-        key = {
-            "executor": "simulator",
-            "simulator": self.model_fingerprint(),
-            "dag": dag_fingerprint(graph),
-            "schedule": schedule_fingerprint(schedule),
-        }
+        key = simulation_key(
+            simulator_fingerprint(self),
+            dag_fingerprint(graph),
+            schedule_fingerprint(schedule),
+        )
         return cache.get_or_compute(
             "simulation", key, lambda: self.run(graph, schedule)
         )

@@ -8,6 +8,8 @@ allocation, a fitted model coefficient).
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,11 +17,13 @@ from hypothesis import strategies as st
 
 from repro.cache.keys import (
     CacheKeyError,
+    StudyKeys,
     canonical_bytes,
     canonical_hash,
     costs_fingerprint,
     dag_fingerprint,
     emulator_fingerprint,
+    encoded_fingerprint,
     schedule_fingerprint,
     suite_fingerprint,
 )
@@ -28,7 +32,7 @@ from repro.dag.kernels import MATADD, MATMUL
 from repro.models.analytical import AnalyticalTaskModel
 from repro.models.profiles import ProfileTaskModel
 from repro.platform.personalities import bayreuth_cluster
-from repro.profiling.calibration import build_analytical_suite
+from repro.profiling.calibration import SimulatorSuite, build_analytical_suite
 from repro.scheduling.costs import SchedulingCosts
 from repro.scheduling.driver import schedule_dag
 from repro.testbed.tgrid import TGridEmulator
@@ -113,6 +117,48 @@ class TestSensitivity:
     def test_unequal_values_hash_differently(self, obj, other):
         if obj != other:
             assert canonical_hash(obj) != canonical_hash(other)
+
+
+class TestFragments:
+    @given(obj=_plain_data)
+    @settings(max_examples=100, deadline=None)
+    def test_fragment_encodes_like_its_value(self, obj):
+        fragment = encoded_fingerprint(obj)
+        assert canonical_bytes(fragment) == canonical_bytes(obj)
+        assert canonical_bytes({"key": fragment}) == canonical_bytes(
+            {"key": obj}
+        )
+        assert canonical_bytes(["item", fragment]) == canonical_bytes(
+            ["item", obj]
+        )
+
+    def test_fragment_is_immutable(self):
+        fragment = encoded_fingerprint({"a": 1})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fragment.data = b""
+
+    def test_study_keys_default_missing_models_like_the_cell_path(self):
+        # A suite without overhead models schedules under zero models;
+        # its study key must hash like the SchedulingCosts key does.
+        platform = bayreuth_cluster(8)
+        bare = SimulatorSuite(
+            name="bare",
+            task_model=AnalyticalTaskModel(platform),
+            startup_model=None,
+            redistribution_model=None,
+        )
+        graph = _diamond()
+        costs = SchedulingCosts(graph, platform, bare.task_model)
+        keys = StudyKeys(TGridEmulator(platform, seed=0), [bare], [graph])
+        assert canonical_hash(keys.cell(0, 0).schedule("hcpa")) == (
+            canonical_hash(
+                {
+                    "algorithm": "hcpa",
+                    "dag": dag_fingerprint(graph),
+                    "costs": costs_fingerprint(costs),
+                }
+            )
+        )
 
 
 def _diamond(extra_edge=False, n=2000):

@@ -10,7 +10,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache import ResultCache, canonical_hash, schedule_fingerprint
+from repro.cache import (
+    ResultCache,
+    canonical_hash,
+    costs_fingerprint,
+    dag_fingerprint,
+    emulator_fingerprint,
+    schedule_fingerprint,
+)
 from repro.dag.generator import generate_paper_dags
 from repro.experiments.runner import run_study
 from repro.obs.recorder import Recorder, recording
@@ -86,6 +93,125 @@ class TestStudyEquivalence:
         assert warm_counters["cache.schedule.hits"] == cells
         # Each cell caches one simulated and one emulated trace.
         assert warm_counters["cache.simulation.hits"] == 2 * cells
+
+
+class TestKeyCompatibility:
+    """Study keys address the entries the per-call paths write.
+
+    The literal dicts below spell out today's on-disk key layout.  A
+    study that hashes its keys from pre-encoded fragments must find
+    every entry written under them, so caches filled before fragments
+    existed keep hitting without a schema bump.
+    """
+
+    @pytest.fixture(scope="class")
+    def grid(self, study_context):
+        ctx = study_context
+        suites = [ctx.analytic_suite, ctx.profile_suite, ctx.empirical_suite]
+        return ctx.dags[:4], suites, ctx.emulator
+
+    @staticmethod
+    def _fill_per_call(cache, grid):
+        dags, suites, emulator = grid
+        platform = emulator.platform
+        for suite in suites:
+            simulator = ApplicationSimulator(
+                platform,
+                suite.task_model,
+                startup_model=suite.startup_model,
+                redistribution_model=suite.redistribution_model,
+            )
+            simulator_literal = {
+                "platform": platform,
+                "task_model": suite.task_model,
+                "startup_model": suite.startup_model,
+                "redistribution_model": suite.redistribution_model,
+                "contention": True,
+            }
+            for _params, graph in dags:
+                costs = SchedulingCosts(
+                    graph,
+                    platform,
+                    suite.task_model,
+                    startup_model=suite.startup_model,
+                    redistribution_model=suite.redistribution_model,
+                )
+                for algorithm in ("hcpa", "mcpa"):
+                    schedule = schedule_dag(graph, costs, algorithm, cache=cache)
+                    simulator.run_cached(graph, schedule, cache)
+                    testbed_literal = {
+                        "executor": "testbed",
+                        "emulator": emulator_fingerprint(emulator),
+                        "dag": dag_fingerprint(graph),
+                        "schedule": schedule_fingerprint(schedule),
+                        "run_label": 0,
+                    }
+                    cache.get_or_compute(
+                        "simulation",
+                        testbed_literal,
+                        lambda: emulator.execute(graph, schedule),
+                    )
+                    # The per-call paths wrote under the literal layout.
+                    assert cache.contains(
+                        "schedule",
+                        {
+                            "algorithm": algorithm,
+                            "dag": dag_fingerprint(graph),
+                            "costs": costs_fingerprint(costs),
+                        },
+                    )
+                    assert cache.contains(
+                        "simulation",
+                        {
+                            "executor": "simulator",
+                            "simulator": simulator_literal,
+                            "dag": dag_fingerprint(graph),
+                            "schedule": schedule_fingerprint(schedule),
+                        },
+                    )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_study_replays_per_call_entries(self, grid, tmp_path, workers):
+        cache = ResultCache(tmp_path / "cache")
+        self._fill_per_call(cache, grid)
+        dags, suites, emulator = grid
+        baseline = run_study(dags, suites, emulator)
+        recorder = Recorder.to_memory()
+        with recording(recorder):
+            study = run_study(
+                dags, suites, emulator, workers=workers,
+                cache=ResultCache(tmp_path / "cache"),
+            )
+        counters = recorder.metrics()["counters"]
+        assert study.records == baseline.records
+        assert counters.get("cache.misses", 0) == 0
+        assert counters.get("cache.bytes_written", 0) == 0
+        assert counters["cache.hits"] == 3 * len(baseline.records)
+
+    def test_dag_changed_between_studies_is_encoded_afresh(self, tmp_path):
+        platform = bayreuth_cluster(8)
+        emulator = TGridEmulator(platform, seed=0)
+        suite = build_analytical_suite(platform)
+        dags = generate_paper_dags(seed=0)[:2]
+        cache = ResultCache(tmp_path / "cache")
+        run_study(dags, [suite], emulator, cache=cache)
+        graph = dags[0][1]
+        order = graph.topological_order()
+        edges = set(graph.edges())
+        src, dst = next(
+            (a, b)
+            for i, a in enumerate(order)
+            for b in order[i + 1 :]
+            if (a, b) not in edges
+        )
+        graph.add_edge(src, dst)  # same object, new content
+        recorder = Recorder.to_memory()
+        with recording(recorder):
+            rerun = run_study(dags, [suite], emulator, cache=cache)
+        counters = recorder.metrics()["counters"]
+        # Only the changed DAG's two cells recompute, all three phases.
+        assert counters["cache.misses"] == 2 * 3
+        assert rerun.records == run_study(dags, [suite], emulator).records
 
 
 class TestPhaseLevelReplay:
