@@ -11,7 +11,10 @@ Pieces
 :mod:`repro.cache.keys`
     Canonical hashing: a deterministic type-tagged encoding (dict-order
     and float-formatting insensitive) plus domain fingerprints for
-    DAGs, schedules, suites, cost models and the emulator.
+    DAGs, schedules, suites, cost models, simulators and the emulator,
+    the layer key layouts, and :class:`~repro.cache.keys.StudyKeys`,
+    which encodes a study's shared fingerprints once and splices them
+    into every cell's keys.
 :mod:`repro.cache.store`
     Atomic file-per-entry store (write-temp-then-rename, fork-pool
     safe) with an in-process LRU tier and corruption/version-skew

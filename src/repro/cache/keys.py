@@ -258,7 +258,13 @@ def simulator_fingerprint(simulator) -> dict:
     switch.  The engine backend is deliberately absent: backends are
     bit-identical, so cached results are engine-agnostic.
     """
-    return {**costs_fingerprint(simulator), "contention": simulator.contention}
+    return {
+        "platform": simulator.platform,
+        "task_model": simulator.task_model,
+        "startup_model": simulator.startup_model,
+        "redistribution_model": simulator.redistribution_model,
+        "contention": simulator.contention,
+    }
 
 
 def emulator_fingerprint(emulator) -> dict:
@@ -368,9 +374,7 @@ class StudyKeys:
     afresh.
     """
 
-    def __init__(
-        self, emulator, suites: Sequence, graphs: Sequence
-    ) -> None:
+    def __init__(self, emulator, suites: Sequence, graphs: Sequence) -> None:
         self.emulator = encoded_fingerprint(emulator_fingerprint(emulator))
         self.dags = [encoded_fingerprint(dag_fingerprint(g)) for g in graphs]
         executors = [_suite_executor(emulator.platform, s) for s in suites]
