@@ -54,23 +54,18 @@ def _assert_golden(actual: dict[str, str]) -> None:
     assert actual == expected
 
 
-def test_golden_file_covers_every_slice():
-    golden = json.loads(GOLDEN.read_text())
-    assert sorted(golden) == sorted(
-        f"{suite}/n={n}" for suite in SUITES for n in SIZES
-    )
-
-
 @pytest.mark.parametrize("suite", SUITES)
 def test_study_matches_golden(study_context, suite):
     _assert_golden(_digests(study_context.study(suite), suite))
 
 
 def test_cached_profile_study_matches_golden(study_context, tmp_path):
+    # The warm pass opens the directory afresh, as a new CLI run does,
+    # so it replays every cell from disk.
     ctx = study_context
-    cache = ResultCache(tmp_path / "cache")
     for _pass in ("cold", "warm"):
         study = run_study(
-            ctx.dags, [ctx.profile_suite], ctx.emulator, cache=cache
+            ctx.dags, [ctx.profile_suite], ctx.emulator,
+            cache=ResultCache(tmp_path / "cache"),
         )
         _assert_golden(_digests(study, "profile"))
