@@ -94,6 +94,23 @@ class TestStability:
         neighbour = np.nextafter(x, np.inf)
         assert canonical_hash(float(neighbour)) != canonical_hash(x)
 
+    def test_encoding_is_pinned(self):
+        # Entries on disk are addressed by these hashes: an encoding
+        # change orphans every existing cache unless the schema
+        # version is bumped with it.
+        key = {
+            "algorithm": "hcpa",
+            "dag": {
+                "name": "d",
+                "tasks": [(0, "matmul", 2000, "")],
+                "edges": [(0, 1)],
+            },
+            "mixed": [1.5, None, True, False, b"b", -3, {2, 1}],
+        }
+        assert canonical_hash(key) == (
+            "a82b7fefa0f5eadfc54b4f8b38548b24780e425938cc3fee8b471f2c6f2148db"
+        )
+
     def test_numpy_scalars_hash_like_python_scalars(self):
         assert canonical_hash(np.float64(1.5)) == canonical_hash(1.5)
         assert canonical_hash(np.int64(7)) == canonical_hash(7)
