@@ -14,6 +14,7 @@ execution adds lognormal noise (Fig 3 averages 20 trials per point).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,25 @@ class JvmStartupGroundTruth:
     wiggle: float = 0.12
     noise_sigma: float = 0.06
 
+    def __post_init__(self) -> None:
+        # Means already drawn, keyed by p.  Not a field, so equality,
+        # repr and cache fingerprints never see it.
+        object.__setattr__(self, "_means", {})
+
     def mean_overhead(self, p: int) -> float:
-        """Mean startup seconds for a task on ``p`` processors."""
+        """Mean startup seconds for a task on ``p`` processors.
+
+        Each ``p`` is computed once per instance; ``p`` must be an
+        integer (``operator.index``), so equal counts share one draw.
+        """
+        p = operator.index(p)
+        mean = self._means.get(p)
+        if mean is None:
+            mean = self._means[p] = self._mean_overhead(p)
+        return mean
+
+    def _mean_overhead(self, p: int) -> float:
+        """Unmemoised :meth:`mean_overhead`: checks, draws, computes."""
         if p < 1:
             raise ValueError(f"p must be >= 1, got {p}")
         trend = STARTUP_SLOPE * p + STARTUP_INTERCEPT

@@ -40,6 +40,7 @@ model, with a 2-20 % fluctuating error.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from repro.dag.distributions import BlockDistribution
@@ -108,6 +109,11 @@ class GroundTruthKernels:
     with_outliers:
         Inject the paper's p = 8 / p = 16 outliers for n = 3000
         (disable for ablations).
+
+    :meth:`mean_time` computes each (kernel, n, p) once per instance.
+    The fields are its only inputs, so do not mutate ``fluctuation`` in
+    place; derive a variant with :func:`dataclasses.replace`, which
+    starts afresh.
     """
 
     seed: int = 0
@@ -115,6 +121,11 @@ class GroundTruthKernels:
         default_factory=lambda: dict(DEFAULT_FLUCTUATION)
     )
     with_outliers: bool = True
+
+    def __post_init__(self) -> None:
+        # Means already drawn, keyed by (kernel, n, p).  Not a field, so
+        # equality, repr and cache fingerprints never see it.
+        object.__setattr__(self, "_means", {})
 
     def _anchor_curve(self, kernel: str, n: int, p: int) -> float:
         """Table II curve value at one of the paper's two measured sizes."""
@@ -192,7 +203,20 @@ class GroundTruthKernels:
         return 1.0
 
     def mean_time(self, kernel: str, n: int, p: int) -> float:
-        """Mean wall-clock seconds of one kernel execution (no noise)."""
+        """Mean wall-clock seconds of one kernel execution (no noise).
+
+        Each (kernel, n, p) is computed once per instance; ``n`` and
+        ``p`` must be integers (``operator.index``), so equal sizes and
+        counts share one draw.
+        """
+        key = (kernel, operator.index(n), operator.index(p))
+        mean = self._means.get(key)
+        if mean is None:
+            mean = self._means[key] = self._mean_time(*key)
+        return mean
+
+    def _mean_time(self, kernel: str, n: int, p: int) -> float:
+        """Unmemoised :meth:`mean_time`: checks, draws, computes."""
         if p < 1:
             raise ValueError(f"p must be >= 1, got {p}")
         base = self._base_curve(kernel, n, p)

@@ -10,6 +10,17 @@ Two kinds of variation model what the paper observed:
   instances sharing a seed;
 * **execution noise** — lognormal multiplicative noise per execution,
   modelling run-to-run variation (JIT, OS jitter, network).
+
+Each structural draw derives a seed and builds a fresh generator, which
+costs far more than the arithmetic around it.  The ground-truth objects
+that own these constants
+(:class:`~repro.testbed.kernels_rt.GroundTruthKernels`,
+:class:`~repro.testbed.jvm.JvmStartupGroundTruth`,
+:class:`~repro.testbed.subnet.SubnetManagerGroundTruth`) therefore keep
+a per-instance table of the means they have computed.
+:func:`structural_uniform` itself stays uncached on purpose: a module
+memo would outlive every emulator, so one study would replay draws made
+for an earlier one instead of paying for its own.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ surface realistically non-flat.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,25 @@ class SubnetManagerGroundTruth:
     wiggle: float = 0.006
     noise_sigma: float = 0.08
 
+    def __post_init__(self) -> None:
+        # Means already drawn, keyed by (p_src, p_dst).  Not a field, so
+        # equality, repr and cache fingerprints never see it.
+        object.__setattr__(self, "_means", {})
+
     def mean_overhead(self, p_src: int, p_dst: int) -> float:
-        """Mean protocol overhead in seconds (no data transfer)."""
+        """Mean protocol overhead in seconds (no data transfer).
+
+        Each pair is computed once per instance; both counts must be
+        integers (``operator.index``), so equal pairs share one draw.
+        """
+        key = (operator.index(p_src), operator.index(p_dst))
+        mean = self._means.get(key)
+        if mean is None:
+            mean = self._means[key] = self._mean_overhead(*key)
+        return mean
+
+    def _mean_overhead(self, p_src: int, p_dst: int) -> float:
+        """Unmemoised :meth:`mean_overhead`: checks, draws, computes."""
         if p_src < 1 or p_dst < 1:
             raise ValueError(
                 f"processor counts must be >= 1, got {p_src}, {p_dst}"

@@ -134,7 +134,7 @@ class TGridEmulator:
         size.  Short tasks are proportionally noisier (JIT warm-up, GC
         pauses amortise less), which is part of why the paper's n = 2000
         comparisons were harder to predict.  Sizes missing from the dict
-        fall back to :data:`DEFAULT_KERNEL_NOISE`.
+        fall back to :data:`FALLBACK_KERNEL_NOISE`.
     with_outliers / with_noise:
         Ablation switches (disable the Fig 6 outliers or all stochastic
         noise).
@@ -165,6 +165,8 @@ class TGridEmulator:
             if getattr(self, attr) <= 0:
                 raise ValueError(f"{attr} must be positive")
         env_seed = derive_seed(self.seed, "testbed", self.platform.name)
+        # Each ground-truth object memoises its means, so every execution
+        # and microbenchmark of this emulator shares one draw per constant.
         self.kernels = GroundTruthKernels(
             seed=env_seed, with_outliers=self.with_outliers
         )
