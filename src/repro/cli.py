@@ -32,12 +32,6 @@ Commands
     Compare two ``--timeline-out`` files: per-cell makespan deltas
     decomposed into exec/startup/redistribution components, plus
     wrong-sign HCPA-vs-MCPA cells.
-``bench``
-    Time the pipeline stages; ``--compare`` checks against the
-    committed ``BENCH_pipeline.json`` baseline, ``--check`` against
-    the rolling per-machine history
-    (``benchmarks/history/bench_history.jsonl``, appended on every
-    run unless ``--no-history``).
 ``cache``
     Inspect or invalidate the content-addressed result cache
     (``info`` / ``clear`` / ``prune``).
@@ -374,70 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.add_argument(
         "--top", type=int, default=5,
         help="how many per-task duration movers to list",
-    )
-
-    p_bench = sub.add_parser(
-        "bench", help="time the pipeline stages; optionally compare "
-        "against the committed baseline"
-    )
-    p_bench.add_argument("--dags", type=int, default=12,
-                         help="how many Table I DAGs to push through")
-    p_bench.add_argument("--repeat", type=int, default=1,
-                         help="measurement passes; per-stage minimum wins")
-    p_bench.add_argument(
-        "--compare",
-        action="store_true",
-        help="compare against the baseline; exit 1 on regression",
-    )
-    p_bench.add_argument(
-        "--threshold", type=float, default=0.25,
-        help="relative slowdown tolerated per stage (default 0.25)",
-    )
-    p_bench.add_argument(
-        "--baseline", default="",
-        help="baseline JSON path (default: BENCH_pipeline.json at the "
-        "repository root)",
-    )
-    p_bench.add_argument(
-        "--update", action="store_true",
-        help="write the measured payload to the baseline path",
-    )
-    p_bench.add_argument(
-        "--check", action="store_true",
-        help="compare against the rolling per-machine history baseline "
-        "(median of recent compatible entries); exit 1 on regression",
-    )
-    p_bench.add_argument(
-        "--tolerance", type=float, default=0.10,
-        help="relative slowdown tolerated per stage by --check "
-        "(default 0.10)",
-    )
-    p_bench.add_argument(
-        "--history", default="", metavar="PATH",
-        help="bench history JSONL path (default: "
-        "benchmarks/history/bench_history.jsonl in the checkout)",
-    )
-    p_bench.add_argument(
-        "--no-history", action="store_true",
-        help="do not append this run to the bench history file",
-    )
-    p_bench.add_argument(
-        "--assert-sched", action="store_true",
-        help="run the scheduler-backend bit-identity sweep (object vs "
-        "array allocations, events, counters, timeline, profile) with "
-        "forced kernel dispatch; exit 1 on divergence",
-    )
-    p_bench.add_argument(
-        "--assert-chunk", action="store_true",
-        help="run the chunked-executor bit-identity sweep (serial loop "
-        "vs chunked dispatch on records, events, counters, timeline, "
-        "profile, cold and warm caches); exit 1 on divergence",
-    )
-    p_bench.add_argument(
-        "--assert-live", action="store_true",
-        help="run the live-telemetry bit-identity sweep (records, "
-        "events, counters, timeline, profile equal with telemetry on "
-        "vs off at workers=4); exit 1 on divergence",
     )
 
     p_top = sub.add_parser(
@@ -892,162 +822,6 @@ def _cmd_serve_metrics(ctx: StudyContext, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(ctx: StudyContext, args: argparse.Namespace) -> int:
-    from repro.experiments import bench as bench_mod
-    from repro.experiments import bench_history
-
-    payload = bench_mod.run_pipeline_bench(
-        num_dags=args.dags,
-        repeat=args.repeat,
-        engine=ctx.engine,
-        sched=ctx.sched,
-    )
-    total = sum(s["seconds"] for s in payload["stages"].values())
-    for name, stage in payload["stages"].items():
-        share = 100.0 * stage["seconds"] / total if total else 0.0
-        print(f"  {name:<24} {stage['seconds']:8.3f} s ({share:5.1f} %)")
-    speedup = bench_mod.cache_speedup(payload)
-    if speedup is not None:
-        print(f"  warm-cache study re-run: {speedup:.1f}x faster than cold")
-    overhead = bench_mod.obs_overhead(payload)
-    if overhead is not None:
-        print(f"  timeline tracing overhead: {overhead:.2f}x vs disabled")
-    live_ratio = bench_mod.live_overhead(payload)
-    if live_ratio is not None:
-        print(f"  live telemetry overhead: {live_ratio:.2f}x vs disabled")
-    for instance in ("dense", "sparse"):
-        ratio = bench_mod.solver_speedup(payload, instance)
-        if ratio is not None:
-            print(
-                f"  vectorized solver ({instance}): "
-                f"{ratio:.2f}x vs scalar kernel"
-            )
-    sched_ratio = bench_mod.sched_speedup(payload)
-    if sched_ratio is not None:
-        print(
-            f"  array scheduler: {sched_ratio:.2f}x vs object "
-            "allocation loop"
-        )
-    throughput = bench_mod.study_cells_per_sec(payload)
-    chunk_ratio = bench_mod.study_throughput_speedup(payload)
-    if throughput is not None and chunk_ratio is not None:
-        print(
-            f"  study throughput: {throughput:.1f} cells/s chunked at 4 "
-            f"workers ({chunk_ratio:.2f}x vs per-cell dispatch)"
-        )
-    for pair, info in payload.get("crossovers", {}).items():
-        cross = info.get("crossover")
-        where = (
-            f"vectorized wins from ~{cross} {info['unit']}"
-            if cross is not None
-            else f"scalar wins at every measured size ({info['unit']})"
-        )
-        print(
-            f"  {pair} crossover: {where} "
-            f"(dispatch threshold {info['threshold']})"
-        )
-    baseline_path = (
-        Path(args.baseline) if args.baseline
-        else bench_mod.default_baseline_path()
-    )
-    history_path = (
-        Path(args.history) if args.history
-        else bench_history.default_history_path()
-    )
-    status = 0
-    if args.assert_sched:
-        try:
-            checked = bench_mod.assert_sched_identity(args.dags)
-        except RuntimeError as exc:
-            print(f"sched identity: FAILED — {exc}", file=sys.stderr)
-            status = 1
-        else:
-            print(
-                f"sched identity: {checked} cases bit-identical across "
-                "backends"
-            )
-    if args.assert_chunk:
-        try:
-            checked = bench_mod.assert_chunk_identity(args.dags)
-        except RuntimeError as exc:
-            print(f"chunk identity: FAILED — {exc}", file=sys.stderr)
-            status = 1
-        else:
-            print(
-                f"chunk identity: {checked} configurations bit-identical "
-                "with the serial loop"
-            )
-    if args.assert_live:
-        try:
-            checked = bench_mod.assert_live_identity(args.dags)
-        except RuntimeError as exc:
-            print(f"live identity: FAILED — {exc}", file=sys.stderr)
-            status = 1
-        else:
-            print(
-                f"live identity: {checked} configurations bit-identical "
-                "with telemetry detached"
-            )
-    if args.check:
-        try:
-            entries = bench_history.load_history(history_path)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        comparisons = bench_history.check_against_history(
-            payload, entries, tolerance=args.tolerance
-        )
-        if comparisons is None:
-            config = payload.get("config", {})
-            print(
-                f"bench history: no compatible entries in {history_path} "
-                f"(num_dags={config.get('num_dags')}, "
-                f"engine={config.get('engine')}, "
-                f"sched={config.get('sched')}, matching host "
-                "fingerprint); this run seeds the rolling baseline"
-            )
-        else:
-            _, used = bench_history.rolling_baseline(entries, payload)
-            print(
-                "rolling-history check "
-                f"(tolerance {args.tolerance:.0%}, {history_path}):"
-            )
-            if used < bench_history.DEFAULT_WINDOW:
-                print(
-                    f"  note: only {used} comparable entries for this "
-                    f"host/config (window {bench_history.DEFAULT_WINDOW})"
-                    " — the rolling baseline is still settling"
-                )
-            print(bench_mod.render_comparison(comparisons))
-            if any(c.regressed for c in comparisons):
-                status = 1
-    if not args.no_history:
-        bench_history.append_history(payload, history_path)
-        print(f"appended bench entry to {history_path}")
-    if args.compare:
-        try:
-            baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            print(f"error: no baseline at {baseline_path}", file=sys.stderr)
-            return 2
-        try:
-            comparisons = bench_mod.compare_to_baseline(
-                payload, baseline, threshold=args.threshold
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(bench_mod.render_comparison(comparisons))
-        if any(c.regressed for c in comparisons):
-            status = 1
-    if args.update:
-        baseline_path.write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
-        print(f"wrote {baseline_path}")
-    return status
-
-
 _COMMANDS = {
     "figures": _cmd_figures,
     "study": _cmd_study,
@@ -1059,7 +833,6 @@ _COMMANDS = {
     "report": _cmd_report,
     "trace": _cmd_trace,
     "diff": _cmd_diff,
-    "bench": _cmd_bench,
     "cache": _cmd_cache,
     "top": _cmd_top,
     "serve-metrics": _cmd_serve_metrics,

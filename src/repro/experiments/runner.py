@@ -846,9 +846,10 @@ def run_study(
     claims, worker heartbeats — the ``--progress`` display and
     ``repro serve-metrics``).  The channel is strictly observational:
     records, counters, timeline lines and profiles are bit-identical
-    with or without it (asserted by the ``obs_live_overhead`` bench
-    pair), and live-only counters such as ``runner.stragglers`` stay
-    in the telemetry state, never the Recorder.
+    with or without it (asserted by
+    ``test_live_telemetry_does_not_perturb_study``), and live-only
+    counters such as ``runner.stragglers`` stay in the telemetry
+    state, never the Recorder.
 
     Whatever the path, the recorder's span aggregates gain two
     wall-clock timings per study: ``study.grid`` (end-to-end grid wall

@@ -203,8 +203,8 @@ def report_json(
 
     The same sources and fallbacks as :func:`render_report` — manifest
     rollups where present, stream-derived aggregates otherwise — but as
-    one JSON-serialisable document, so the bench history store and any
-    study service consume reports without scraping the text tables.
+    one JSON-serialisable document, so tools consume reports without
+    scraping the text tables.
     """
     counters: dict[str, float] = {}
     if manifest is not None:

@@ -4,8 +4,7 @@ Everything here exercises :mod:`repro.obs.live` without a real study —
 events are hand-folded at controlled timestamps so straggler/stall
 logic and the EWMA are deterministic.  End-to-end coverage (telemetry
 attached to actual study sweeps, bit-identity with it detached) lives
-in ``tests/experiments/test_runner_chunked.py`` and the bench's
-``assert_live_identity`` sweep.
+in ``tests/experiments/test_runner_chunked.py``.
 """
 
 from __future__ import annotations

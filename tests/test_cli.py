@@ -351,71 +351,6 @@ class TestProfileCommand:
         assert loaded.crossover("step_scan") == 64
 
 
-class TestBenchCommand:
-    """CLI wiring of the history-backed regression check.
-
-    The real pipeline bench takes minutes, so these tests stub
-    ``run_pipeline_bench`` with a canned payload; the measurement
-    itself is covered by ``benchmarks/bench_pipeline.py`` (tier 2) and
-    the rolling-baseline math by ``tests/experiments/test_bench_history``.
-    """
-
-    @staticmethod
-    def _stub(monkeypatch, factor=1.0):
-        import repro.experiments.bench as bench_mod
-
-        payload = {
-            "created": "2026-08-07T00:00:00+0000",
-            "version": "0.0.0-test",
-            "config": {
-                "num_dags": 2, "engine": "object", "sched": "object",
-                "repeat": 1,
-            },
-            "counters": {},
-            "crossovers": {
-                "solver": {"unit": "entries", "crossover": None,
-                           "threshold": 512},
-                "step_scan": {"unit": "actions", "crossover": 64,
-                              "threshold": 32},
-            },
-            "stages": {
-                name: {"seconds": factor * base, "units": 4,
-                       "seconds_per_unit": factor * base / 4}
-                for name, base in (("scheduling", 1.0), ("simulation", 0.5))
-            },
-        }
-        monkeypatch.setattr(
-            bench_mod, "run_pipeline_bench",
-            lambda num_dags, repeat=1, engine=None, sched=None: payload,
-        )
-
-    def test_check_seeds_then_passes_then_catches_slowdown(
-        self, capsys, tmp_path, monkeypatch
-    ):
-        hist = tmp_path / "hist.jsonl"
-        self._stub(monkeypatch)
-        assert main(["bench", "--check", "--history", str(hist)]) == 0
-        out = capsys.readouterr().out
-        assert "no compatible entries" in out
-        assert "appended bench entry" in out
-        assert "crossover" in out
-        assert main(["bench", "--check", "--history", str(hist)]) == 0
-        assert "PASS" in capsys.readouterr().out
-        # A synthetic 2x slowdown must fail the gate with exit code 1.
-        self._stub(monkeypatch, factor=2.0)
-        assert main(["bench", "--check", "--history", str(hist)]) == 1
-        out = capsys.readouterr().out
-        assert "scheduling" in out and "simulation" in out
-        assert len(hist.read_text().splitlines()) == 3
-
-    def test_no_history_skips_append(self, capsys, tmp_path, monkeypatch):
-        hist = tmp_path / "hist.jsonl"
-        self._stub(monkeypatch)
-        assert main(["bench", "--no-history", "--history", str(hist)]) == 0
-        assert "appended" not in capsys.readouterr().out
-        assert not hist.exists()
-
-
 class TestVarianceCommand:
     def test_runs_and_reports(self, capsys):
         rc = main(["variance", "--runs", "3", "--dags", "3"])
