@@ -255,8 +255,8 @@ def simulator_fingerprint(simulator) -> dict:
 
     Everything its ``run`` depends on besides the (graph, schedule)
     pair: the platform, the three cost models and the contention
-    switch.  The engine backend is deliberately absent: backends are
-    bit-identical, so cached results are engine-agnostic.
+    switch.  The lazily built network topology is derived from the
+    platform, so it is absent.
     """
     return {
         "platform": simulator.platform,

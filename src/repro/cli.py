@@ -16,10 +16,8 @@ Commands
     Print the raw measurement tables (kernels / startup /
     redistribution) of the emulated environment, or — with
     ``--what wall`` — profile a mini-study's wall-clock time
-    (hierarchical span tree, per-kernel cost table, measured
-    scalar/vectorized crossovers; ``--flame``/``--chrome`` export
-    flamegraph artifacts, ``--save-table`` persists the crossover
-    table for ``REPRO_DISPATCH_TABLE``).
+    (hierarchical span tree and per-kernel cost table;
+    ``--flame``/``--chrome`` export flamegraph artifacts).
 ``report``
     Summarise a JSONL trace produced with ``--trace-out`` (counters,
     span timings, per-algorithm makespans); ``--json`` emits the same
@@ -112,6 +110,25 @@ _COMPARISON_FIGURES = {
 }
 
 
+def _int_at_least(minimum: int):
+    """An argparse ``type`` accepting integers >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid int value: {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {value}"
+            )
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -126,18 +143,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0, help="experiment seed")
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_int_at_least(1),
         default=1,
         help="process-pool size for study sweeps (1 = serial; results "
         "are identical either way)",
-    )
-    parser.add_argument(
-        "--engine",
-        choices=("object", "array"),
-        default=None,
-        help="simulation engine backend: the scalar object oracle "
-        "(default) or the vectorized array core; results are "
-        "bit-identical (REPRO_ENGINE sets the default)",
     )
     parser.add_argument(
         "--sched",
@@ -149,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--chunk-size",
-        type=int,
+        type=_int_at_least(0),
         default=None,
         metavar="N",
         help="cells per pool dispatch for parallel study sweeps "
@@ -269,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="kernels",
         help="kernels/startup/redistribution: emulated-environment "
         "measurement tables; wall: profile a mini-study's wall-clock "
-        "time and measure the scalar/vectorized kernel crossovers",
+        "time",
     )
     p_prof.add_argument("--trials", type=int, default=3)
     p_prof.add_argument(
@@ -286,12 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chrome", default="", metavar="PATH",
         help="(--what wall) write the wall-clock profile as Chrome "
         "trace-event JSON (Perfetto-loadable)",
-    )
-    p_prof.add_argument(
-        "--save-table", default="", metavar="PATH",
-        help="(--what wall) persist the measured crossover table as "
-        "JSON; point REPRO_DISPATCH_TABLE at it to drive the adaptive "
-        "dispatch of both the array engine and the array scheduler",
     )
 
     p_var = sub.add_parser(
@@ -506,10 +509,9 @@ def _cmd_simulate(ctx: StudyContext, args: argparse.Namespace) -> int:
         suite.task_model,
         startup_model=suite.startup_model,
         redistribution_model=suite.redistribution_model,
-        engine=ctx.engine,
     )
     sim_trace = simulator.run_cached(graph, schedule, ctx.cache)
-    exp_trace = ctx.emulator.execute(graph, schedule, engine=ctx.engine)
+    exp_trace = ctx.emulator.execute(graph, schedule)
     print(f"dag: {graph.name}  algorithm: {args.algorithm}  "
           f"simulator: {args.simulator}")
     print(f"allocations: {schedule.allocations()}")
@@ -526,29 +528,20 @@ def _cmd_simulate(ctx: StudyContext, args: argparse.Namespace) -> int:
 
 
 def _profile_wall(ctx: StudyContext, args: argparse.Namespace) -> int:
-    """Profile a mini-study's wall-clock time and measure crossovers.
+    """Profile a mini-study's wall-clock time.
 
     Runs the first ``--dags`` Table I DAGs through the full pipeline
-    (schedule, simulate, execute) with a :class:`Profiler` attached,
-    prints the hierarchical span tree and per-kernel cost table, then
-    runs the controlled :meth:`CrossoverTable.measure` calibration and
-    prints the measured scalar-vs-vectorized crossover for both kernel
-    pairs (solver and step scan).
+    (schedule, simulate, execute) with a :class:`Profiler` attached and
+    prints the hierarchical span tree and per-kernel cost table.
     """
     from repro.experiments.runner import run_study
-    from repro.obs import (
-        CrossoverTable,
-        chrome_profile_trace,
-        collapsed_stacks,
-        recording,
-    )
+    from repro.obs import chrome_profile_trace, collapsed_stacks, recording
 
     profiler = Profiler()
     dags = ctx.dags[: args.dags]
     print(
         f"profiling a {len(dags)}-DAG mini-study "
-        f"(engine={ctx.engine or 'object'}, sched={ctx.sched or 'object'}, "
-        f"workers={ctx.workers}) ..."
+        f"(sched={ctx.sched or 'object'}, workers={ctx.workers}) ..."
     )
     with recording(Recorder(MemorySink(), profiler=profiler)):
         run_study(
@@ -556,7 +549,6 @@ def _profile_wall(ctx: StudyContext, args: argparse.Namespace) -> int:
             [ctx.suite("analytic")],
             ctx.emulator,
             workers=ctx.workers,
-            engine=ctx.engine,
             sched=ctx.sched,
         )
     print()
@@ -572,17 +564,6 @@ def _profile_wall(ctx: StudyContext, args: argparse.Namespace) -> int:
             encoding="utf-8",
         )
         print(f"wrote {args.chrome}")
-
-    print()
-    print("measuring scalar/vectorized crossovers (controlled sweep) ...")
-    table = CrossoverTable.measure()
-    print(table.render())
-    if args.save_table:
-        table.save(args.save_table)
-        print(
-            f"wrote {args.save_table} "
-            f"(export REPRO_DISPATCH_TABLE={args.save_table} to use it)"
-        )
     return 0
 
 
@@ -894,7 +875,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         seed=args.seed,
         workers=args.workers,
         cache_dir=args.cache_dir or None,
-        engine=args.engine,
         sched=args.sched,
         chunk=args.chunk_size,
         telemetry=telemetry,

@@ -51,16 +51,11 @@ class StudyContext:
         cache.  When set, calibrated suites, schedules and traces are
         memoised on disk and warm study re-runs replay unchanged cells
         bit-identically — see :mod:`repro.cache`.
-    engine:
-        Simulation engine backend for study sweeps (``"object"`` or
-        ``"array"``; None resolves via ``REPRO_ENGINE``).  Backends are
-        bit-identical, so the choice only affects wall-clock time — see
-        :mod:`repro.simgrid.arena`.
     sched:
         Scheduling (allocation) backend for the CPA-family algorithms
         (``"object"`` or ``"array"``; None resolves via
-        ``REPRO_SCHED``).  Bit-identical like the engine backends — see
-        :mod:`repro.scheduling.arena`.
+        ``REPRO_SCHED``).  Backends are bit-identical, so the choice
+        only affects wall-clock time — see :mod:`repro.scheduling.arena`.
     chunk:
         Cells per pool dispatch for parallel sweeps (None resolves via
         ``REPRO_CHUNK``; 0 = auto-size to the pool).  Any chunking is
@@ -80,7 +75,6 @@ class StudyContext:
     redistribution_trials: int = 3
     workers: int = 1
     cache_dir: str | Path | None = None
-    engine: str | None = None
     sched: str | None = None
     chunk: int | None = None
     telemetry: object | None = None
@@ -173,7 +167,6 @@ class StudyContext:
                     self.emulator,
                     workers=self.workers,
                     cache=self.cache,
-                    engine=self.engine,
                     sched=self.sched,
                     chunk=self.chunk,
                     telemetry=self.telemetry,

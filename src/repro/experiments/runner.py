@@ -36,17 +36,17 @@ serial loop:
    (:meth:`~repro.cache.result_cache.ResultCache.peek`).  Fully cached
    cells never reach the pool: the parent replays them inline through
    the exact per-cell path, so their counters and records are the ones
-   the normal counted reads produce.  Shared ``GraphLayout`` /
-   ``ResourceLayout`` lowerings happen once, parent-side, before the
-   fork, so every worker inherits them copy-on-write.
+   the normal counted reads produce.  With the array scheduler, each
+   DAG's ``GraphLayout`` is lowered once, parent-side, before the fork,
+   so every worker inherits it copy-on-write.
 2. **Chunked executor** (:func:`_pool_run_chunk`): cache-missing cells
    are dispatched to the pool as whole chunks (``chunk`` cells per
    future; default ~4 chunks per worker so the pool's shared queue
    rebalances stragglers work-stealing-style).  A worker runs its
-   chunk's cells sequentially — reusing one simulator per suite, one
-   ``SchedulingCosts`` per (suite, DAG) and the pooled arenas across
-   the chunk — and ships one compact result+observability payload per
-   chunk instead of one pickle per cell.
+   chunk's cells sequentially — reusing one simulator per suite and one
+   ``SchedulingCosts`` per (suite, DAG) across the chunk — and ships
+   one compact result+observability payload per chunk instead of one
+   pickle per cell.
 3. **Merge**: the parent walks the grid in submission order,
    interleaving inline cache hits with chunk payload slices.  Chunk
    counters/span-stats/profiles merge once per chunk (their sums are
@@ -92,7 +92,6 @@ from repro.scheduling.costs import SchedulingCosts
 from repro.scheduling.arena import graph_layout, resolve_sched
 from repro.scheduling.driver import schedule_dag
 from repro.scheduling.schedule import Schedule
-from repro.simgrid.arena import layout_for, resolve_engine
 from repro.simgrid.simulator import ApplicationSimulator
 from repro.testbed.tgrid import TGridEmulator
 from repro.util.stats import relative_error
@@ -259,7 +258,6 @@ def _run_cell(
     emulator: TGridEmulator,
     costs: SchedulingCosts | None = None,
     cache: ResultCache | None = None,
-    engine: str | None = None,
     simulator: ApplicationSimulator | None = None,
     sched: str | None = None,
     keys: CellKeys | None = None,
@@ -268,13 +266,8 @@ def _run_cell(
 
     Shared by the serial loop (which reuses one ``costs`` per
     (suite, DAG) so the memoised task times carry across algorithms,
-    and one ``simulator`` per suite so the array backend's arena and
-    consumption memos carry across the whole sweep) and the pool
-    workers (which build their own).
-
-    ``engine`` selects the simulation backend for both the simulated
-    and the emulated trace; results are bit-identical either way, so
-    the engine never enters a cache key.
+    and one ``simulator`` per suite so its network topology is built
+    once per sweep) and the pool workers (which build their own).
 
     With a ``cache`` (and this cell's ``keys``), all three phases are
     memoised: the schedule under the ``"schedule"`` layer and the
@@ -295,8 +288,8 @@ def _run_cell(
     with cell_ctx:
         return _run_cell_body(
             suite, params, graph, algorithm, emulator, obs,
-            costs=costs, cache=cache, engine=engine, simulator=simulator,
-            sched=sched, keys=keys,
+            costs=costs, cache=cache, simulator=simulator, sched=sched,
+            keys=keys,
         )
 
 
@@ -309,7 +302,6 @@ def _run_cell_body(
     obs: Recorder,
     costs: SchedulingCosts | None = None,
     cache: ResultCache | None = None,
-    engine: str | None = None,
     simulator: ApplicationSimulator | None = None,
     sched: str | None = None,
     keys: CellKeys | None = None,
@@ -340,7 +332,6 @@ def _run_cell_body(
             suite.task_model,
             startup_model=suite.startup_model,
             redistribution_model=suite.redistribution_model,
-            engine=engine,
         )
     with obs.span(
         "study.simulate", algorithm=algorithm, simulator=suite.name
@@ -356,12 +347,12 @@ def _run_cell_body(
         "study.execute", algorithm=algorithm, simulator=suite.name
     ):
         if cache is None:
-            exp_trace = emulator.execute(graph, schedule, engine=engine)
+            exp_trace = emulator.execute(graph, schedule)
         else:
             exp_trace = cache.get_or_compute(
                 "simulation",
                 exp_key,
-                lambda: emulator.execute(graph, schedule, engine=engine),
+                lambda: emulator.execute(graph, schedule),
             )
     record = RunRecord(
         dag_label=graph.name,
@@ -399,7 +390,6 @@ def _pool_init(
     emulator: TGridEmulator,
     obs_enabled: bool,
     cache: ResultCache | None = None,
-    engine: str | None = None,
     timeline_enabled: bool = False,
     profiler_enabled: bool = False,
     sched: str | None = None,
@@ -411,14 +401,13 @@ def _pool_init(
     _POOL_STATE["emulator"] = emulator
     _POOL_STATE["obs_enabled"] = obs_enabled
     _POOL_STATE["cache"] = cache
-    _POOL_STATE["engine"] = engine
     _POOL_STATE["timeline_enabled"] = timeline_enabled
     _POOL_STATE["profiler_enabled"] = profiler_enabled
     _POOL_STATE["sched"] = sched
     _POOL_STATE["keys"] = keys
-    # Per-suite simulator reuse within a worker: the array backend's
-    # arena and consumption memos then amortize across every cell the
-    # worker processes (simulators are reusable across runs).
+    # Per-suite simulator reuse within a worker: its network topology
+    # is then built once per worker (simulators are reusable across
+    # runs).
     _POOL_STATE["simulators"] = {}
     # Per-(suite, DAG) SchedulingCosts reuse, mirroring the serial
     # loop: the memoised task-time estimates carry across a chunk's
@@ -443,7 +432,6 @@ def _chunk_cell(cell: tuple[int, int, str], state: dict) -> RunRecord:
     suite = state["suites"][suite_idx]
     params, graph = state["dags"][dag_idx]
     emulator = state["emulator"]
-    engine = state.get("engine")
     simulator = state["simulators"].get(suite_idx)
     if simulator is None:
         simulator = ApplicationSimulator(
@@ -451,7 +439,6 @@ def _chunk_cell(cell: tuple[int, int, str], state: dict) -> RunRecord:
             suite.task_model,
             startup_model=suite.startup_model,
             redistribution_model=suite.redistribution_model,
-            engine=engine,
         )
         state["simulators"][suite_idx] = simulator
     costs = state["costs"].get((suite_idx, dag_idx))
@@ -467,7 +454,7 @@ def _chunk_cell(cell: tuple[int, int, str], state: dict) -> RunRecord:
     keys = state.get("keys")
     return _run_cell(
         suite, params, graph, algorithm, emulator, costs=costs,
-        cache=state.get("cache"), engine=engine, simulator=simulator,
+        cache=state.get("cache"), simulator=simulator,
         sched=state.get("sched"),
         keys=keys.cell(suite_idx, dag_idx) if keys is not None else None,
     )
@@ -604,7 +591,6 @@ def _absorb_chunk_slice(obs: Recorder, payload: dict, k: int) -> None:
                 "records": tl_state["records"][tl_lo:tl_hi],
                 "runs": run_hi - run_lo,
                 "run_base": run_lo,
-                "engines": tl_state.get("engines", ()),
             }
         )
 
@@ -617,7 +603,6 @@ def _run_grid_chunked(
     algorithms: Sequence[str],
     workers: int,
     cache: ResultCache | None,
-    engine: str,
     sched: str,
     chunk: int | None,
     obs: Recorder,
@@ -676,7 +661,6 @@ def _run_grid_chunked(
                 suite.task_model,
                 startup_model=suite.startup_model,
                 redistribution_model=suite.redistribution_model,
-                engine=engine,
             )
         costs = par_costs.get((suite_idx, dag_idx))
         if costs is None:
@@ -689,7 +673,7 @@ def _run_grid_chunked(
             )
         return _run_cell(
             suite, params, graph, algorithm, emulator, costs=costs,
-            cache=cache, engine=engine, simulator=simulator, sched=sched,
+            cache=cache, simulator=simulator, sched=sched,
             keys=keys.cell(suite_idx, dag_idx) if keys is not None else None,
         )
 
@@ -703,16 +687,14 @@ def _run_grid_chunked(
                 )
         return 0.0
 
-    # Lower the shared layouts once, parent-side, before the fork:
-    # every worker then inherits the memoised GraphLayout (array
-    # scheduler) and ResourceLayout (array engine) copy-on-write
-    # instead of re-lowering them per process.  (Lowering emits no
-    # observability, so this moves work without moving any counter.)
+    # Lower the DAG layouts once, parent-side, before the fork: every
+    # worker then inherits the memoised GraphLayout (array scheduler)
+    # copy-on-write instead of re-lowering it per process.  (Lowering
+    # emits no observability, so this moves work without moving any
+    # counter.)
     if sched == "array":
         for _params, graph in dags:
             graph_layout(graph)
-    if engine == "array":
-        layout_for(platform)
 
     # Fork shares the already-built DAGs/suites/emulator with the
     # workers for free; other start methods pickle them once via the
@@ -737,7 +719,7 @@ def _run_grid_chunked(
         mp_context=ctx,
         initializer=_pool_init,
         initargs=(
-            dags, suites, emulator, obs.enabled, cache, engine,
+            dags, suites, emulator, obs.enabled, cache,
             obs.timeline is not None, obs.profiler is not None,
             sched, live, keys,
         ),
@@ -800,7 +782,6 @@ def run_study(
     algorithms: Sequence[str] = ("hcpa", "mcpa"),
     workers: int = 1,
     cache: ResultCache | None = None,
-    engine: str | None = None,
     sched: str | None = None,
     chunk: int | None = None,
     telemetry: LiveTelemetry | None = None,
@@ -825,15 +806,11 @@ def run_study(
     detected up front by a batched side-effect-free probe and replayed
     inline in the parent — they never reach the pool.
 
-    ``engine`` selects the simulation backend (``"object"`` or
-    ``"array"``; default resolves via ``REPRO_ENGINE``).  Backends are
-    bit-identical, so records, traces and cache entries do not depend
-    on the choice — only wall-clock time does.
-
     ``sched`` selects the allocation backend of the CPA-family
-    schedulers the same way (``"object"`` or ``"array"``; default
-    resolves via ``REPRO_SCHED``).  Backends are bit-identical, so it
-    never enters cache keys either.
+    schedulers (``"object"`` or ``"array"``; default resolves via
+    ``REPRO_SCHED``).  Backends are bit-identical, so records, traces
+    and cache entries do not depend on the choice — only wall-clock
+    time does — and it never enters a cache key.
 
     ``chunk`` sets the cells-per-chunk of the parallel executor
     (``None``: honor ``REPRO_CHUNK``; 0 or unset: auto — about
@@ -859,7 +836,6 @@ def run_study(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    engine = resolve_engine(engine)
     sched = resolve_sched(sched)
     result = StudyResult()
     platform = emulator.platform
@@ -885,7 +861,7 @@ def run_study(
     if requested > 1:
         dispatch_wait = _run_grid_chunked(
             result, dags, suites, emulator, algorithms, workers,
-            cache, engine, sched, chunk, obs, telemetry, keys,
+            cache, sched, chunk, obs, telemetry, keys,
         )
     else:
         if telemetry is not None and suites and dags and algorithms:
@@ -899,7 +875,6 @@ def run_study(
                 suite.task_model,
                 startup_model=suite.startup_model,
                 redistribution_model=suite.redistribution_model,
-                engine=engine,
             )
             for dag_idx, (params, graph) in enumerate(dags):
                 costs = SchedulingCosts(
@@ -920,8 +895,8 @@ def run_study(
                     result.records.append(
                         _run_cell(
                             suite, params, graph, algorithm, emulator,
-                            costs=costs, cache=cache, engine=engine,
-                            simulator=simulator, sched=sched, keys=cell_keys,
+                            costs=costs, cache=cache, simulator=simulator,
+                            sched=sched, keys=cell_keys,
                         )
                     )
                     if telemetry is not None:

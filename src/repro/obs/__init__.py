@@ -20,10 +20,9 @@ Pieces
     attached to study results and appended to JSONL traces.
 :func:`report_file`
     Human-readable summary of a trace (the ``repro report`` command).
-:class:`Profiler` / :class:`CrossoverTable`
-    Hierarchical wall-clock spans with dimension-tagged kernel probes,
-    and the measured scalar-vs-vectorized crossover table that drives
-    the array engine's adaptive dispatch (``repro profile --what wall``).
+:class:`Profiler`
+    Hierarchical wall-clock spans with dimension-tagged kernel probes
+    (``repro profile --what wall``).
 :func:`collapsed_stacks` / :func:`chrome_profile_trace`
     Flamegraph text and a Chrome-trace wall-clock lane of a profile.
 
@@ -55,7 +54,7 @@ from repro.obs.live import (
     render_top,
 )
 from repro.obs.manifest import RunManifest, emit_manifest, platform_info
-from repro.obs.prof import CrossoverTable, Profiler, size_bucket
+from repro.obs.prof import Profiler, size_bucket
 from repro.obs.recorder import (
     Recorder,
     SpanStats,
@@ -74,7 +73,6 @@ from repro.obs.sinks import JsonlSink, MemorySink, NullSink, Sink
 from repro.obs.timeline import Timeline, load_timeline, timeline_lines
 
 __all__ = [
-    "CrossoverTable",
     "LiveStudyState",
     "LiveTelemetry",
     "MetricsServer",

@@ -62,7 +62,6 @@ class TimelineRun:
     variant: str | None = None
     n: int | None = None
     model: str | None = None
-    engine: str | None = None
     makespan: float = 0.0
     tasks: dict[int, dict] = field(default_factory=dict)
     xfers: dict[tuple[int, int], dict] = field(default_factory=dict)
@@ -104,7 +103,6 @@ def split_runs(records: list[dict]) -> list[TimelineRun]:
                     variant=record.get("variant"),
                     n=record.get("n"),
                     model=record.get("model"),
-                    engine=record.get("engine"),
                     makespan=float(record.get("makespan", 0.0)),
                     tasks=tasks.pop(run_id, {}),
                     xfers=xfers.pop(run_id, {}),

@@ -458,7 +458,6 @@ def summarize_file(path: Union[str, Path]) -> str:
                         "role",
                         "dag",
                         "algorithm",
-                        "engine",
                         "makespan [s]",
                         "tasks",
                         "xfers",
@@ -470,7 +469,6 @@ def summarize_file(path: Union[str, Path]) -> str:
                             str(r.get("role", "-")),
                             str(r.get("dag", "?")),
                             str(r.get("algorithm", "?")),
-                            str(r.get("engine", "?")),
                             f"{float(r.get('makespan', 0.0)):.4f}",
                             str(r.get("tasks", "?")),
                             str(r.get("xfers", "?")),

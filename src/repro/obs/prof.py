@@ -1,21 +1,12 @@
-"""Hierarchical wall-clock profiler and measured kernel crossovers.
+"""Hierarchical wall-clock profiler.
 
-Two instruments live here, both feeding the performance work the
-ROADMAP schedules next (vectorizing the scheduling hot path):
-
-* :class:`Profiler` — nestable named spans forming a call-path tree
-  plus *dimension-tagged kernel probes*.  A span records wall-clock
-  time under its full path (``("sched.allocate", "critical_path_dp")``),
-  so the flamegraph exporters in :mod:`repro.obs.flame` can attribute
-  cost hierarchically; a probe records ``(kernel, size_bucket,
-  seconds)`` so every ``_maxmin_flat`` / ``_maxmin_dense`` solve,
-  scalar/vectorized step scan, ``alloc_grow`` sweep and
-  ``CriticalPathDP`` pass contributes to an empirical per-kernel,
-  per-size cost model.
-* :class:`CrossoverTable` — aggregates scalar-vs-vectorized timings
-  per input size into *measured* crossover points, replacing the
-  hard-coded dispatch thresholds in :mod:`repro.simgrid.arena`
-  (persisted as JSON, loaded via ``REPRO_DISPATCH_TABLE``).
+:class:`Profiler` records nestable named spans forming a call-path tree
+plus *dimension-tagged kernel probes*.  A span records wall-clock time
+under its full path (``("sched.allocate", "critical_path_dp")``), so the
+flamegraph exporters in :mod:`repro.obs.flame` can attribute cost
+hierarchically; a probe records ``(kernel, size_bucket, seconds)`` so
+every ``solve_rates`` call, ``alloc_grow`` sweep and ``CriticalPathDP``
+pass contributes to an empirical per-kernel, per-size cost table.
 
 Design rules (matching the Recorder's, see ``docs/observability.md``):
 
@@ -26,25 +17,19 @@ Design rules (matching the Recorder's, see ``docs/observability.md``):
   dict (:meth:`Profiler.export_state`), merged across workers by
   :meth:`Profiler.absorb` in the study runner's submission order; the
   serialized form is key-sorted, so the *structure* (paths and counts)
-  is byte-identical across worker counts and engine backends.
+  is byte-identical across worker counts.
 * **Wall clocks never feed back.**  Nothing here influences simulated
-  time or scheduling decisions; the dispatch thresholds a
-  :class:`CrossoverTable` yields change only *speed*, never results —
-  the array engine's kernels are bit-identical across thresholds.
+  time or scheduling decisions.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Iterator
 
 __all__ = [
-    "CrossoverTable",
-    "PAIRS",
     "Profiler",
     "size_bucket",
 ]
@@ -53,46 +38,12 @@ __all__ = [
 #: names are dotted identifiers and must not contain it.
 PATH_SEP = ";"
 
-#: The scalar/vectorized kernel pairs the dispatch crossovers describe.
-#: ``unit`` names the size dimension the pair is bucketed by: the
-#: max-min solver dispatches on total consumption *entries* in the
-#: working set, the step scan on *actions* in the alive queue, the
-#: scheduler's bottom-level DP on *tasks* in the DAG and its grow sweep
-#: on critical-path *candidates*.  The scheduler pairs are
-#: calibration-only sides: the live probes in
-#: :mod:`repro.scheduling.arena` keep the aggregate kernel names
-#: (``critical_path_dp`` / ``alloc_grow``) in both backends so profile
-#: structures stay identical across ``sched`` backends, and crossover
-#: evidence comes from :meth:`CrossoverTable.measure`.
-PAIRS: dict[str, dict[str, str]] = {
-    "solver": {
-        "unit": "entries",
-        "scalar": "maxmin_flat",
-        "vectorized": "maxmin_dense",
-    },
-    "step_scan": {
-        "unit": "actions",
-        "scalar": "scan_scalar",
-        "vectorized": "scan_vector",
-    },
-    "critical_path_dp": {
-        "unit": "tasks",
-        "scalar": "cp_dp_scalar",
-        "vectorized": "cp_dp_vector",
-    },
-    "alloc_grow": {
-        "unit": "candidates",
-        "scalar": "grow_scalar",
-        "vectorized": "grow_vector",
-    },
-}
-
 
 def size_bucket(n: int) -> int:
     """Power-of-two bucket of a size (``0`` for empty instances).
 
     Buckets keep the probe tables small while preserving the order of
-    magnitude the dispatch decision depends on: ``1..1 -> 1``,
+    magnitude a kernel's cost depends on: ``1..1 -> 1``,
     ``2 -> 2``, ``3..4 -> 4``, ``5..8 -> 8`` and so on (the bucket is
     the smallest power of two >= n).
     """
@@ -193,8 +144,8 @@ class Profiler:
         """Record one kernel invocation at an input size.
 
         ``size`` is bucketed to the next power of two, so the table
-        stays a handful of rows per kernel while still resolving the
-        scalar/vectorized crossover region.
+        stays a handful of rows per kernel while still resolving how
+        its cost grows with size.
         """
         key = (kernel, size_bucket(size))
         stats = self.kernels.get(key)
@@ -304,449 +255,5 @@ class Profiler:
                 lines.append(
                     f"  {kernel:<18} {bucket:>8} {count:>8} "
                     f"{total:>9.4f}s {1e6 * mean:>8.1f}us"
-                )
-        return "\n".join(lines)
-
-
-class CrossoverTable:
-    """Measured scalar-vs-vectorized kernel costs per input size.
-
-    One row per (pair, size): the mean per-call seconds of the scalar
-    and the vectorized kernel on the *same* instance.  The table is the
-    data behind the array engine's adaptive dispatch: the measured
-    crossover replaces the hard-coded size thresholds (see
-    :func:`repro.simgrid.arena.dispatch_thresholds` and the
-    ``REPRO_DISPATCH_TABLE`` environment variable).
-    """
-
-    SCHEMA = 1
-
-    def __init__(self) -> None:
-        #: ``{pair: {size: {"scalar_s", "vectorized_s", "iters"}}}``;
-        #: one-sided rows (from observed probes, where dispatch only
-        #: exercised one kernel per size) hold None for the other side.
-        self.samples: dict[str, dict[int, dict]] = {}
-
-    # -- construction --------------------------------------------------
-    def add(
-        self,
-        pair: str,
-        size: int,
-        *,
-        scalar_s: float | None = None,
-        vectorized_s: float | None = None,
-        iters: int = 1,
-    ) -> None:
-        if pair not in PAIRS:
-            raise ValueError(
-                f"unknown kernel pair {pair!r}; choose from {sorted(PAIRS)}"
-            )
-        row = self.samples.setdefault(pair, {}).setdefault(
-            size, {"scalar_s": None, "vectorized_s": None, "iters": 0}
-        )
-        if scalar_s is not None:
-            row["scalar_s"] = scalar_s
-        if vectorized_s is not None:
-            row["vectorized_s"] = vectorized_s
-        row["iters"] = max(row["iters"], iters)
-
-    @classmethod
-    def from_profile(cls, profiler: Profiler) -> "CrossoverTable":
-        """Build a (possibly one-sided) table from observed kernel probes.
-
-        Production dispatch runs only one kernel per size, so rows from
-        a live profile usually have a single side — still useful as the
-        per-size cost model ``repro profile`` prints, and rows where
-        both sides happen to exist contribute crossover evidence.
-        """
-        table = cls()
-        sides = {
-            spec["scalar"]: (pair, "scalar_s")
-            for pair, spec in PAIRS.items()
-        }
-        sides.update(
-            (spec["vectorized"], (pair, "vectorized_s"))
-            for pair, spec in PAIRS.items()
-        )
-        for (kernel, bucket), stats in sorted(profiler.kernels.items()):
-            side = sides.get(kernel)
-            if side is None or not stats[0]:
-                continue
-            pair, field = side
-            table.add(
-                pair, bucket, **{field: stats[1] / stats[0]}, iters=stats[0]
-            )
-        return table
-
-    # -- queries -------------------------------------------------------
-    def sizes(self, pair: str) -> list[int]:
-        """Sizes with *both* sides measured, ascending."""
-        rows = self.samples.get(pair, {})
-        return sorted(
-            s
-            for s, row in rows.items()
-            if row["scalar_s"] is not None and row["vectorized_s"] is not None
-        )
-
-    def crossover(self, pair: str) -> int | None:
-        """Smallest measured size from which the vectorized kernel wins.
-
-        "Wins" must be *stable*: the returned size and every larger
-        measured size have ``vectorized_s <= scalar_s``.  Returns None
-        when the vectorized kernel never stably wins in the measured
-        range (the honest answer for a kernel that needs more work —
-        see ``docs/performance.md`` on ``solver_sparse_vectorized``).
-        """
-        sizes = self.sizes(pair)
-        crossover = None
-        for size in reversed(sizes):
-            row = self.samples[pair][size]
-            if row["vectorized_s"] <= row["scalar_s"]:
-                crossover = size
-            else:
-                break
-        return crossover
-
-    def threshold(self, pair: str, default: int) -> int:
-        """Dispatch threshold: sizes ``<= threshold`` take the scalar kernel.
-
-        The largest measured size at which the scalar kernel still won
-        (the last size below :meth:`crossover`).  With no crossover the
-        scalar kernel wins everywhere measured, so the threshold is the
-        largest measured size; with no two-sided measurements at all
-        the caller's ``default`` passes through.
-        """
-        sizes = self.sizes(pair)
-        if not sizes:
-            return default
-        crossover = self.crossover(pair)
-        if crossover is None:
-            return sizes[-1]
-        below = [s for s in sizes if s < crossover]
-        return below[-1] if below else 0
-
-    # -- measurement ---------------------------------------------------
-    @classmethod
-    def measure(
-        cls,
-        *,
-        solver_actions: tuple[int, ...] = (2, 4, 8, 16, 32, 64, 96, 128),
-        scan_actions: tuple[int, ...] = (4, 8, 16, 32, 64, 128, 256, 512),
-        dp_tasks: tuple[int, ...] = (8, 16, 32, 64, 128, 256, 512),
-        grow_candidates: tuple[int, ...] = (2, 4, 8, 16, 32, 64, 128, 256),
-        entries_per_action: int = 4,
-        repeat: int = 3,
-    ) -> "CrossoverTable":
-        """Run both kernels of every pair over a size grid and time them.
-
-        Controlled calibration — unlike :meth:`from_profile`, every size
-        runs *both* kernels on the identical instance, so every row is
-        two-sided and yields crossover evidence.  Instances are
-        deterministic (seeded) and sized like production traffic: the
-        solver grid uses sparse CSR rows (``entries_per_action`` entries
-        each — the regime the engine's working sets live in), the step
-        scan drives a real :class:`ArraySimulationEngine` queue, the
-        scheduler pairs run on layered synthetic DAG layouts shaped like
-        the study's graphs (``dp_tasks``) and on HCPA-style capped gain
-        sweeps (``grow_candidates``).  Each size keeps the fastest of
-        ``repeat`` timing passes (the pass least disturbed by the
-        machine).
-        """
-        # Lazy imports: the arenas import this module's consumers' layer
-        # (obs), so prof must not import them at module load.
-        import random
-
-        import numpy as np
-
-        from repro.obs.recorder import Recorder, recording
-        from repro.platform.personalities import bayreuth_cluster
-        from repro.scheduling.arena import (
-            _bl_full_scalar,
-            _bl_full_vector,
-            _grow_scalar,
-            _grow_vector,
-            _synthetic_layout,
-        )
-        from repro.simgrid.arena import ArraySimulationEngine, layout_for
-        from repro.simgrid.sharing import _maxmin_dense, _maxmin_flat
-
-        table = cls()
-        perf = time.perf_counter
-        resources = 193  # a 64-node star platform's resource-id count
-
-        with recording(Recorder()):  # calibration never records itself
-            for actions in solver_actions:
-                rng = random.Random(20260806 + actions)
-                counts: list[int] = []
-                e_rid: list[int] = []
-                e_w: list[float] = []
-                for _ in range(actions):
-                    counts.append(entries_per_action)
-                    e_rid.extend(
-                        rng.sample(range(resources), entries_per_action)
-                    )
-                    e_w.extend(
-                        rng.uniform(0.5, 2.0)
-                        for _ in range(entries_per_action)
-                    )
-                caps = [rng.uniform(1.0, 8.0) for _ in range(resources)]
-                np_args = (
-                    np.asarray(counts, dtype=np.intp),
-                    np.asarray(e_rid, dtype=np.intp),
-                    np.asarray(e_w, dtype=float),
-                    np.asarray(caps, dtype=float),
-                )
-                total = actions * entries_per_action
-                iters = max(3, 512 // total)
-                scalar_best = vector_best = float("inf")
-                # Warm-up doubles as the bit-identity check.
-                if _maxmin_flat(counts, e_rid, e_w, caps) != _maxmin_dense(
-                    *np_args
-                ).tolist():  # pragma: no cover - kernel bug
-                    raise RuntimeError(
-                        f"solver kernels diverged at {total} entries"
-                    )
-                for _ in range(repeat):
-                    t0 = perf()
-                    for _ in range(iters):
-                        _maxmin_flat(counts, e_rid, e_w, caps)
-                    scalar_best = min(scalar_best, (perf() - t0) / iters)
-                    t0 = perf()
-                    for _ in range(iters):
-                        _maxmin_dense(*np_args)
-                    vector_best = min(vector_best, (perf() - t0) / iters)
-                table.add(
-                    "solver",
-                    total,
-                    scalar_s=scalar_best,
-                    vectorized_s=vector_best,
-                    iters=iters,
-                )
-
-            layout = layout_for(bayreuth_cluster(2))
-            for actions in scan_actions:
-                engine = ArraySimulationEngine(layout)
-                rids = engine.alloc_private_rids([1.0] * actions)
-                for i, rid in enumerate(rids):
-                    # Distinct works so the scan's min/threshold logic
-                    # does real comparisons (all-equal rows would fire
-                    # together and short-circuit the firing pass).
-                    engine.add_entries(f"cal{i}", 1.0 + i, [rid], [1.0])
-                alive = engine._alive
-                arena = engine._arena
-                rem0 = arena.remaining.copy()
-                lat0 = arena.latency.copy()
-                iters = max(3, 1024 // actions)
-                scalar_best = vector_best = float("inf")
-                for scan, attr in (
-                    (engine._scan_small, "scalar_s"),
-                    (engine._scan_vector, "vectorized_s"),
-                ):
-                    best = float("inf")
-                    for _ in range(repeat):
-                        acc = 0.0
-                        for _ in range(iters):
-                            # Restore outside the timed window: the scan
-                            # mutates now/remaining/latency.
-                            arena.remaining[:] = rem0
-                            arena.latency[:] = lat0
-                            engine.now = 0.0
-                            engine._rates_dirty = False
-                            t0 = perf()
-                            scan(alive)
-                            acc += perf() - t0
-                        best = min(best, acc / iters)
-                    if attr == "scalar_s":
-                        scalar_best = best
-                    else:
-                        vector_best = best
-                table.add(
-                    "step_scan",
-                    actions,
-                    scalar_s=scalar_best,
-                    vectorized_s=vector_best,
-                    iters=iters,
-                )
-
-            for tasks in dp_tasks:
-                rng = random.Random(20260807 + tasks)
-                layout, cost = _synthetic_layout(tasks, rng)
-                n = layout.n
-                bl_s = [0.0] * n
-                bs_s = [-1] * n
-                bl_v = [0.0] * n
-                bs_v = [-1] * n
-                # Warm-up doubles as the bit-identity check (it also
-                # builds the layout's wave arrays outside the timing).
-                _bl_full_scalar(layout, cost, bl_s, bs_s)
-                _bl_full_vector(layout, cost, bl_v, bs_v)
-                if bl_s != bl_v or bs_s != bs_v:  # pragma: no cover
-                    raise RuntimeError(
-                        f"critical-path DP kernels diverged at {tasks} tasks"
-                    )
-                iters = max(3, 2048 // tasks)
-                scalar_best = vector_best = float("inf")
-                for _ in range(repeat):
-                    t0 = perf()
-                    for _ in range(iters):
-                        _bl_full_scalar(layout, cost, bl_s, bs_s)
-                    scalar_best = min(scalar_best, (perf() - t0) / iters)
-                    t0 = perf()
-                    for _ in range(iters):
-                        _bl_full_vector(layout, cost, bl_v, bs_v)
-                    vector_best = min(vector_best, (perf() - t0) / iters)
-                table.add(
-                    "critical_path_dp",
-                    tasks,
-                    scalar_s=scalar_best,
-                    vectorized_s=vector_best,
-                    iters=iters,
-                )
-
-            for cands in grow_candidates:
-                rng = random.Random(20260808 + cands)
-                # HCPA-style instance: caps block about a quarter of the
-                # candidates, so the sweep's skip branch does real work.
-                gains = [rng.uniform(0.0, 2.0) for _ in range(cands)]
-                alloc = [rng.randint(1, 4) for _ in range(cands)]
-                caps = [rng.choice([2, 8, 8, 8]) for _ in range(cands)]
-                growable = list(range(cands))
-                gains_np = np.asarray(gains)
-                alloc_np = np.asarray(alloc, dtype=np.intp)
-                caps_np = np.asarray(caps, dtype=np.intp)
-                machine = 32
-                if _grow_scalar(
-                    growable, gains, alloc, caps, None, None, machine
-                ) != _grow_vector(
-                    growable, gains_np, alloc_np, caps_np, None, None, machine
-                ):  # pragma: no cover - kernel bug
-                    raise RuntimeError(
-                        f"grow-sweep kernels diverged at {cands} candidates"
-                    )
-                iters = max(8, 4096 // cands)
-                scalar_best = vector_best = float("inf")
-                for _ in range(repeat):
-                    t0 = perf()
-                    for _ in range(iters):
-                        _grow_scalar(
-                            growable, gains, alloc, caps, None, None, machine
-                        )
-                    scalar_best = min(scalar_best, (perf() - t0) / iters)
-                    t0 = perf()
-                    for _ in range(iters):
-                        _grow_vector(
-                            growable, gains_np, alloc_np, caps_np,
-                            None, None, machine,
-                        )
-                    vector_best = min(vector_best, (perf() - t0) / iters)
-                table.add(
-                    "alloc_grow",
-                    cands,
-                    scalar_s=scalar_best,
-                    vectorized_s=vector_best,
-                    iters=iters,
-                )
-        return table
-
-    # -- serialization -------------------------------------------------
-    def to_json(self) -> dict:
-        return {
-            "schema": self.SCHEMA,
-            "pairs": {
-                pair: {
-                    str(size): dict(row)
-                    for size, row in sorted(rows.items())
-                }
-                for pair, rows in sorted(self.samples.items())
-            },
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "CrossoverTable":
-        schema = payload.get("schema")
-        if schema != cls.SCHEMA:
-            raise ValueError(
-                f"unsupported crossover-table schema {schema!r} "
-                f"(expected {cls.SCHEMA})"
-            )
-        table = cls()
-        for pair, rows in payload.get("pairs", {}).items():
-            if pair not in PAIRS:
-                raise ValueError(f"unknown kernel pair {pair!r} in table")
-            for size, row in rows.items():
-                table.add(
-                    pair,
-                    int(size),
-                    scalar_s=row.get("scalar_s"),
-                    vectorized_s=row.get("vectorized_s"),
-                    iters=row.get("iters", 1),
-                )
-        return table
-
-    def save(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_json(), indent=2) + "\n")
-        return path
-
-    @classmethod
-    def load(cls, path: str | Path) -> "CrossoverTable":
-        path = Path(path)
-        try:
-            payload = json.loads(path.read_text())
-        except FileNotFoundError:
-            raise FileNotFoundError(
-                f"crossover table not found: {path} (generate one with "
-                "'repro profile --what wall --save-table PATH')"
-            ) from None
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"crossover table {path} is not valid JSON: {exc}"
-            ) from None
-        return cls.from_json(payload)
-
-    # -- rendering -----------------------------------------------------
-    def render(self) -> str:
-        """Human-readable per-size table with a crossover verdict per pair."""
-        lines = []
-        for pair, spec in sorted(PAIRS.items()):
-            rows = self.samples.get(pair)
-            lines.append(
-                f"{pair} ({spec['scalar']} vs {spec['vectorized']}, "
-                f"sized by {spec['unit']}):"
-            )
-            if not rows:
-                lines.append("  (no measurements)")
-                continue
-            lines.append(
-                f"  {spec['unit']:>8} {'scalar':>12} {'vectorized':>12} "
-                f"{'ratio':>7}  winner"
-            )
-            for size in sorted(rows):
-                row = rows[size]
-                s, v = row["scalar_s"], row["vectorized_s"]
-                s_txt = f"{1e6 * s:>10.1f}us" if s is not None else f"{'-':>12}"
-                v_txt = f"{1e6 * v:>10.1f}us" if v is not None else f"{'-':>12}"
-                if s is not None and v is not None:
-                    ratio = f"{s / v:>6.2f}x"
-                    winner = "vectorized" if v <= s else "scalar"
-                else:
-                    ratio = f"{'-':>7}"
-                    winner = "(one-sided)"
-                lines.append(f"  {size:>8} {s_txt} {v_txt} {ratio}  {winner}")
-            crossover = self.crossover(pair)
-            if crossover is not None:
-                lines.append(
-                    f"  measured crossover: vectorized wins from "
-                    f"~{crossover} {spec['unit']}"
-                )
-            elif self.sizes(pair):
-                lines.append(
-                    "  measured crossover: none — scalar wins at every "
-                    "measured size"
-                )
-            else:
-                lines.append(
-                    "  measured crossover: unknown (no two-sided rows)"
                 )
         return "\n".join(lines)

@@ -18,7 +18,7 @@ Record kinds (one JSON object per line in ``--timeline-out`` files)::
     share       {... ,"t","action","rate"}            one rate assignment
     task        {... ,"task","hosts","start","finish","startup"}
     xfer        {... ,"src","dst","start","finish","overhead","volume"}
-    run         {... ,"engine","makespan","tasks","xfers"}  run summary
+    run         {... ,"makespan","tasks","xfers"}     run summary
 
 Every record inside a run additionally carries the context fields the
 enclosing scopes pushed: ``run`` (sequential id), ``role`` (``"sim"``
@@ -27,14 +27,13 @@ study — ``variant`` (suite name) and ``n``.
 
 Determinism contract
 --------------------
-Timelines are pure functions of simulated state: both engine backends
-emit byte-identical record streams for the same cell, except for the
-single ``engine`` provenance field of the trailing ``run`` record
-(asserted by ``tests/experiments/test_engine_backends.py``; see
-:func:`timeline_lines`).  Worker timelines merge deterministically:
-:meth:`Timeline.absorb` renumbers worker-local run ids by the parent's
-running offset, so a parallel study's merged timeline equals the
-serial one record for record.
+Timelines are pure functions of simulated state: the same cell emits a
+byte-identical record stream on every run.  Worker timelines merge
+deterministically: :meth:`Timeline.absorb` renumbers worker-local run
+ids by the parent's running offset, so a parallel study's merged
+timeline equals the serial one record for record.  Readers take every
+field with ``.get``, so files whose records carry extra fields (such as
+the ``engine`` field older ``run`` records have) load unchanged.
 """
 
 from __future__ import annotations
@@ -71,8 +70,6 @@ class Timeline:
         #: Per-kind record counts (surface in ``Recorder.metrics`` as
         #: ``timeline.<kind>`` counters).
         self.counts: dict[str, int] = {}
-        #: Engine backends that produced runs in this timeline.
-        self.engines: set[str] = set()
 
     # -- construction helpers ------------------------------------------
     @classmethod
@@ -138,18 +135,11 @@ class Timeline:
         self._stack.append(merged)
         return run_id
 
-    def end_run(self, *, engine: str, **fields: object) -> None:
-        """Close the current run scope with a summary ``run`` record.
-
-        ``engine`` names the backend that produced the run — the one
-        provenance field allowed to differ across backends.
-        """
+    def end_run(self, **fields: object) -> None:
+        """Close the current run scope with a summary ``run`` record."""
         if len(self._stack) < 2:
             raise RuntimeError("end_run without a matching begin_run")
-        self.engines.add(engine)
-        record_fields = {"engine": engine}
-        record_fields.update(fields)
-        self._emit("run", record_fields)
+        self._emit("run", fields)
         self._stack.pop()
 
     def abort_run(self) -> None:
@@ -158,9 +148,8 @@ class Timeline:
             self._stack.pop()
 
     # Typed emitters.  All simulated-time quantities are plain floats
-    # straight from the engines, so both backends serialize the same
-    # bytes; callers must pass Python scalars (use ``float()`` on numpy
-    # values).
+    # straight from the engine; callers must pass Python scalars (use
+    # ``float()`` on numpy values).
     def alloc(
         self, task: int, p: int, t_cp: float, t_a: float, step: int
     ) -> None:
@@ -242,7 +231,6 @@ class Timeline:
         return {
             "records": list(getattr(self.sink, "records", ())),
             "runs": self._run_seq,
-            "engines": sorted(self.engines),
         }
 
     def absorb(self, state: dict) -> None:
@@ -263,7 +251,6 @@ class Timeline:
         base = int(state.get("run_base", 0))
         offset = self._run_seq - base
         self._run_seq += int(state.get("runs", 0))
-        self.engines.update(state.get("engines", ()))
         for record in state["records"]:
             kind = record.get("kind")
             if kind == "meta":
@@ -279,26 +266,9 @@ class Timeline:
         self.sink.close()
 
 
-def timeline_lines(
-    records: Sequence[dict], *, mask_engine: bool = False
-) -> list[str]:
-    """Canonical JSONL serialization of timeline records.
-
-    With ``mask_engine=True`` the ``engine`` field of ``run`` records is
-    dropped — the canonical form under which the object and array
-    backends are byte-identical (it is the only field allowed to
-    differ).
-    """
-    lines: list[str] = []
-    for record in records:
-        if (
-            mask_engine
-            and record.get("kind") == "run"
-            and "engine" in record
-        ):
-            record = {k: v for k, v in record.items() if k != "engine"}
-        lines.append(json.dumps(record, separators=(",", ":")))
-    return lines
+def timeline_lines(records: Sequence[dict]) -> list[str]:
+    """Canonical JSONL serialization of timeline records."""
+    return [json.dumps(record, separators=(",", ":")) for record in records]
 
 
 def load_timeline(path: Union[str, Path]) -> list[dict]:

@@ -1,9 +1,8 @@
 """Array-backed allocation core for the CPA family.
 
-This module does for the scheduling hot path what
-:mod:`repro.simgrid.arena` did for the simulation engine: lower the
-per-step object walks onto flat arrays while staying **bit-identical**
-to the object implementation in :mod:`repro.scheduling.cpa`.
+This module lowers the per-step object walks of the scheduling hot
+path onto flat lists while staying **bit-identical** to the object
+implementation in :mod:`repro.scheduling.cpa`.
 
 Three costs dominate the object allocation loop (one grow step changes
 exactly one task's allocation):
@@ -20,27 +19,18 @@ exactly one task's allocation):
   :meth:`CriticalPathDP.path`, and an order-independent function of the
   successor set, so pointer-following reconstructs the identical path);
 * the per-candidate ``select`` sweep re-probing memoised gains — here a
-  contiguous gain vector updated only for the grown task, swept either
-  by a scalar loop or a numpy masked argmax.
+  contiguous gain list updated only for the grown task and swept by one
+  scalar loop.
 
 Bit-identity rules (checked end-to-end by ``tests/test_sched_arena.py``):
 
 * bottom levels are a max/+ DP — exact in IEEE arithmetic, so partial
-  re-propagation and the level-synchronous ``np.maximum.reduceat``
-  pass reproduce the object DP bit-for-bit;
-* ``T_A`` stays a *sequential left fold* over the per-task areas in
-  task order (``sum`` on the small path, ``np.add.accumulate`` — which
-  is defined as the sequential fold, unlike pairwise ``np.sum`` — on
-  the large path);
-* the gain argmax keeps first-occurrence-wins semantics
-  (``np.argmax``), matching the object loop's strictly-greater update;
+  re-propagation reproduces the object DP bit-for-bit;
+* ``T_A`` stays a *sequential left fold* (``sum``) over the per-task
+  areas in task order;
+* the gain sweep keeps first-occurrence-wins semantics, matching the
+  object loop's strictly-greater update;
 * HCPA caps and MCPA level sums are integers — exact either way.
-
-Scalar/vectorized choice inside the kernels is a pure speed knob
-dispatched by :func:`sched_dispatch_thresholds` — static defaults, or
-measured crossovers from the ``REPRO_DISPATCH_TABLE`` file that also
-tunes the engine (pairs ``critical_path_dp`` and ``alloc_grow`` in
-:data:`repro.obs.prof.PAIRS`).
 
 Observability parity: the array loop emits the *same* records as the
 object loop — ``sched.critical_path`` timings and ``critical_path_dp``
@@ -57,15 +47,11 @@ from __future__ import annotations
 import math
 import os
 import time
-from heapq import heappop, heappush
 from weakref import WeakKeyDictionary
-
-import numpy as np
 
 from repro.dag.graph import TaskGraph
 from repro.obs.recorder import get_recorder
 from repro.scheduling.costs import SchedulingCosts
-from repro.simgrid.arena import DISPATCH_ENV_VAR, _load_dispatch_table
 
 __all__ = [
     "SCHED_BACKENDS",
@@ -77,59 +63,11 @@ __all__ = [
     "hcpa_allocate_array",
     "mcpa_allocate_array",
     "resolve_sched",
-    "sched_dispatch_thresholds",
 ]
 
-#: Environment variable consulted when no explicit scheduler backend is
-#: given (mirrors ``REPRO_ENGINE`` for the simulation engine).
+#: Environment variable consulted when no scheduler backend is given.
 SCHED_ENV_VAR = "REPRO_SCHED"
 SCHED_BACKENDS = ("object", "array")
-
-#: Task count up to which the scalar DP kernels are used — the full
-#: scalar pass initially and the prefix re-pass per grow step; larger
-#: graphs take the wave-vectorized full pass and the heap-driven cone
-#: update.  Both sides are bit-identical; the default is
-#: ``CrossoverTable.measure()``'s threshold on the reference machine
-#: (see docs/performance.md), recalibrated per host via
-#: ``REPRO_DISPATCH_TABLE``.
-_SMALL_DP = 256
-#: Critical-path candidate count up to which the scalar gain sweep is
-#: used; larger sweeps take the numpy masked argmax.  Same provenance
-#: and override path as ``_SMALL_DP``.
-_SMALL_GROW = 64
-
-#: Thresholds per (table path, mtime) — same caching discipline as
-#: :func:`repro.simgrid.arena.dispatch_thresholds`.
-_SCHED_DISPATCH_CACHE: dict[tuple[str, float | None], tuple[int, int]] = {}
-
-
-def sched_dispatch_thresholds() -> tuple[int, int]:
-    """The ``(DP, grow-sweep)`` scalar/vectorized dispatch thresholds.
-
-    Sizes up to the threshold run the scalar kernel.  Without
-    ``REPRO_DISPATCH_TABLE`` the module defaults apply (read at call
-    time, so tests may monkeypatch ``_SMALL_DP``/``_SMALL_GROW``); with
-    it, the named :class:`~repro.obs.prof.CrossoverTable` supplies
-    measured thresholds for the ``critical_path_dp`` and ``alloc_grow``
-    pairs, falling back to the defaults for pairs without two-sided
-    rows.  Thresholds only select between bit-identical kernels.
-    """
-    path = os.environ.get(DISPATCH_ENV_VAR)
-    if not path:
-        return _SMALL_DP, _SMALL_GROW
-    try:
-        mtime: float | None = os.path.getmtime(path)
-    except OSError:
-        mtime = None
-    key = (path, mtime)
-    cached = _SCHED_DISPATCH_CACHE.get(key)
-    if cached is None:
-        table = _load_dispatch_table(path, mtime)
-        cached = _SCHED_DISPATCH_CACHE[key] = (
-            table.threshold("critical_path_dp", _SMALL_DP),
-            table.threshold("alloc_grow", _SMALL_GROW),
-        )
-    return cached
 
 
 def resolve_sched(sched: str | None = None) -> str:
@@ -152,14 +90,9 @@ class GraphLayout:
     """Flat index-space lowering of a :class:`TaskGraph`.
 
     Task ids map to dense indices in ``task_ids`` insertion order;
-    successor/predecessor lists, the topological order, sources and
-    precedence levels are all pre-resolved to indices so the allocation
-    loop never touches a dict or a task id until it emits records.  The
-    numpy side (built lazily, only the vectorized DP needs it) holds a
-    CSR-style wave grouping: nodes bucketed by co-level (longest edge
-    distance to a sink) with their successor lists concatenated flat,
-    so one ``np.maximum.reduceat`` per wave propagates bottom levels
-    level-synchronously.
+    successor lists, the topological order, sources and precedence
+    levels are all pre-resolved to indices so the allocation
+    loop never touches a dict or a task id until it emits records.
     """
 
     __slots__ = (
@@ -171,11 +104,9 @@ class GraphLayout:
         "rev_order",
         "order_pos",
         "succ",
-        "pred",
         "sources",
         "levels",
         "level_sizes",
-        "_np",
         "__weakref__",
     )
 
@@ -184,46 +115,9 @@ class GraphLayout:
         index = {t: i for i, t in enumerate(tids)}
         order = [index[t] for t in graph.topological_order()]
         succ = [[index[s] for s in graph.successors(t)] for t in tids]
-        sources = [index[t] for t in graph.sources()]
-        self._init_structure(tids, index, order, succ, sources, graph.num_edges)
-
-    @classmethod
-    def from_structure(cls, succ: list[list[int]]) -> "GraphLayout":
-        """Build a layout from bare successor lists (calibration/tests).
-
-        Nodes are ``0..n-1`` and must already be in topological order
-        (every edge goes from a smaller to a larger index).
-        """
-        layout = cls.__new__(cls)
-        n = len(succ)
-        tids = list(range(n))
-        has_pred = [False] * n
-        for ss in succ:
-            for s in ss:
-                has_pred[s] = True
-        sources = [i for i in range(n) if not has_pred[i]]
-        layout._init_structure(
-            tids,
-            {i: i for i in range(n)},
-            tids,
-            [list(ss) for ss in succ],
-            sources,
-            sum(len(ss) for ss in succ),
-        )
-        return layout
-
-    def _init_structure(
-        self,
-        tids: list[int],
-        index: dict[int, int],
-        order: list[int],
-        succ: list[list[int]],
-        sources: list[int],
-        num_edges: int,
-    ) -> None:
         n = len(tids)
         self.n = n
-        self.num_edges = num_edges
+        self.num_edges = graph.num_edges
         self.tids = tids
         self.index = index
         self.order = order
@@ -237,8 +131,7 @@ class GraphLayout:
         for i in order:
             for s in succ[i]:
                 pred[s].append(i)
-        self.pred = pred
-        self.sources = sources
+        self.sources = [index[t] for t in graph.sources()]
         # Precedence levels, exactly as ``precedence_levels``: topo
         # order, entry tasks at 0, else 1 + max over predecessors.
         levels = [0] * n
@@ -250,56 +143,6 @@ class GraphLayout:
         for lvl in levels:
             sizes[lvl] += 1
         self.level_sizes = sizes
-        self._np = None
-
-    def _ensure_np(self) -> dict:
-        """Lazily build the wave-grouped CSR arrays for the vector DP."""
-        npd = self._np
-        if npd is not None:
-            return npd
-        n = self.n
-        # Tie-breaks compare *task ids*, which need not be dense: rank
-        # nodes by ascending tid so a ``minimum.reduceat`` over ranks
-        # picks the smallest-tid node among the bottom-level maxima.
-        by_tid = np.argsort(np.asarray(self.tids, dtype=np.int64), kind="stable")
-        rank = np.empty(n, dtype=np.intp)
-        rank[by_tid] = np.arange(n, dtype=np.intp)
-        idx_of_rank = by_tid.astype(np.intp)
-        colevel = [0] * n
-        for i in self.rev_order:
-            ss = self.succ[i]
-            if ss:
-                colevel[i] = 1 + max(colevel[s] for s in ss)
-        groups: dict[int, list[int]] = {}
-        for i in self.rev_order:
-            groups.setdefault(colevel[i], []).append(i)
-        waves = []
-        for k in sorted(groups):
-            nodes = groups[k]
-            flat: list[int] = []
-            lens: list[int] = []
-            for i in nodes:
-                ss = self.succ[i]
-                flat.extend(ss)
-                lens.append(len(ss))
-            lens_np = np.asarray(lens, dtype=np.intp)
-            starts = np.zeros(len(nodes), dtype=np.intp)
-            if len(nodes) > 1:
-                np.cumsum(lens_np[:-1], out=starts[1:])
-            waves.append(
-                (
-                    np.asarray(nodes, dtype=np.intp),
-                    np.asarray(flat, dtype=np.intp),
-                    starts,
-                    lens_np,
-                )
-            )
-        npd = self._np = {
-            "rank": rank,
-            "idx_of_rank": idx_of_rank,
-            "waves": waves,
-        }
-        return npd
 
 
 #: One layout per live graph; invalidated structurally (a grown or
@@ -405,39 +248,6 @@ def _bl_full_scalar(
         bl[i] = cost[i] + (best if best > 0.0 else 0.0)
 
 
-def _bl_full_vector(
-    layout: GraphLayout,
-    cost: list[float],
-    bl: list[float],
-    bestsucc: list[int],
-) -> None:
-    """Wave-vectorized full pass; bit-identical to the scalar pass.
-
-    Max is associative and commutative over floats (NaN-free costs), so
-    the segment reduction matches the scalar left-to-right argmax; the
-    tie-break reduces the *tid rank* of the per-segment maxima with
-    ``np.minimum.reduceat``.
-    """
-    npd = layout._ensure_np()
-    n = layout.n
-    cost_np = np.asarray(cost)
-    bl_np = np.empty(n)
-    bs_np = np.full(n, -1, dtype=np.intp)
-    rank = npd["rank"]
-    idx_of_rank = npd["idx_of_rank"]
-    for nodes, flat, starts, lens in npd["waves"]:
-        if flat.size == 0:
-            bl_np[nodes] = cost_np[nodes] + 0.0
-            continue
-        seg = bl_np[flat]
-        tails = np.maximum.reduceat(seg, starts)
-        cand = np.where(seg == np.repeat(tails, lens), rank[flat], n)
-        bs_np[nodes] = idx_of_rank[np.minimum.reduceat(cand, starts)]
-        bl_np[nodes] = cost_np[nodes] + np.where(tails > 0.0, tails, 0.0)
-    bl[:] = bl_np.tolist()
-    bestsucc[:] = bs_np.tolist()
-
-
 def _bl_prefix_update(
     layout: GraphLayout,
     cost: list[float],
@@ -445,7 +255,7 @@ def _bl_prefix_update(
     bestsucc: list[int],
     changed: int,
 ) -> None:
-    """Incremental DP after one cost change (small graphs).
+    """Incremental DP after one cost change.
 
     Only ancestors of the changed task (and the task itself) can see a
     new bottom level; all of them sit at topological positions at or
@@ -471,50 +281,6 @@ def _bl_prefix_update(
                 bn = s
         bestsucc[i] = bn
         bl[i] = cost[i] + (best if best > 0.0 else 0.0)
-
-
-def _bl_cone_update(
-    layout: GraphLayout,
-    cost: list[float],
-    bl: list[float],
-    bestsucc: list[int],
-    changed: int,
-) -> None:
-    """Incremental DP after one cost change (large graphs).
-
-    Heap-driven propagation in descending topological position: a node
-    is recomputed only when a successor's bottom level actually
-    changed, so the work is the changed task's *effective* ancestor
-    cone, not the whole topological prefix.
-    """
-    succ = layout.succ
-    pred = layout.pred
-    tids = layout.tids
-    order_pos = layout.order_pos
-    heap = [(-order_pos[changed], changed)]
-    seen = {changed}
-    while heap:
-        _, i = heappop(heap)
-        ss = succ[i]
-        if ss:
-            bn = ss[0]
-            best = bl[bn]
-            for s in ss[1:]:
-                b = bl[s]
-                if b > best or (b == best and tids[s] < tids[bn]):
-                    best = b
-                    bn = s
-            bestsucc[i] = bn
-            new = cost[i] + (best if best > 0.0 else 0.0)
-        else:
-            bestsucc[i] = -1
-            new = cost[i] + 0.0
-        if new != bl[i]:
-            bl[i] = new
-            for q in pred[i]:
-                if q not in seen:
-                    seen.add(q)
-                    heappush(heap, (-order_pos[q], q))
 
 
 # -- grow-sweep kernels -------------------------------------------------
@@ -567,41 +333,6 @@ def _grow_scalar(
     return chosen, hits
 
 
-def _grow_vector(
-    growable: list[int],
-    gains_np: np.ndarray,
-    alloc_np: np.ndarray,
-    caps_np: np.ndarray | None,
-    lev_np: np.ndarray | None,
-    levsum_np: np.ndarray | None,
-    P: int,
-) -> tuple[int, int]:
-    """Vectorized gain sweep; bit-identical to :func:`_grow_scalar`.
-
-    Blocked candidates are masked to gain 0 — gains are clamped
-    non-negative, so a masked candidate can never win the strict
-    ``> 0`` argmax; ``np.argmax`` returns the first maximum, matching
-    the scalar sweep's strictly-greater update.
-    """
-    cand = np.asarray(growable, dtype=np.intp)
-    vals = gains_np[cand]
-    hits = 0
-    if caps_np is not None:
-        blocked = alloc_np[cand] >= caps_np[cand]
-        hits = int(blocked.sum())
-        if hits:
-            vals = np.where(blocked, 0.0, vals)
-    elif lev_np is not None:
-        blocked = levsum_np[lev_np[cand]] >= P
-        hits = int(blocked.sum())
-        if hits:
-            vals = np.where(blocked, 0.0, vals)
-    j = int(np.argmax(vals))
-    if vals[j] <= 0.0:
-        return -1, hits
-    return int(cand[j]), hits
-
-
 # -- the allocation loop ------------------------------------------------
 
 
@@ -636,7 +367,6 @@ def _allocation_loop_array(
     tl = obs.timeline if enabled else None
     prof = obs.profiler
     perf = time.perf_counter
-    dp_small, grow_small = sched_dispatch_thresholds()
 
     tids = layout.tids
     sources = layout.sources
@@ -654,18 +384,6 @@ def _allocation_loop_array(
     task_time = costs.task_time
     tt_get = costs._task_time_cache.get
 
-    use_vec_dp = n > dp_small
-    vec = n > grow_small
-    gains_np = alloc_np = areas_np = caps_np = lev_np = levsum_np = None
-    if vec:
-        gains_np = np.asarray(gains)
-        alloc_np = np.ones(n, dtype=np.intp)
-        areas_np = np.asarray(areas)
-        if caps is not None:
-            caps_np = np.asarray(caps, dtype=np.intp)
-        if level_of is not None:
-            lev_np = np.asarray(level_of, dtype=np.intp)
-            levsum_np = np.asarray(level_sums, dtype=np.intp)
     hit_counter = (
         "sched.hcpa.cap_hits"
         if caps is not None
@@ -683,12 +401,7 @@ def _allocation_loop_array(
         if enabled:
             t0 = perf()
             if changed < 0:
-                if use_vec_dp:
-                    _bl_full_vector(layout, cost, bl, bestsucc)
-                else:
-                    _bl_full_scalar(layout, cost, bl, bestsucc)
-            elif use_vec_dp:
-                _bl_cone_update(layout, cost, bl, bestsucc, changed)
+                _bl_full_scalar(layout, cost, bl, bestsucc)
             else:
                 _bl_prefix_update(layout, cost, bl, bestsucc, changed)
             seconds = perf() - t0
@@ -696,16 +409,11 @@ def _allocation_loop_array(
             if prof is not None:
                 prof.probe("critical_path_dp", n, seconds)
         elif changed < 0:
-            if use_vec_dp:
-                _bl_full_vector(layout, cost, bl, bestsucc)
-            else:
-                _bl_full_scalar(layout, cost, bl, bestsucc)
-        elif use_vec_dp:
-            _bl_cone_update(layout, cost, bl, bestsucc, changed)
+            _bl_full_scalar(layout, cost, bl, bestsucc)
         else:
             # Inlined _bl_prefix_update — this branch runs once per grow
-            # step on the bench's graph sizes, and the call overhead alone
-            # is measurable there.  Same arithmetic, same tie-breaks.
+            # step, and the call overhead alone is measurable on the
+            # study's graph sizes.  Same arithmetic, same tie-breaks.
             for i in rev_order[n - 1 - order_pos[changed] :]:
                 ss = succ[i]
                 if not ss:
@@ -733,10 +441,7 @@ def _allocation_loop_array(
         else:
             src = -1
             t_cp = 0.0
-        if vec:
-            t_a = float(np.add.accumulate(areas_np)[-1]) / agg_speed
-        else:
-            t_a = sum(areas) / agg_speed
+        t_a = sum(areas) / agg_speed
         if t_cp <= stop_mult * t_a:
             stop_reason = "criterion"
             break
@@ -753,19 +458,10 @@ def _allocation_loop_array(
             break
         if prof is not None:
             t0 = perf()
-            if vec and len(growable) > grow_small:
-                chosen, hits = _grow_vector(
-                    growable, gains_np, alloc_np, caps_np, lev_np, levsum_np, P
-                )
-            else:
-                chosen, hits = _grow_scalar(
-                    growable, gains, alloc, caps, level_of, level_sums, P
-                )
-            prof.probe("alloc_grow", len(growable), perf() - t0)
-        elif vec and len(growable) > grow_small:
-            chosen, hits = _grow_vector(
-                growable, gains_np, alloc_np, caps_np, lev_np, levsum_np, P
+            chosen, hits = _grow_scalar(
+                growable, gains, alloc, caps, level_of, level_sums, P
             )
+            prof.probe("alloc_grow", len(growable), perf() - t0)
         else:
             # Inlined _grow_scalar — the per-step sweep is short enough
             # that the call itself costs as much as the loop body.
@@ -825,12 +521,6 @@ def _allocation_loop_array(
         gains[chosen] = gain
         if level_sums is not None:
             level_sums[level_of[chosen]] += 1
-        if vec:
-            alloc_np[chosen] = p_new
-            areas_np[chosen] = area
-            gains_np[chosen] = gain
-            if levsum_np is not None:
-                levsum_np[lev_np[chosen]] += 1
         grows += 1
         changed = chosen
         if enabled:
@@ -936,9 +626,8 @@ def allocate_batch(
 
     Layout lowering and p=1 base vectors are memoised per graph/costs,
     so a batch over the same graphs across algorithms or repetitions
-    pays the construction once — the scheduling analogue of
-    ``simulate_batch``.  Results are exactly the per-graph allocator
-    outputs, in order.
+    pays the construction once.  Results are exactly the per-graph
+    allocator outputs, in order.
     """
     if len(graphs) != len(costs):
         raise ValueError(
@@ -956,24 +645,3 @@ def allocate_batch(
         else:
             out.append(ARRAY_ALLOCATORS[algorithm](graph, c))
     return out
-
-
-def _synthetic_layout(tasks: int, rng) -> tuple[GraphLayout, list[float]]:
-    """Deterministic layered DAG layout + costs for kernel calibration.
-
-    Shape mirrors the study's DAGs: levels of width about the square
-    root of the task count with 1-3 forward edges per node, so the
-    calibration instances stress the same wave depths and successor
-    fan-outs production traffic does.
-    """
-    width = max(2, int(round(math.sqrt(tasks))))
-    succ: list[list[int]] = [[] for _ in range(tasks)]
-    levels = [list(range(lo, min(lo + width, tasks))) for lo in range(0, tasks, width)]
-    for lvl, nodes in enumerate(levels[:-1]):
-        nxt = levels[lvl + 1]
-        for i in nodes:
-            k = min(len(nxt), rng.randint(1, 3))
-            succ[i] = sorted(rng.sample(nxt, k))
-    layout = GraphLayout.from_structure(succ)
-    cost = [rng.uniform(0.5, 2.0) for _ in range(tasks)]
-    return layout, cost

@@ -134,8 +134,7 @@ def allocation_loop(
             obs.timing("sched.critical_path", seconds)
             if prof is not None:
                 # Kernel probe sized by task count: the DP's work is one
-                # pass over the DAG, so the (kernel, size) cost model
-                # predicts what a vectorized replacement must beat.
+                # pass over the DAG.
                 prof.probe("critical_path_dp", len(alloc), seconds)
         else:
             bl = dp.bottom_levels(cost)

@@ -32,8 +32,7 @@ ALGORITHMS: dict[str, Allocator] = {
 }
 
 #: Algorithms whose allocators accept the ``sched`` backend switch (the
-#: CPA family has an array twin; the baselines have no allocation loop
-#: worth vectorizing).
+#: CPA family has an array twin; the baselines have no allocation loop).
 SCHED_AWARE = frozenset({"cpa", "hcpa", "mcpa"})
 
 #: Registry of one-phase algorithms (decide allocation and mapping

@@ -17,38 +17,21 @@ This package re-implements the parts of SimGrid the paper relies on:
 * a **schedule-driven application simulator**
   (:mod:`repro.simgrid.simulator`) that executes a mixed-parallel
   application according to a schedule and a pluggable task-time model,
-  producing a trace and a makespan;
-* an **array-backed engine backend** (:mod:`repro.simgrid.arena`):
-  the same semantics over flat CSR consumption storage and adaptive
-  scalar/vectorized kernels, bit-identical to the object engine and
-  selected per run via ``engine="array"`` or ``REPRO_ENGINE=array``.
+  producing a trace and a makespan.
 """
 
-from repro.simgrid.arena import (
-    ActionArena,
-    ArraySimulationEngine,
-    ResourceLayout,
-    layout_for,
-    resolve_engine,
-)
 from repro.simgrid.engine import Action, SimulationEngine
 from repro.simgrid.resources import Resource, NetworkTopology
-from repro.simgrid.sharing import solve_rates, solve_rates_vectorized
+from repro.simgrid.sharing import solve_rates
 from repro.simgrid.ptask import ParallelTaskSpec, build_ptask_action
 from repro.simgrid.simulator import ApplicationSimulator, SimulationTrace, TaskRecord
 
 __all__ = [
     "Action",
-    "ActionArena",
-    "ArraySimulationEngine",
     "SimulationEngine",
     "Resource",
-    "ResourceLayout",
     "NetworkTopology",
-    "layout_for",
-    "resolve_engine",
     "solve_rates",
-    "solve_rates_vectorized",
     "ParallelTaskSpec",
     "build_ptask_action",
     "ApplicationSimulator",

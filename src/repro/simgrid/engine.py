@@ -286,9 +286,8 @@ class SimulationEngine:
             obs.timing("engine.solve", seconds)
             prof = self._prof
             if prof is not None:
-                # The object engine's dict solver under the same size
-                # dimension (total consumption entries) as the array
-                # kernels, so kernel cost tables compare backends.
+                # Sized by total consumption entries, the solver's
+                # working-set size.
                 prof.probe(
                     "solve_rates",
                     sum(len(w) for w in working.values()),
@@ -300,11 +299,10 @@ class SimulationEngine:
             action.rate = rate
         tl = self._tl
         if tl is not None:
-            # Share records iterate the working set in creation order
-            # (not the solver's freeze-order dict), matching the array
-            # backend's slot order; non-finite rates (resource-free
-            # actions) are skipped — they are not JSON-serialisable and
-            # carry no sharing information.
+            # Share records iterate the working set in creation order,
+            # not the solver's freeze order; non-finite rates
+            # (resource-free actions) are skipped — they are not
+            # JSON-serialisable and carry no sharing information.
             now = self.now
             inf = math.inf
             for action in working:

@@ -144,9 +144,7 @@ def matrix_network_totals(
     uplink total adds its row left-to-right, a downlink total adds its
     column top-to-bottom, and the backbone total adds row-major —
     exactly the order the per-flow path visits them, so the sums are
-    floating-point identical to it.  Both engine backends build their
-    network consumption from this one helper, which is what makes their
-    solver inputs bit-identical by construction.
+    floating-point identical to it.
 
     ``down_items`` is empty whenever ``backbone_total`` is zero (no
     off-node traffic means no downlink entries either).

@@ -18,9 +18,9 @@ iterate.  Weighted max-min: an action's rate on a bottleneck resource is
 throughput on the resource is proportional to its weight — this matches
 SimGrid's treatment of parallel tasks in ``ptask_L07``.
 
-Three implementations live here:
+Two implementations live here:
 
-* :func:`solve_rates` — the production scalar solver.  It keeps a
+* :func:`solve_rates` — the production solver.  It keeps a
   per-resource weight dict from which frozen actions are *deleted*, and
   re-sums a resource's remaining load only when one of its actions froze
   since the last round (the resource is "dirty").  The naive algorithm
@@ -29,30 +29,17 @@ Three implementations live here:
   total deletion work once (``E`` = weight entries) plus
   ``O(rounds * R)`` for the bottleneck scan, and only re-sums loads that
   actually changed.
-* :func:`solve_rates_vectorized` — the same algorithm over numpy arrays
-  (a dense action x resource weight matrix), used by the array engine
-  backend (:mod:`repro.simgrid.arena`) for large working sets and
-  exposed here behind the same dict API for the equivalence tests.
-* :func:`_maxmin_flat` — the scalar algorithm over the array engine's
-  flat CSR inputs (integer resource ids, list storage), used by the
-  array engine for small working sets where numpy's fixed per-op cost
-  dominates.
 * :func:`solve_rates_reference` — the original textbook loop, kept as
   the oracle for the equivalence property tests.
 
-All three are *floating-point identical*, not merely approximately
-equal.  For the scalar pair: deleting frozen actions from the
-per-resource dicts preserves the insertion order of the surviving
-entries, so the re-summed load adds the same floats in the same order as
-the reference's filtered sum, and the capacity deductions execute in the
-same sequence.  The vectorized solver preserves the same accumulation
-order by construction — see :func:`_maxmin_dense` for the ordering
-argument.  Bottleneck *ties* are broken deterministically: resources are
-scanned in first-touch order (the order the consumption mapping first
-references them), which the vectorized path reproduces with a
-first-occurrence ``argmin`` over first-touch-ranked columns.  The
-equivalence suites in ``tests/simgrid/test_sharing_equivalence.py`` and
-``tests/simgrid/test_sharing_vectorized.py`` assert exact equality on
+Both are *floating-point identical*, not merely approximately equal:
+deleting frozen actions from the per-resource dicts preserves the
+insertion order of the surviving entries, so the re-summed load adds the
+same floats in the same order as the reference's filtered sum, and the
+capacity deductions execute in the same sequence.  Bottleneck *ties* are
+broken deterministically: resources are scanned in first-touch order
+(the order the consumption mapping first references them).
+``tests/simgrid/test_sharing_equivalence.py`` asserts exact equality on
 randomized instances.
 """
 
@@ -60,9 +47,7 @@ from __future__ import annotations
 
 from typing import Hashable, Mapping
 
-import numpy as np
-
-__all__ = ["solve_rates", "solve_rates_reference", "solve_rates_vectorized"]
+__all__ = ["solve_rates", "solve_rates_reference"]
 
 _EPS = 1e-12
 
@@ -181,8 +166,7 @@ def solve_rates(
     # First-touch iteration order (``usage`` is insertion-ordered): the
     # bottleneck scan visits resources in the order the consumption
     # mapping first references them, so ties between equal fair shares
-    # break deterministically — and identically to the vectorized
-    # solver's first-occurrence argmin over first-touch-ranked columns.
+    # break deterministically, exactly as in the reference solver.
     active_res = dict.fromkeys(usage)
     dirty: set = set()  # resources whose load must be re-summed
     while unfixed_left:
@@ -230,259 +214,6 @@ def solve_rates(
                     del usage[res][action]
                     dirty_add(res)
     return rates
-
-
-def _maxmin_flat(
-    row_counts: list,
-    e_rid: list,
-    e_w: list,
-    caps_by_rid: list,
-) -> list:
-    """Scalar bottleneck loop over a flat CSR-style instance.
-
-    The small-instance twin of :func:`_maxmin_dense`: same inputs (as
-    plain Python sequences; ``caps_by_rid`` holds Python floats), same
-    output (rates per row, ``inf`` for empty rows), same floats.  The
-    array engine dispatches to this kernel when the working set is
-    small — at a handful of actions the interpreter loop over flat
-    lists is several times faster than numpy's per-op overhead — and
-    to the vectorized kernel at scale.
-
-    Bit-identity: this is :func:`solve_rates` transliterated — the same
-    first-touch dicts seeded with the same left-to-right load sums, the
-    same bottleneck scan with strict-less tie-breaking, the same
-    ``rc if rc > 0.0 else 0.0`` deduction clamp, the same dirty-resource
-    re-sum — with integer resource ids instead of Resource keys and row
-    indices instead of action objects.  Trusted internal kernel: inputs
-    are not validated (rows' ids must be distinct, weights positive).
-    """
-    inf = float("inf")
-    A = len(row_counts)
-    rates = [inf] * A
-    nonempty = [i for i in range(A) if row_counts[i]]
-    if not nonempty:
-        return rates
-    if len(nonempty) == 1:
-        # Single non-empty row: its max-min rate is its smallest
-        # standalone fair share — the same floats, filter and strict
-        # minimum as the scalar fast path.
-        best = None
-        for rid, w in zip(e_rid, e_w):
-            if w <= _EPS:
-                continue
-            share = caps_by_rid[rid] / w
-            if best is None or share < best:
-                best = share
-        if best is None:
-            raise AssertionError("max-min solver lost its remaining actions")
-        rates[nonempty[0]] = best
-        return rates
-
-    usage: dict[int, dict[int, float]] = {}
-    usage_get = usage.get
-    loads: dict[int, float] = {}
-    remaining_cap: dict[int, float] = {}
-    row_entries: dict[int, tuple[list, list]] = {}
-    pos = 0
-    for i, c in enumerate(row_counts):
-        if not c:
-            continue
-        end = pos + c
-        rid_row = e_rid[pos:end]
-        w_row = e_w[pos:end]
-        row_entries[i] = (rid_row, w_row)
-        for rid, w in zip(rid_row, w_row):
-            per_rid = usage_get(rid)
-            if per_rid is None:
-                usage[rid] = {i: w}
-                loads[rid] = w
-                remaining_cap[rid] = caps_by_rid[rid]
-            else:
-                per_rid[i] = w
-                loads[rid] = loads[rid] + w
-        pos = end
-
-    active_res = dict.fromkeys(usage)
-    dirty: set = set()
-    unfixed_left = len(nonempty)
-    while unfixed_left:
-        for rid in dirty:
-            loads[rid] = sum(usage[rid].values())
-        dirty.clear()
-        best_share = None
-        best_rid = None
-        for rid in active_res:
-            load = loads[rid]
-            if load <= _EPS:
-                continue
-            share = remaining_cap[rid] / load
-            if best_share is None or share < best_share:
-                best_share = share
-                best_rid = rid
-        if best_rid is None:
-            raise AssertionError("max-min solver lost its remaining actions")
-        frozen = list(usage[best_rid])
-        del active_res[best_rid]
-        dirty_add = dirty.add
-        for i in frozen:
-            rates[i] = best_share
-            unfixed_left -= 1
-            rid_row, w_row = row_entries[i]
-            for rid, w in zip(rid_row, w_row):
-                if rid in active_res:
-                    rc = remaining_cap[rid] - w * best_share
-                    remaining_cap[rid] = rc if rc > 0.0 else 0.0
-                    del usage[rid][i]
-                    dirty_add(rid)
-    return rates
-
-
-def _maxmin_dense(
-    row_counts: np.ndarray,
-    e_rid: np.ndarray,
-    e_w: np.ndarray,
-    caps_by_rid: np.ndarray,
-) -> np.ndarray:
-    """Vectorized bottleneck loop over a CSR-style instance.
-
-    Parameters
-    ----------
-    row_counts:
-        Entries per action row, ``(A,)``.  Entry arrays are the rows'
-        entries concatenated in row order.
-    e_rid / e_w:
-        Resource id and weight per entry, ``(E,)``.  Resource ids within
-        one row must be distinct and weights positive (the engine and
-        the dict wrapper guarantee both).
-    caps_by_rid:
-        float64 capacities, indexable by every id in ``e_rid``.
-
-    Returns
-    -------
-    ndarray
-        float64 rates per row; rows without entries get ``inf``.
-
-    Bit-identity argument (why this equals :func:`solve_rates` exactly):
-
-    * Load sums fold rows top-to-bottom via ``np.add.accumulate`` (a
-      strictly sequential fold, unlike ``np.add.reduceat``/``np.sum``
-      which use pairwise summation) after masking frozen rows to zero;
-      adding ``0.0`` to a non-negative partial is the identity, so each
-      column accumulates exactly the scalar solver's surviving floats in
-      insertion order.
-    * Columns are arranged in first-touch order (stable argsort of the
-      first entry position per resource), so the first-occurrence
-      ``argmin`` breaks fair-share ties on the same resource the scalar
-      scan picks.
-    * Deductions apply per frozen action in row order with the same
-      ``w * share`` product and the same ``rc if rc > 0.0 else 0.0``
-      clamp (``np.where(rc > 0.0, rc, 0.0)``); untouched columns pass
-      through ``x - 0.0`` unchanged bitwise.
-    """
-    A = row_counts.shape[0]
-    rates = np.full(A, np.inf)
-    nonempty = np.flatnonzero(row_counts > 0)
-    k = nonempty.shape[0]
-    if k == 0:
-        return rates
-    if k == 1:
-        # All entries belong to the single non-empty row; its max-min
-        # rate is its smallest standalone fair share — the same floats,
-        # filter and min as the scalar fast path.
-        mask = e_w > _EPS
-        if not mask.any():
-            raise AssertionError("max-min solver lost its remaining actions")
-        shares = caps_by_rid[e_rid[mask]] / e_w[mask]
-        rates[nonempty[0]] = shares.min()
-        return rates
-
-    counts = row_counts[nonempty]
-    row_of_e = np.repeat(np.arange(k), counts)
-    uniq, first, inv = np.unique(e_rid, return_index=True, return_inverse=True)
-    order = np.argsort(first, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.shape[0])
-    col = rank[inv]
-    R = uniq.shape[0]
-    W = np.zeros((k, R))
-    W[row_of_e, col] = e_w
-    rcap = caps_by_rid[uniq[order]]  # fancy indexing: a fresh array
-    unfixed = np.ones(k, bool)
-    active = np.ones(R, bool)
-    inf = np.inf
-    remaining = k
-    while remaining:
-        loads = np.add.accumulate(W * unfixed[:, None], axis=0)[-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shares = rcap / loads
-        shares[~active | (loads <= _EPS)] = inf
-        b = int(shares.argmin())
-        share = float(shares[b])
-        if share == inf:
-            raise AssertionError("max-min solver lost its remaining actions")
-        frozen = np.flatnonzero(unfixed & (W[:, b] > 0.0))
-        active[b] = False
-        for a in frozen:
-            rates[nonempty[a]] = share
-            unfixed[a] = False
-            ded = np.where(active, W[a] * share, 0.0)
-            rc = rcap - ded
-            rcap = np.where(rc > 0.0, rc, 0.0)
-        remaining -= frozen.shape[0]
-    return rates
-
-
-def solve_rates_vectorized(
-    consumption: Mapping[Hashable, Mapping[object, float]],
-    capacity: Mapping[object, float],
-    *,
-    validate: bool = True,
-) -> dict[Hashable, float]:
-    """Vectorized :func:`solve_rates` behind the same dict API.
-
-    Bit-identical to the scalar solver on every valid instance (see
-    :func:`_maxmin_dense` for the argument); raises the same exceptions
-    on invalid input.  The array engine backend skips this wrapper and
-    feeds :func:`_maxmin_dense` its arena arrays directly.
-    """
-    actions = []
-    row_counts: list[int] = []
-    rid_of: dict[object, int] = {}
-    caps: list[float] = []
-    e_rid: list[int] = []
-    e_w: list[float] = []
-    for action, weights in consumption.items():
-        actions.append(action)
-        count = 0
-        for res, w in weights.items():
-            if validate:
-                if w <= 0:
-                    raise ValueError(
-                        f"consumption weight of {action!r} on {res!r} "
-                        "must be positive"
-                    )
-                if res not in capacity:
-                    raise ValueError(
-                        f"resource {res!r} has no declared capacity"
-                    )
-            rid = rid_of.get(res)
-            if rid is None:
-                cap = capacity[res]
-                if validate and cap <= 0:
-                    raise ValueError(f"capacity of {res!r} must be positive")
-                rid = rid_of[res] = len(caps)
-                caps.append(float(cap))
-            e_rid.append(rid)
-            e_w.append(w)
-            count += 1
-        row_counts.append(count)
-    rates = _maxmin_dense(
-        np.asarray(row_counts, dtype=np.intp),
-        np.asarray(e_rid, dtype=np.intp),
-        np.asarray(e_w, dtype=float),
-        np.asarray(caps, dtype=float),
-    )
-    return dict(zip(actions, rates.tolist()))
 
 
 def solve_rates_reference(

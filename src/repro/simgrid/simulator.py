@@ -21,34 +21,17 @@ redistributions have completed and each of its processors has finished
 every earlier-ordered task placed on it.  Redistributions start when the
 producer finishes and do not occupy CPUs (transfers are asynchronous;
 their CPU-side protocol cost is what the overhead model measures).
-
-Engine backends
----------------
-The simulator runs on either of two interchangeable engines selected by
-the ``engine`` argument (or the ``REPRO_ENGINE`` environment variable):
-
-* ``"object"`` (default) — the scalar oracle:
-  :class:`~repro.simgrid.engine.SimulationEngine` over ``Action``
-  objects and ``Resource`` dicts;
-* ``"array"`` — :class:`~repro.simgrid.arena.ArraySimulationEngine`
-  over struct-of-arrays state with a vectorized solver and step loop.
-
-Both backends produce bit-identical traces and ``engine.*`` counters
-(asserted by ``tests/experiments/test_engine_backends.py``), so cached
-results are engine-agnostic and either backend can replay the other's
-cache entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.dag.distributions import redistribution_matrix_rows
 from repro.dag.graph import TaskGraph
-from repro.models.analytical import AnalyticalTaskModel
 from repro.models.base import ModelKind, TaskTimeModel
 from repro.models.overheads import (
     RedistributionOverheadModel,
@@ -59,21 +42,12 @@ from repro.models.overheads import (
 from repro.obs.recorder import get_recorder
 from repro.platform.cluster import ClusterPlatform
 from repro.scheduling.schedule import Schedule
-from repro.simgrid.arena import (
-    ActionArena,
-    ArraySimulationEngine,
-    ResourceLayout,
-    layout_for,
-    resolve_engine,
-)
-from repro.simgrid.engine import Action, SimulationEngine
-from repro.simgrid.ptask import build_matrix_ptask, matrix_network_totals
+from repro.simgrid.engine import SimulationEngine
+from repro.simgrid.ptask import build_matrix_ptask
 from repro.simgrid.resources import NetworkTopology
 from repro.util.errors import SimulationError
 
 __all__ = ["TaskRecord", "EdgeRecord", "SimulationTrace", "ApplicationSimulator"]
-
-_NO_ENTRIES: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -210,79 +184,6 @@ class _ExecutionState:
         return ready
 
 
-def _analytic_entries(
-    layout: ResourceLayout,
-    hosts: tuple[int, ...],
-    comp_vec,
-    rows: list[list[float]],
-) -> tuple[tuple[int, ...], tuple[float, ...], float, float]:
-    """Array-engine consumption entries of an analytical ptask.
-
-    Entry order replicates the object path's dict insertion order —
-    cpus in host order, then uplinks by row, backbone, downlinks by
-    column — so the solver's first-touch resource order (and therefore
-    its tie-breaking) is identical across backends.  Hosts must be
-    distinct, as schedule processor sets are.  Entries are returned as
-    tuples: they are memoized and shared across runs, and the engine's
-    flat stores only ever copy from them.
-    """
-    rid_list: list[int] = []
-    w_list: list[float] = []
-    for h, f in zip(hosts, comp_vec):
-        f = float(f)
-        if f > 0:
-            rid_list.append(h)
-            w_list.append(f)
-    net_latency = 0.0
-    if rows:
-        up_items, down_items, backbone_total = matrix_network_totals(
-            rows, hosts, hosts
-        )
-        n = layout.num_nodes
-        for src, total in up_items:
-            rid_list.append(n + src)
-            w_list.append(total)
-        if backbone_total > 0.0:
-            rid_list.append(layout.backbone_rid)
-            w_list.append(backbone_total)
-            net_latency = layout.offnode_latency
-            twon = 2 * n
-            for dst, total in down_items:
-                rid_list.append(twon + dst)
-                w_list.append(total)
-    work = 1.0 if rid_list else 0.0
-    return tuple(rid_list), tuple(w_list), net_latency, work
-
-
-def _network_entries(
-    layout: ResourceLayout,
-    rows: list[list[float]],
-    src_hosts: tuple[int, ...],
-    dst_hosts: tuple[int, ...],
-) -> tuple[tuple[int, ...], tuple[float, ...], float, float, float]:
-    """Array-engine consumption entries of a pure-communication ptask."""
-    up_items, down_items, backbone_total = matrix_network_totals(
-        rows, src_hosts, dst_hosts
-    )
-    rid_list: list[int] = []
-    w_list: list[float] = []
-    n = layout.num_nodes
-    for src, total in up_items:
-        rid_list.append(n + src)
-        w_list.append(total)
-    net_latency = 0.0
-    if backbone_total > 0.0:
-        rid_list.append(layout.backbone_rid)
-        w_list.append(backbone_total)
-        net_latency = layout.offnode_latency
-        twon = 2 * n
-        for dst, total in down_items:
-            rid_list.append(twon + dst)
-            w_list.append(total)
-    work = 1.0 if rid_list else 0.0
-    return tuple(rid_list), tuple(w_list), net_latency, work, backbone_total
-
-
 class ApplicationSimulator:
     """Simulates schedule execution under pluggable cost models."""
 
@@ -294,20 +195,10 @@ class ApplicationSimulator:
         redistribution_model: RedistributionOverheadModel | None = None,
         *,
         contention: bool = True,
-        engine: str | None = None,
-        arena: ActionArena | None = None,
     ) -> None:
         """``contention=False`` gives every action private copies of the
         network resources, so concurrent transfers never share bandwidth
-        — the "no contention" ablation of SimGrid's fair-sharing model.
-
-        ``engine`` selects the backend (``"object"`` or ``"array"``;
-        default resolves via ``REPRO_ENGINE`` and falls back to the
-        object oracle).  ``arena`` optionally supplies a pre-allocated
-        :class:`~repro.simgrid.arena.ActionArena` for the array backend;
-        by default one arena is created lazily and reused by every run
-        of this simulator, which is what amortizes allocation across a
-        whole study."""
+        — the "no contention" ablation of SimGrid's fair-sharing model."""
         self.platform = platform
         self.task_model = task_model
         self.startup_model = startup_model or ZeroStartupModel()
@@ -315,19 +206,11 @@ class ApplicationSimulator:
             redistribution_model or ZeroRedistributionOverheadModel()
         )
         self.contention = contention
-        self.engine = resolve_engine(engine)
         # Built lazily on the first contended run and reused after: the
         # topology is immutable (capacities fixed, routes memoised) and
         # per-run resource accounting lives in each run's engine, so
         # sharing it across runs changes no simulated value.
         self._shared_topology: NetworkTopology | None = None
-        # Array-backend state, also lazy: the platform's resource
-        # layout, the reusable arena, and the memo of analytic task
-        # consumption entries (valid because AnalyticalTaskModel is a
-        # pure function of (kernel, n, p) — see start_task).
-        self._layout: ResourceLayout | None = None
-        self._arena: ActionArena | None = arena
-        self._task_entries_memo: dict = {}
 
     # ------------------------------------------------------------------
     def run_cached(
@@ -359,26 +242,9 @@ class ApplicationSimulator:
             "simulation", key, lambda: self.run(graph, schedule)
         )
 
-    def simulate_batch(
-        self,
-        runs: Iterable[tuple[TaskGraph, Schedule]],
-        *,
-        cache=None,
-    ) -> list[SimulationTrace]:
-        """Run a sequence of (graph, schedule) cells on this simulator.
-
-        The batch shape is what the array backend is built for: one
-        arena and one consumption-entry memo serve every cell, so only
-        the first run pays buffer allocation.  With a cache, each cell
-        goes through :meth:`run_cached`.
-        """
-        if cache is not None:
-            return [self.run_cached(g, s, cache) for g, s in runs]
-        return [self.run(g, s) for g, s in runs]
-
     # ------------------------------------------------------------------
-    def _object_backend(self, graph, schedule, on_task_complete, on_edge_complete):
-        """The scalar oracle: Actions over Resource dicts."""
+    def _build_engine(self, graph, schedule, on_task_complete, on_edge_complete):
+        """A fresh engine plus the task and redistribution action starters."""
         shared_topology = self._shared_topology
         if shared_topology is None:
             shared_topology = NetworkTopology(self.platform)
@@ -454,114 +320,6 @@ class ApplicationSimulator:
 
         return SimulationEngine(), start_task, start_redistribution
 
-    def _array_backend(self, graph, schedule, on_task_complete, on_edge_complete):
-        """The vectorized backend: CSR entries over a resource layout."""
-        layout = self._layout
-        if layout is None:
-            layout = layout_for(self.platform)
-            self._layout = layout
-        arena = self._arena
-        if arena is None:
-            arena = ActionArena()
-            self._arena = arena
-        engine = ArraySimulationEngine(layout, arena)
-        contended = self.contention
-        caps = layout.caps.tolist()
-        redist_memo = layout.redist_net_memo
-        analytic = self.task_model.kind is ModelKind.ANALYTICAL
-        # The entry memo is sound only when the model's computation and
-        # comm matrix are pure functions of (kernel, n, p), which is
-        # exactly AnalyticalTaskModel's contract; any other analytic
-        # model rebuilds its entries per start.
-        task_memo = (
-            self._task_entries_memo
-            if isinstance(self.task_model, AnalyticalTaskModel)
-            else None
-        )
-        flops = self.platform.flops
-
-        def start_task(eng: ArraySimulationEngine, task_id: int) -> None:
-            task = graph.task(task_id)
-            hosts = schedule.hosts(task_id)
-            p = len(hosts)
-            startup = self.startup_model.startup(p)
-            if analytic:
-                key = (task.kernel, task.n, hosts)
-                entries = None if task_memo is None else task_memo.get(key)
-                if entries is None:
-                    comp_vec = self.task_model.computation(task, p)
-                    B = np.asarray(
-                        self.task_model.comm_matrix(task, p), dtype=float
-                    )
-                    if B.shape != (p, p):
-                        raise SimulationError(
-                            f"comm matrix shape {B.shape} != ({p}, {p})"
-                        )
-                    entries = _analytic_entries(
-                        layout, hosts, comp_vec, B.tolist()
-                    )
-                    if task_memo is not None:
-                        task_memo[key] = entries
-                rids, ws, net_latency, work = entries
-                latency = startup + net_latency
-            else:
-                duration = self.task_model.duration(task, p)
-                if duration < 0:
-                    raise SimulationError(
-                        f"model predicted negative duration for task {task_id}"
-                    )
-                w = duration * flops
-                if w > 0:
-                    rids = hosts
-                    ws = (w,) * p
-                    work = 1.0
-                else:
-                    rids, ws, work = _NO_ENTRIES, _NO_ENTRIES, 0.0
-                latency = startup
-            if not contended and rids:
-                rids = eng.alloc_private_rids([caps[r] for r in rids])
-            eng.add_entries(
-                f"task{task_id}",
-                work,
-                rids,
-                ws,
-                latency,
-                on_task_complete,
-                (task_id, startup),
-            )
-
-        def start_redistribution(
-            eng: ArraySimulationEngine, src: int, dst: int
-        ) -> None:
-            src_hosts = schedule.hosts(src)
-            dst_hosts = schedule.hosts(dst)
-            task = graph.task(src)
-            key = (task.n, src_hosts, dst_hosts)
-            entries = redist_memo.get(key)
-            if entries is None:
-                rows = redistribution_matrix_rows(
-                    task.n, len(src_hosts), len(dst_hosts)
-                )
-                entries = _network_entries(layout, rows, src_hosts, dst_hosts)
-                redist_memo[key] = entries
-            rids, ws, net_latency, work, volume = entries
-            overhead = self.redistribution_model.overhead(
-                len(src_hosts), len(dst_hosts)
-            )
-            if not contended and rids:
-                rids = eng.alloc_private_rids([caps[r] for r in rids])
-            eng.add_entries(
-                f"redist{src}->{dst}",
-                work,
-                rids,
-                ws,
-                overhead + net_latency,
-                on_edge_complete,
-                (src, dst, overhead, volume),
-            )
-
-        return engine, start_task, start_redistribution
-
     def run(self, graph: TaskGraph, schedule: Schedule) -> SimulationTrace:
         """Simulate the application; returns the trace with the makespan."""
         obs = get_recorder()
@@ -579,7 +337,6 @@ class ApplicationSimulator:
             tl.abort_run()
             raise
         tl.end_run(
-            engine=self.engine,
             makespan=trace.makespan,
             tasks=len(trace.tasks),
             xfers=len(trace.edges),
@@ -630,14 +387,9 @@ class ApplicationSimulator:
             for task_id in state.take_ready():
                 start_task(eng, task_id)
 
-        if self.engine == "array":
-            engine, start_task, start_redistribution = self._array_backend(
-                graph, schedule, on_task_complete, on_edge_complete
-            )
-        else:
-            engine, start_task, start_redistribution = self._object_backend(
-                graph, schedule, on_task_complete, on_edge_complete
-            )
+        engine, start_task, start_redistribution = self._build_engine(
+            graph, schedule, on_task_complete, on_edge_complete
+        )
 
         start_ready_tasks(engine)
         makespan = engine.run()

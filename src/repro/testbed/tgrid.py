@@ -35,7 +35,6 @@ from repro.models.overheads import RedistributionOverheadModel, StartupOverheadM
 from repro.obs.recorder import get_recorder
 from repro.platform.cluster import ClusterPlatform
 from repro.scheduling.schedule import Schedule
-from repro.simgrid.arena import ActionArena, resolve_engine
 from repro.simgrid.simulator import ApplicationSimulator, SimulationTrace
 from repro.testbed.jvm import JvmStartupGroundTruth
 from repro.testbed.kernels_rt import GroundTruthKernels
@@ -180,11 +179,6 @@ class TGridEmulator:
             noise_sigma=0.08 if self.with_noise else noise_off,
         )
         self._env_seed = env_seed
-        # Reusable array-engine arena, shared by every execution on this
-        # emulator (plain attribute, not a dataclass field, so it stays
-        # out of emulator_fingerprint — backends are bit-identical and
-        # must not split the cache).
-        self._arena: ActionArena | None = None
         # The network as the application experiences it.
         self.effective_platform = dataclasses.replace(
             self.platform,
@@ -198,29 +192,16 @@ class TGridEmulator:
     # schedule execution ("running the experiment")
     # ------------------------------------------------------------------
     def execute(
-        self,
-        graph: TaskGraph,
-        schedule: Schedule,
-        run_label: object = 0,
-        *,
-        engine: str | None = None,
+        self, graph: TaskGraph, schedule: Schedule, run_label: object = 0
     ) -> SimulationTrace:
         """Execute a schedule on the emulated cluster.
 
-        Deterministic for identical ``(graph, schedule, run_label)``
-        regardless of the engine backend (both backends are
-        bit-identical); vary ``run_label`` to emulate repeated
-        real-world runs.
+        Deterministic for identical ``(graph, schedule, run_label)``;
+        vary ``run_label`` to emulate repeated real-world runs.
         """
         rng = spawn_rng(
             self._env_seed, "execute", graph.name, schedule.algorithm, run_label
         )
-        engine = resolve_engine(engine)
-        arena = None
-        if engine == "array":
-            arena = self._arena
-            if arena is None:
-                arena = self._arena = ActionArena()
         executor = ApplicationSimulator(
             self.effective_platform,
             _GroundTruthTaskModel(
@@ -230,8 +211,6 @@ class TGridEmulator:
             redistribution_model=_GroundTruthRedistribution(
                 self.subnet, rng, self.redistribution_scale
             ),
-            engine=engine,
-            arena=arena,
         )
         obs = get_recorder()
         if obs.enabled:

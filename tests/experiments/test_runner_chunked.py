@@ -36,7 +36,7 @@ def study_inputs():
 
 
 def _observed_study(study_inputs, *, workers, chunk=None, cache=None,
-                    engine=None, sched=None, telemetry=None):
+                    sched=None, telemetry=None):
     """One fully-observed study; returns its comparable facets."""
     dags, suite, emulator = study_inputs
     sink = MemorySink()
@@ -44,7 +44,7 @@ def _observed_study(study_inputs, *, workers, chunk=None, cache=None,
     with recording(rec):
         result = run_study(
             dags, [suite], emulator, workers=workers, chunk=chunk,
-            cache=cache, engine=engine, sched=sched, telemetry=telemetry,
+            cache=cache, sched=sched, telemetry=telemetry,
         )
     # The clamp counter legitimately differs across hosts (it fires
     # whenever the requested pool exceeds the core count).
@@ -67,8 +67,8 @@ def _observed_study(study_inputs, *, workers, chunk=None, cache=None,
 
 
 @pytest.mark.parametrize("backends", [
-    {"engine": None, "sched": None},
-    {"engine": "array", "sched": "array"},
+    {"sched": None},
+    {"sched": "array"},
 ], ids=["object", "array"])
 def test_chunked_matches_serial_on_every_facet(study_inputs, backends):
     serial = _observed_study(study_inputs, workers=1, **backends)
@@ -205,7 +205,7 @@ class TestAbsorbEmptyWorkerExport:
     def test_timeline_absorb_empty_slice_keeps_run_numbering(self):
         parent = Timeline()
         parent.begin_run(dag="d0", algorithm="hcpa", model="m")
-        parent.end_run(engine="object", makespan=1.0, tasks=0, xfers=0)
+        parent.end_run(makespan=1.0, tasks=0, xfers=0)
 
         # An all-cache-hit chunk: zero runs, no records.
         parent.absorb(Timeline().export_state())
@@ -215,7 +215,7 @@ class TestAbsorbEmptyWorkerExport:
         # if the empty slice had never been absorbed.
         worker = Timeline()
         worker.begin_run(dag="d1", algorithm="mcpa", model="m")
-        worker.end_run(engine="object", makespan=2.0, tasks=0, xfers=0)
+        worker.end_run(makespan=2.0, tasks=0, xfers=0)
         parent.absorb(worker.export_state())
         runs = [
             r["run"] for r in parent.records if r.get("kind") == "run"
@@ -229,9 +229,7 @@ class TestAbsorbEmptyWorkerExport:
             worker = Recorder(MemorySink(), timeline=Timeline())
             worker.count("runner.cells", 1)
             worker.timeline.begin_run(dag="d", algorithm="hcpa", model="m")
-            worker.timeline.end_run(
-                engine="object", makespan=1.0, tasks=0, xfers=0
-            )
+            worker.timeline.end_run(makespan=1.0, tasks=0, xfers=0)
             rec.absorb(worker.export_state())
         assert rec.counters["runner.cells"] == 1
         runs = [r["run"] for r in rec.timeline.records if r.get("kind") == "run"]

@@ -106,9 +106,7 @@ def test_absorb_determinism_with_interleaved_spans_and_events():
         with rec.span("cell.work", idx=idx):
             rec.timeline.begin_run(dag=f"d{idx}", algorithm="hcpa")
             rec.timeline.task(0, (0,), 0.0, 1.0 + idx, 0.0)
-            rec.timeline.end_run(
-                engine="object", makespan=1.0 + idx, tasks=1, xfers=0
-            )
+            rec.timeline.end_run(makespan=1.0 + idx, tasks=1, xfers=0)
             rec.count("cells")
         rec.event("cell.done", idx=idx)
         return rec.export_state()

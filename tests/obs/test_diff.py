@@ -46,9 +46,7 @@ def _emit_run(
         hosts1 = (0,)
     makespan = start1 + 2.0 * scale
     tl.task(1, hosts1, start1, makespan, startup)
-    tl.end_run(
-        engine="object", makespan=makespan, tasks=2, xfers=int(chain)
-    )
+    tl.end_run(makespan=makespan, tasks=2, xfers=int(chain))
     if ctx:
         ctx.__exit__(None, None, None)
     return makespan
@@ -79,7 +77,7 @@ class TestDecompose:
         tl = Timeline()
         tl.begin_run(dag="d", algorithm="hcpa", model="m")
         tl.task(0, (0,), 3.0, 5.0, 0.0)  # starts with no gate at t=3
-        tl.end_run(engine="object", makespan=5.0, tasks=1, xfers=0)
+        tl.end_run(makespan=5.0, tasks=1, xfers=0)
         (run,) = split_runs(tl.records)
         comp = decompose(run)
         assert comp["other"] == 3.0
@@ -88,7 +86,7 @@ class TestDecompose:
     def test_empty_run(self):
         tl = Timeline()
         tl.begin_run(dag="d", algorithm="hcpa", model="m")
-        tl.end_run(engine="object", makespan=0.0, tasks=0, xfers=0)
+        tl.end_run(makespan=0.0, tasks=0, xfers=0)
         (run,) = split_runs(tl.records)
         assert decompose(run) == {name: 0.0 for name in COMPONENTS}
 
@@ -216,7 +214,7 @@ class TestDegenerateInputs:
         tl = Timeline.to_file(ok)
         tl.begin_run(dag="d", algorithm="hcpa", model="m")
         tl.task(0, (0,), 0.0, 1.0, 0.0)
-        tl.end_run(engine="object", makespan=1.0, tasks=1, xfers=0)
+        tl.end_run(makespan=1.0, tasks=1, xfers=0)
         tl.close()
         # The offending side is named whichever position it is in.
         for a, b in ((header, ok), (ok, header)):

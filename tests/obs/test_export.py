@@ -25,7 +25,7 @@ def _timeline_records():
         tl.task(0, (0, 1), 0.0, 2.0, 0.25)
         tl.xfer(0, 1, 2.0, 3.0, 0.1, 1e6)
         tl.task(1, (2,), 3.0, 5.0, 0.0)
-        tl.end_run(engine="object", makespan=5.0, tasks=2, xfers=1)
+        tl.end_run(makespan=5.0, tasks=2, xfers=1)
     return tl.records
 
 
@@ -222,7 +222,7 @@ class TestSummary:
         text = summarize_file(path)
         assert "record kinds:" in text
         assert "runs:" in text
-        assert "hcpa" in text and "object" in text
+        assert "hcpa" in text and "analytic" in text
 
     def test_trace_summary_falls_back_to_types(self, tmp_path):
         path = tmp_path / "trace.jsonl"

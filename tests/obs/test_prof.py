@@ -1,14 +1,11 @@
-"""Profiler span/probe accounting and the measured crossover table."""
+"""Profiler span/probe accounting."""
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.obs.prof import PAIRS, CrossoverTable, Profiler, size_bucket
+from repro.obs.prof import Profiler, size_bucket
 from repro.obs.recorder import Recorder
-from repro.simgrid import arena
 
 
 # ----------------------------------------------------------------------
@@ -57,14 +54,14 @@ def test_leaf_attaches_under_current_path():
 
 def test_probe_buckets_sizes():
     prof = Profiler()
-    prof.probe("maxmin_flat", 3, 0.1)
-    prof.probe("maxmin_flat", 4, 0.3)  # same bucket (4)
-    prof.probe("maxmin_flat", 5, 0.2)  # bucket 8
-    assert prof.kernels[("maxmin_flat", 4)] == [2, 0.4, 0.1, 0.3]
-    assert prof.kernels[("maxmin_flat", 8)] == [1, 0.2, 0.2, 0.2]
+    prof.probe("solve_rates", 3, 0.1)
+    prof.probe("solve_rates", 4, 0.3)  # same bucket (4)
+    prof.probe("solve_rates", 5, 0.2)  # bucket 8
+    assert prof.kernels[("solve_rates", 4)] == [2, 0.4, 0.1, 0.3]
+    assert prof.kernels[("solve_rates", 8)] == [1, 0.2, 0.2, 0.2]
     assert prof.kernel_table() == [
-        ("maxmin_flat", 4, 2, 0.4, 0.2),
-        ("maxmin_flat", 8, 1, 0.2, 0.2),
+        ("solve_rates", 4, 2, 0.4, 0.2),
+        ("solve_rates", 8, 1, 0.2, 0.2),
     ]
 
 
@@ -72,19 +69,19 @@ def test_export_absorb_round_trip_merges():
     a = Profiler()
     a.push("phase")
     a.pop(1.0)
-    a.probe("scan_scalar", 4, 0.5)
+    a.probe("critical_path_dp", 4, 0.5)
     b = Profiler()
     b.push("phase")
     b.push("child")
     b.pop(0.5)
     b.pop(2.0)
-    b.probe("scan_scalar", 4, 0.25)
+    b.probe("critical_path_dp", 4, 0.25)
     merged = Profiler()
     merged.absorb(a.export_state())
     merged.absorb(b.export_state())
     assert merged.spans[("phase",)] == [2, 3.0, 1.0, 2.0]
     assert merged.spans[("phase", "child")] == [1, 0.5, 0.5, 0.5]
-    assert merged.kernels[("scan_scalar", 4)] == [2, 0.75, 0.25, 0.5]
+    assert merged.kernels[("critical_path_dp", 4)] == [2, 0.75, 0.25, 0.5]
     # Absorption order does not change the merged state.
     other = Profiler()
     other.absorb(b.export_state())
@@ -108,11 +105,11 @@ def test_render_lists_spans_and_kernels():
     prof.push("study")
     prof.leaf("solve", 0.5)
     prof.pop(1.0)
-    prof.probe("maxmin_flat", 12, 0.001)
+    prof.probe("solve_rates", 12, 0.001)
     text = prof.render()
     assert "study" in text
     assert "solve" in text
-    assert "maxmin_flat" in text
+    assert "solve_rates" in text
     # Empty profilers render placeholders, not empty tables.
     empty = Profiler().render()
     assert "no spans recorded" in empty
@@ -151,126 +148,3 @@ def test_recorder_without_profiler_keeps_metrics_shape():
         pass
     assert "profile" not in rec.metrics()
     assert "profile" not in rec.export_state()
-
-
-# ----------------------------------------------------------------------
-# CrossoverTable
-# ----------------------------------------------------------------------
-def _table(pair="solver", rows=()):
-    table = CrossoverTable()
-    for size, scalar_s, vectorized_s in rows:
-        table.add(pair, size, scalar_s=scalar_s, vectorized_s=vectorized_s)
-    return table
-
-
-def test_add_rejects_unknown_pair():
-    with pytest.raises(ValueError, match="unknown kernel pair"):
-        CrossoverTable().add("fft", 8, scalar_s=1.0)
-
-
-def test_crossover_requires_stable_win():
-    # Vectorized wins at 64 and above; the dip at 32 does not count.
-    table = _table(rows=[
-        (8, 1.0, 4.0),
-        (16, 1.0, 2.0),
-        (32, 1.0, 0.5),   # isolated win below the stable region
-        (48, 1.0, 1.5),
-        (64, 1.0, 0.9),
-        (128, 1.0, 0.5),
-    ])
-    assert table.crossover("solver") == 64
-    assert table.threshold("solver", default=7) == 48
-
-
-def test_crossover_none_when_scalar_always_wins():
-    table = _table(rows=[(8, 1.0, 2.0), (64, 1.0, 3.0), (512, 1.0, 4.0)])
-    assert table.crossover("solver") is None
-    # No crossover: the threshold covers the whole measured range.
-    assert table.threshold("solver", default=7) == 512
-
-
-def test_threshold_defaults_without_two_sided_rows():
-    table = CrossoverTable()
-    assert table.threshold("solver", default=123) == 123
-    table.add("solver", 32, scalar_s=1.0)  # one-sided row only
-    assert table.sizes("solver") == []
-    assert table.threshold("solver", default=123) == 123
-
-
-def test_threshold_zero_when_vectorized_always_wins():
-    table = _table(rows=[(8, 2.0, 1.0), (64, 2.0, 1.0)])
-    assert table.crossover("solver") == 8
-    assert table.threshold("solver", default=7) == 0
-
-
-def test_from_profile_maps_kernel_probes():
-    prof = Profiler()
-    prof.probe("maxmin_flat", 8, 0.2)
-    prof.probe("maxmin_flat", 8, 0.4)
-    prof.probe("maxmin_dense", 8, 0.9)
-    prof.probe("scan_vector", 128, 0.1)
-    table = CrossoverTable.from_profile(prof)
-    row = table.samples["solver"][8]
-    assert row["scalar_s"] == pytest.approx(0.3)  # mean of the probes
-    assert row["vectorized_s"] == pytest.approx(0.9)
-    # One-sided observed row: no crossover evidence from it.
-    assert table.samples["step_scan"][128]["scalar_s"] is None
-    assert table.sizes("step_scan") == []
-
-
-def test_json_round_trip(tmp_path):
-    table = _table(rows=[(8, 1.0, 2.0), (64, 2.0, 1.0)])
-    path = table.save(tmp_path / "sub" / "table.json")
-    loaded = CrossoverTable.load(path)
-    assert loaded.to_json() == table.to_json()
-    assert loaded.crossover("solver") == table.crossover("solver")
-
-
-def test_load_errors_are_actionable(tmp_path):
-    with pytest.raises(FileNotFoundError, match="repro profile"):
-        CrossoverTable.load(tmp_path / "missing.json")
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(ValueError, match="not valid JSON"):
-        CrossoverTable.load(bad)
-    wrong = tmp_path / "wrong.json"
-    wrong.write_text(json.dumps({"schema": 99, "pairs": {}}))
-    with pytest.raises(ValueError, match="schema"):
-        CrossoverTable.load(wrong)
-
-
-def test_render_prints_verdict_per_pair():
-    table = _table(rows=[(8, 1.0, 2.0), (64, 1.0, 0.5)])
-    text = table.render()
-    assert "vectorized wins from ~64" in text
-    assert "step_scan" in text  # unmeasured pair still listed
-    assert "no measurements" in text
-
-
-# ----------------------------------------------------------------------
-# dispatch_thresholds (arena integration)
-# ----------------------------------------------------------------------
-def test_dispatch_thresholds_defaults(monkeypatch):
-    monkeypatch.delenv(arena.DISPATCH_ENV_VAR, raising=False)
-    assert arena.dispatch_thresholds() == (
-        arena._SMALL_QUEUE, arena._SMALL_SOLVE
-    )
-    # Module-global monkeypatching (the existing fast-path tests' idiom)
-    # still steers the dispatch.
-    monkeypatch.setattr(arena, "_SMALL_QUEUE", 1)
-    monkeypatch.setattr(arena, "_SMALL_SOLVE", 2)
-    assert arena.dispatch_thresholds() == (1, 2)
-
-
-def test_dispatch_thresholds_from_env_table(tmp_path, monkeypatch):
-    table = CrossoverTable()
-    for size, vec in ((16, 2.0), (32, 2.0), (64, 0.5), (128, 0.5)):
-        table.add("step_scan", size, scalar_s=1.0, vectorized_s=vec)
-        table.add("solver", size, scalar_s=1.0, vectorized_s=vec)
-    path = table.save(tmp_path / "dispatch.json")
-    monkeypatch.setenv(arena.DISPATCH_ENV_VAR, str(path))
-    arena._DISPATCH_CACHE.clear()
-    try:
-        assert arena.dispatch_thresholds() == (32, 32)
-    finally:
-        arena._DISPATCH_CACHE.clear()

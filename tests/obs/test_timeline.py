@@ -1,7 +1,5 @@
 """Tests for the simulated-time Timeline: emission, context, merge."""
 
-import json
-
 import pytest
 
 from repro.obs.recorder import Recorder
@@ -38,20 +36,19 @@ class TestEmission:
         tl = Timeline()
         run_id = tl.begin_run(dag="d", algorithm="hcpa", model="analytic")
         tl.task(0, (0,), 0.0, 1.0, 0.0)
-        tl.end_run(engine="object", makespan=1.0, tasks=1, xfers=0)
+        tl.end_run(makespan=1.0, tasks=1, xfers=0)
         assert run_id == 0
         task, run = tl.records[1], tl.records[2]
         assert task["run"] == 0 and task["role"] == "sim"
         assert task["dag"] == "d" and task["algorithm"] == "hcpa"
-        assert run["kind"] == "run" and run["engine"] == "object"
+        assert run["kind"] == "run" and run["makespan"] == 1.0
         assert tl.run_count == 1
-        assert tl.engines == {"object"}
 
     def test_context_overrides_role_default(self):
         tl = Timeline()
         with tl.context(role="experiment", variant="profile"):
             tl.begin_run(dag="d", algorithm="mcpa", model="m")
-            tl.end_run(engine="array", makespan=0.0, tasks=0, xfers=0)
+            tl.end_run(makespan=0.0, tasks=0, xfers=0)
         run = tl.records[-1]
         assert run["role"] == "experiment"
         assert run["variant"] == "profile"
@@ -59,14 +56,14 @@ class TestEmission:
     def test_nested_runs_number_sequentially(self):
         tl = Timeline()
         assert tl.begin_run(dag="a") == 0
-        tl.end_run(engine="object", makespan=0.0, tasks=0, xfers=0)
+        tl.end_run(makespan=0.0, tasks=0, xfers=0)
         assert tl.begin_run(dag="b") == 1
-        tl.end_run(engine="object", makespan=0.0, tasks=0, xfers=0)
+        tl.end_run(makespan=0.0, tasks=0, xfers=0)
         assert [r["run"] for r in tl.records if r["kind"] == "run"] == [0, 1]
 
     def test_end_run_without_begin_raises(self):
         with pytest.raises(RuntimeError):
-            Timeline().end_run(engine="object")
+            Timeline().end_run()
 
     def test_abort_run_pops_without_record(self):
         tl = Timeline()
@@ -82,7 +79,7 @@ class TestMerge:
         tl = Timeline()
         tl.begin_run(dag=dag, algorithm="hcpa", model="m")
         tl.task(0, (0,), 0.0, 1.0, 0.0)
-        tl.end_run(engine="object", makespan=1.0, tasks=1, xfers=0)
+        tl.end_run(makespan=1.0, tasks=1, xfers=0)
         return tl.export_state()
 
     def test_absorb_renumbers_runs_by_offset(self):
@@ -102,7 +99,7 @@ class TestMerge:
         for dag in ("a", "b"):
             serial.begin_run(dag=dag, algorithm="hcpa", model="m")
             serial.task(0, (0,), 0.0, 1.0, 0.0)
-            serial.end_run(engine="object", makespan=1.0, tasks=1, xfers=0)
+            serial.end_run(makespan=1.0, tasks=1, xfers=0)
         merged = Timeline()
         merged.absorb(self._worker_state("a"))
         merged.absorb(self._worker_state("b"))
@@ -111,9 +108,7 @@ class TestMerge:
     def test_absorb_through_recorder(self):
         worker = Recorder(MemorySink(), timeline=Timeline())
         worker.timeline.begin_run(dag="a")
-        worker.timeline.end_run(
-            engine="object", makespan=0.0, tasks=0, xfers=0
-        )
+        worker.timeline.end_run(makespan=0.0, tasks=0, xfers=0)
         parent = Recorder(MemorySink(), timeline=Timeline())
         parent.absorb(worker.export_state())
         assert parent.timeline.run_count == 1
@@ -123,7 +118,7 @@ class TestMerge:
         rec = Recorder(MemorySink(), timeline=Timeline())
         rec.timeline.begin_run(dag="a")
         rec.timeline.task(0, (0,), 0.0, 1.0, 0.0)
-        rec.timeline.end_run(engine="object", makespan=1.0, tasks=1, xfers=0)
+        rec.timeline.end_run(makespan=1.0, tasks=1, xfers=0)
         counters = rec.metrics()["counters"]
         assert counters["timeline.task"] == 1
         assert counters["timeline.run"] == 1
@@ -136,21 +131,12 @@ class TestMerge:
 
 
 class TestSerialization:
-    def test_timeline_lines_mask_engine(self):
-        tl = Timeline()
-        tl.begin_run(dag="a")
-        tl.end_run(engine="object", makespan=0.0, tasks=0, xfers=0)
-        masked = timeline_lines(tl.records, mask_engine=True)
-        assert all("engine" not in json.loads(line) for line in masked)
-        unmasked = timeline_lines(tl.records)
-        assert any('"engine":"object"' in line for line in unmasked)
-
     def test_to_file_roundtrip(self, tmp_path):
         path = tmp_path / "tl.jsonl"
         tl = Timeline.to_file(path)
         tl.begin_run(dag="a", algorithm="hcpa", model="m")
         tl.task(0, (0, 1), 0.0, 2.0, 0.5)
-        tl.end_run(engine="object", makespan=2.0, tasks=1, xfers=0)
+        tl.end_run(makespan=2.0, tasks=1, xfers=0)
         tl.close()
         records = load_timeline(path)
         assert [r["kind"] for r in records] == ["meta", "task", "run"]

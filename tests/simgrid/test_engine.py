@@ -167,3 +167,14 @@ class TestValidation:
         eng = SimulationEngine()
         assert eng.run() == 0.0
         assert eng.run() == 0.0
+
+    def test_tiny_weight_action_raises(self):
+        # An action whose only weight is below the solver's load epsilon
+        # has no constraining resource: the run surfaces the solver's
+        # invariant error instead of hanging or inventing a rate.
+        eng = SimulationEngine()
+        eng.add_action(
+            Action("stuck", work=1.0, consumption={Resource("r", 1.0): 1e-30})
+        )
+        with pytest.raises(AssertionError, match="lost its remaining"):
+            eng.run()

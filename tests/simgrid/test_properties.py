@@ -3,8 +3,10 @@
 These tests drive randomly generated DAGs, allocations and model
 configurations through the full scheduling + simulation pipeline and
 assert structural invariants that must hold for *any* input:
-makespan lower/upper bounds, trace precedence consistency, engine work
-conservation, and determinism.
+makespan lower/upper bounds, trace precedence consistency, host
+exclusivity, engine work conservation, and determinism.  The trace
+checks are absolute: they judge one trace on its own, never by
+comparison with another implementation's output.
 """
 
 import math
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dag.analysis import critical_path_length
-from repro.dag.generator import DagParameters, generate_dag
+from repro.dag.generator import DagParameters, generate_dag, generate_paper_dags
 from repro.models.analytical import AnalyticalTaskModel
 from repro.models.base import ModelKind, TaskTimeModel
 from repro.platform.personalities import bayreuth_cluster
@@ -24,8 +26,47 @@ from repro.scheduling.mapping import map_allocations
 from repro.simgrid.engine import Action, SimulationEngine
 from repro.simgrid.resources import Resource
 from repro.simgrid.simulator import ApplicationSimulator
+from repro.testbed.tgrid import TGridEmulator
 
 _PLATFORM = bayreuth_cluster()
+_EMULATOR = TGridEmulator(_PLATFORM, seed=0)
+
+
+def assert_trace_invariants(graph, trace):
+    """Check one simulated or emulated trace against its DAG.
+
+    * **Host exclusivity.**  On every host, the tasks placed there,
+      ordered by start time, never overlap: each starts no earlier
+      than the previous one finished, compared exactly.
+    * **Makespan bound.**  The makespan is at least the longest path
+      through the DAG, weighing each task by its traced duration and
+      each edge by its traced redistribution duration.  Re-adding the
+      durations can round differently from the engine's clock, so the
+      bound holds to a relative 1e-9.
+    """
+    by_host = {}
+    for rec in trace.tasks.values():
+        for host in rec.hosts:
+            by_host.setdefault(host, []).append(rec)
+    for host, recs in by_host.items():
+        recs.sort(key=lambda r: (r.start, r.finish))
+        for prev, nxt in zip(recs, recs[1:]):
+            assert nxt.start >= prev.finish, (
+                f"tasks {prev.task_id} and {nxt.task_id} overlap on "
+                f"host {host}"
+            )
+    longest = {}
+    for t in graph.topological_order():
+        ready = max(
+            (
+                longest[u] + trace.edges[(u, t)].duration
+                for u in graph.predecessors(t)
+            ),
+            default=0.0,
+        )
+        longest[t] = ready + trace.tasks[t].duration
+    bound = max(longest.values(), default=0.0)
+    assert trace.makespan >= bound * (1.0 - 1e-9), (trace.makespan, bound)
 
 
 class ConstantModel(TaskTimeModel):
@@ -90,6 +131,17 @@ class TestSimulationInvariants:
         assert set(trace.tasks) == set(graph.task_ids)
 
     @given(pipeline_cases())
+    @settings(max_examples=20, deadline=None)
+    def test_simulated_and_emulated_traces_hold_invariants(self, case):
+        graph, alloc = case
+        model = AnalyticalTaskModel(_PLATFORM)
+        costs = SchedulingCosts(graph, _PLATFORM, model)
+        schedule = map_allocations(graph, costs, alloc)
+        sim = ApplicationSimulator(_PLATFORM, model).run(graph, schedule)
+        assert_trace_invariants(graph, sim)
+        assert_trace_invariants(graph, _EMULATOR.execute(graph, schedule))
+
+    @given(pipeline_cases())
     @settings(max_examples=15, deadline=None)
     def test_simulation_deterministic(self, case):
         graph, alloc = case
@@ -124,6 +176,19 @@ class TestSimulationInvariants:
         trace = ApplicationSimulator(_PLATFORM, model).run(graph, schedule)
         estimate = schedule.makespan_estimate
         assert 0.65 * estimate - 1e-6 <= trace.makespan <= 3.0 * estimate + 1e-6
+
+
+@pytest.mark.parametrize("algorithm", ["hcpa", "mcpa"])
+def test_paper_dag_traces_hold_invariants(algorithm):
+    # Every seed-0 paper DAG, simulated with the analytic suite's model
+    # and executed on the seed-0 testbed.
+    model = AnalyticalTaskModel(_PLATFORM)
+    simulator = ApplicationSimulator(_PLATFORM, model)
+    for _params, graph in generate_paper_dags(seed=0):
+        costs = SchedulingCosts(graph, _PLATFORM, model)
+        schedule = schedule_dag(graph, costs, algorithm)
+        assert_trace_invariants(graph, simulator.run(graph, schedule))
+        assert_trace_invariants(graph, _EMULATOR.execute(graph, schedule))
 
 
 class TestEngineWorkConservation:

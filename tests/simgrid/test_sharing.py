@@ -68,6 +68,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             solve_rates({"a": {"r": 0.0}}, {"r": 1.0})
 
+    def test_negative_weight_rejected(self):
+        with pytest.raises(ValueError):
+            solve_rates({"a": {"r": -1.0}}, {"r": 1.0})
+
     def test_missing_capacity_rejected(self):
         with pytest.raises(ValueError):
             solve_rates({"a": {"r": 1.0}}, {})
@@ -78,6 +82,17 @@ class TestValidation:
 
     def test_empty_problem(self):
         assert solve_rates({}, {}) == {}
+
+    def test_all_tiny_weight_row_raises(self):
+        # Every weight at or below the load epsilon: no resource
+        # constrains the action, which the solver reports as a broken
+        # invariant instead of returning a garbage rate.
+        with pytest.raises(AssertionError, match="lost its remaining actions"):
+            solve_rates(
+                {"a": {"r0": 1e-13, "r1": 1e-14}},
+                {"r0": 4.0, "r1": 3.0},
+                validate=False,
+            )
 
 
 @st.composite

@@ -3,12 +3,11 @@
 The flat-array allocation core (:mod:`repro.scheduling.arena`) is a
 performance twin of the object allocation loop: same allocations, same
 observability events and counters, same timeline bytes, same profiler
-structure — under every internal kernel-dispatch choice.  These tests
-force the array core's scalar/vectorized dispatch all four ways and
-compare the backends exactly, on the paper's DAGs and on
-Hypothesis-generated ones, then check the study-level plumbing: the
-``sched`` switch, parallel-worker determinism, and warm-cache replay
-across backends (the backend is deliberately absent from cache keys).
+structure.  These tests compare the backends exactly, on the paper's
+DAGs and on Hypothesis-generated ones, then check the study-level
+plumbing: the ``sched`` switch, parallel-worker determinism, and
+warm-cache replay across backends (the backend is deliberately absent
+from cache keys).
 """
 
 from __future__ import annotations
@@ -23,24 +22,16 @@ from repro.dag.graph import Task, TaskGraph
 from repro.dag.kernels import MATMUL
 from repro.experiments.runner import run_study
 from repro.obs import MemorySink, Profiler
-from repro.obs.prof import CrossoverTable
 from repro.obs.recorder import Recorder, recording
 from repro.obs.timeline import Timeline, timeline_lines
 from repro.platform.personalities import bayreuth_cluster
 from repro.profiling.calibration import build_analytical_suite
 from repro.scheduling import SchedulingCosts, allocate_batch, schedule_dag
 from repro.scheduling import arena
-from repro.scheduling.arena import (
-    ARRAY_ALLOCATORS,
-    GraphLayout,
-    graph_layout,
-    resolve_sched,
-    sched_dispatch_thresholds,
-)
+from repro.scheduling.arena import ARRAY_ALLOCATORS, graph_layout, resolve_sched
 from repro.scheduling.cpa import cpa_allocate
 from repro.scheduling.hcpa import hcpa_allocate
 from repro.scheduling.mcpa import mcpa_allocate
-from repro.simgrid.arena import DISPATCH_ENV_VAR
 from repro.testbed.tgrid import TGridEmulator
 
 OBJECT_ALLOCATORS = {
@@ -48,15 +39,6 @@ OBJECT_ALLOCATORS = {
     "hcpa": hcpa_allocate,
     "mcpa": mcpa_allocate,
 }
-
-#: (_SMALL_DP, _SMALL_GROW) overrides covering every kernel pairing:
-#: all-scalar, all-incremental/vectorized, and both mixed quadrants.
-FORCED_DISPATCH = (
-    (10**9, 10**9),
-    (-1, -1),
-    (10**9, -1),
-    (-1, 10**9),
-)
 
 _PLATFORM = bayreuth_cluster(8)
 _SUITE = build_analytical_suite(_PLATFORM)
@@ -71,12 +53,6 @@ def _costs(graph, platform=_PLATFORM, suite=_SUITE):
         startup_model=suite.startup_model,
         redistribution_model=suite.redistribution_model,
     )
-
-
-def _force_dispatch(monkeypatch, dp, grow):
-    monkeypatch.delenv(DISPATCH_ENV_VAR, raising=False)
-    monkeypatch.setattr(arena, "_SMALL_DP", dp)
-    monkeypatch.setattr(arena, "_SMALL_GROW", grow)
 
 
 def _observed_run(allocator, graph, costs):
@@ -95,15 +71,11 @@ def _observed_run(allocator, graph, costs):
 
 
 # ----------------------------------------------------------------------
-# bit-identity: paper DAGs, all algorithms, all forced dispatches
+# bit-identity: paper DAGs, all algorithms
 # ----------------------------------------------------------------------
 class TestBitIdentity:
-    @pytest.mark.parametrize("dp,grow", FORCED_DISPATCH)
     @pytest.mark.parametrize("algorithm", sorted(ARRAY_ALLOCATORS))
-    def test_paper_dags_match_on_every_facet(
-        self, monkeypatch, algorithm, dp, grow
-    ):
-        _force_dispatch(monkeypatch, dp, grow)
+    def test_paper_dags_match_on_every_facet(self, algorithm):
         facets = ("allocations", "events", "counters", "timeline", "profile")
         for _params, graph in _DAGS:
             obj = _observed_run(
@@ -114,15 +86,13 @@ class TestBitIdentity:
             )
             for facet, x, y in zip(facets, obj, arr):
                 assert x == y, (
-                    f"{facet} diverged on {graph.name} ({algorithm}, "
-                    f"dispatch dp={dp} grow={grow})"
+                    f"{facet} diverged on {graph.name} ({algorithm})"
                 )
             # Real work happened: counters saw the allocation loop.
             assert obj[2].get("sched.alloc_grow_steps", 0) >= 0
             assert obj[0]  # non-empty allocation
 
-    def test_hcpa_counters_include_cap_hits(self, monkeypatch):
-        _force_dispatch(monkeypatch, -1, -1)
+    def test_hcpa_counters_include_cap_hits(self):
         graph = _DAGS[0][1]
         obj = _observed_run(hcpa_allocate, graph, _costs(graph))
         arr = _observed_run(
@@ -151,31 +121,16 @@ def sched_cases(draw):
     )
     graph = generate_dag(params)
     algorithm = draw(st.sampled_from(sorted(ARRAY_ALLOCATORS)))
-    forced = draw(st.sampled_from(FORCED_DISPATCH))
-    return graph, algorithm, forced
+    return graph, algorithm
 
 
 class TestHypothesisIdentity:
     @given(sched_cases())
     @settings(max_examples=30, deadline=None)
     def test_random_dags_match(self, case):
-        graph, algorithm, (dp, grow) = case
-        saved = (arena._SMALL_DP, arena._SMALL_GROW)
-        import os
-
-        saved_table = os.environ.pop(DISPATCH_ENV_VAR, None)
-        arena._SMALL_DP, arena._SMALL_GROW = dp, grow
-        try:
-            obj = _observed_run(
-                OBJECT_ALLOCATORS[algorithm], graph, _costs(graph)
-            )
-            arr = _observed_run(
-                ARRAY_ALLOCATORS[algorithm], graph, _costs(graph)
-            )
-        finally:
-            arena._SMALL_DP, arena._SMALL_GROW = saved
-            if saved_table is not None:
-                os.environ[DISPATCH_ENV_VAR] = saved_table
+        graph, algorithm = case
+        obj = _observed_run(OBJECT_ALLOCATORS[algorithm], graph, _costs(graph))
+        arr = _observed_run(ARRAY_ALLOCATORS[algorithm], graph, _costs(graph))
         assert obj == arr
 
 
@@ -283,37 +238,3 @@ class TestLayout:
         second = graph_layout(g)
         assert second is not first
         assert second.num_edges == g.num_edges == 2
-
-    def test_from_structure_matches_graph_lowering(self):
-        g = TaskGraph(name="layout-twin")
-        for tid in range(4):
-            g.add_task(Task(task_id=tid, kernel=MATMUL, n=2000))
-        for src, dst in ((0, 1), (0, 2), (1, 3), (2, 3)):
-            g.add_edge(src, dst)
-        from_graph = GraphLayout(g)
-        from_succ = GraphLayout.from_structure([[1, 2], [3], [3], []])
-        assert from_succ.succ == from_graph.succ
-        assert from_succ.levels == from_graph.levels
-        assert from_succ.sources == from_graph.sources
-        assert from_succ.rev_order == from_graph.rev_order
-
-    def test_dispatch_thresholds_default_and_table(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(DISPATCH_ENV_VAR, raising=False)
-        monkeypatch.setattr(arena, "_SMALL_DP", 7)
-        monkeypatch.setattr(arena, "_SMALL_GROW", 3)
-        assert sched_dispatch_thresholds() == (7, 3)
-        table = CrossoverTable()
-        for size, vec in ((16, 2.0), (32, 2.0), (64, 0.5), (128, 0.5)):
-            table.add("critical_path_dp", size, scalar_s=1.0, vectorized_s=vec)
-            table.add("alloc_grow", size, scalar_s=1.0, vectorized_s=vec)
-        path = table.save(tmp_path / "dispatch.json")
-        monkeypatch.setenv(DISPATCH_ENV_VAR, str(path))
-        arena._SCHED_DISPATCH_CACHE.clear()
-        try:
-            assert sched_dispatch_thresholds() == (32, 32)
-            # Second read is served from the (path, mtime) cache.
-            assert len(arena._SCHED_DISPATCH_CACHE) == 1
-            assert sched_dispatch_thresholds() == (32, 32)
-            assert len(arena._SCHED_DISPATCH_CACHE) == 1
-        finally:
-            arena._SCHED_DISPATCH_CACHE.clear()
