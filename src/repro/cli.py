@@ -149,14 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         "are identical either way)",
     )
     parser.add_argument(
-        "--sched",
-        choices=("object", "array"),
-        default=None,
-        help="CPA-family scheduling backend: the object allocation "
-        "loop (default) or the flat-array core; results are "
-        "bit-identical (REPRO_SCHED sets the default)",
-    )
-    parser.add_argument(
         "--chunk-size",
         type=_int_at_least(0),
         default=None,
@@ -501,9 +493,7 @@ def _cmd_simulate(ctx: StudyContext, args: argparse.Namespace) -> int:
         startup_model=suite.startup_model,
         redistribution_model=suite.redistribution_model,
     )
-    schedule = schedule_dag(
-        graph, costs, args.algorithm, cache=ctx.cache, sched=ctx.sched
-    )
+    schedule = schedule_dag(graph, costs, args.algorithm, cache=ctx.cache)
     simulator = ApplicationSimulator(
         ctx.platform,
         suite.task_model,
@@ -541,7 +531,7 @@ def _profile_wall(ctx: StudyContext, args: argparse.Namespace) -> int:
     dags = ctx.dags[: args.dags]
     print(
         f"profiling a {len(dags)}-DAG mini-study "
-        f"(sched={ctx.sched or 'object'}, workers={ctx.workers}) ..."
+        f"(workers={ctx.workers}) ..."
     )
     with recording(Recorder(MemorySink(), profiler=profiler)):
         run_study(
@@ -549,7 +539,6 @@ def _profile_wall(ctx: StudyContext, args: argparse.Namespace) -> int:
             [ctx.suite("analytic")],
             ctx.emulator,
             workers=ctx.workers,
-            sched=ctx.sched,
         )
     print()
     print(profiler.render())
@@ -636,7 +625,7 @@ def _cmd_attribution(ctx: StudyContext, args: argparse.Namespace) -> int:
         startup_model=suite.startup_model,
         redistribution_model=suite.redistribution_model,
     )
-    schedule = schedule_dag(graph, costs, args.algorithm, sched=ctx.sched)
+    schedule = schedule_dag(graph, costs, args.algorithm)
     att = attribute_gap(graph, schedule, suite, ctx.profile_suite, ctx.emulator)
     print(f"dag: {att.dag_label}  algorithm: {args.algorithm}")
     print(f"analytic simulation: {att.base_makespan:8.2f} s")
@@ -875,7 +864,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         seed=args.seed,
         workers=args.workers,
         cache_dir=args.cache_dir or None,
-        sched=args.sched,
         chunk=args.chunk_size,
         telemetry=telemetry,
     )

@@ -3,14 +3,14 @@
 These helpers are generic over a *cost function* mapping a task to its
 (estimated) execution time and an optional *edge-cost function* mapping a
 dependency edge to its (estimated) communication time, because the
-allocation-phase algorithms (CPA/HCPA/MCPA) repeatedly recompute levels
-while allocations — and therefore task-time estimates — change.
+scheduling phases evaluate levels under a given allocation — and
+therefore under that allocation's task-time estimates.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Mapping
+from typing import Callable
 
 from repro.dag.graph import TaskGraph
 
@@ -22,7 +22,6 @@ __all__ = [
     "precedence_levels",
     "dag_width",
     "computation_communication_ratio",
-    "CriticalPathDP",
 ]
 
 TaskCost = Callable[[int], float]
@@ -105,81 +104,6 @@ def critical_path_length(
         return 0.0
     bl = bottom_levels(graph, task_cost, edge_cost)
     return max(bl[t] for t in graph.sources())
-
-
-class CriticalPathDP:
-    """Reusable critical-path state for repeated cost-perturbed queries.
-
-    The CPA-family allocation loop recomputes bottom levels once per
-    grow step while only one task's cost changes.  Going through the
-    generic helpers costs two full DP passes per step (one for the
-    length, one inside :func:`critical_path`) plus a topological sort
-    and a successor-list copy *per pass*.  This class hoists all the
-    structure — topological order, successor lists, sources — out of
-    the loop and serves both the length and the path from a single
-    bottom-level pass over plain dicts.
-
-    Results are floating-point identical to the zero-edge-cost
-    :func:`bottom_levels` / :func:`critical_path` /
-    :func:`critical_path_length` combination: same traversal order,
-    same max/min reductions, same tie-breaks.
-    """
-
-    __slots__ = ("_rev_order", "_succ", "_sources")
-
-    def __init__(self, graph: TaskGraph) -> None:
-        order = graph.topological_order()
-        self._rev_order = list(reversed(order))
-        self._succ = {t: graph.successors(t) for t in order}
-        self._sources = graph.sources()
-
-    def bottom_levels(self, cost: Mapping[int, float]) -> dict[int, float]:
-        """One DP pass: longest path from each task to an exit."""
-        bl: dict[int, float] = {}
-        succ = self._succ
-        for node in self._rev_order:
-            tail = 0.0
-            for s in succ[node]:
-                b = bl[s]
-                if b > tail:
-                    tail = b
-            bl[node] = cost[node] + tail
-        return bl
-
-    def length(self, bl: Mapping[int, float]) -> float:
-        """``T_CP`` from a :meth:`bottom_levels` result."""
-        if not self._sources:
-            return 0.0
-        return max(bl[t] for t in self._sources)
-
-    def path(self, bl: Mapping[int, float]) -> list[int]:
-        """One critical path entry->exit; ties break to the smallest id."""
-        if not self._sources:
-            return []
-        # Explicit argmax loops: same selection as
-        # ``min(..., key=lambda t: (-bl[t], t))`` — largest bottom
-        # level, ties to the smallest id — without building a key tuple
-        # and calling a lambda per candidate on this per-grow-step path.
-        node = self._sources[0]
-        best = bl[node]
-        for t in self._sources[1:]:
-            b = bl[t]
-            if b > best or (b == best and t < node):
-                best = b
-                node = t
-        path = [node]
-        while True:
-            succs = self._succ[node]
-            if not succs:
-                return path
-            node = succs[0]
-            best = bl[node]
-            for s in succs[1:]:
-                b = bl[s]
-                if b > best or (b == best and s < node):
-                    best = b
-                    node = s
-            path.append(node)
 
 
 def precedence_levels(graph: TaskGraph) -> dict[int, int]:

@@ -51,11 +51,6 @@ class StudyContext:
         cache.  When set, calibrated suites, schedules and traces are
         memoised on disk and warm study re-runs replay unchanged cells
         bit-identically — see :mod:`repro.cache`.
-    sched:
-        Scheduling (allocation) backend for the CPA-family algorithms
-        (``"object"`` or ``"array"``; None resolves via
-        ``REPRO_SCHED``).  Backends are bit-identical, so the choice
-        only affects wall-clock time — see :mod:`repro.scheduling.arena`.
     chunk:
         Cells per pool dispatch for parallel sweeps (None resolves via
         ``REPRO_CHUNK``; 0 = auto-size to the pool).  Any chunking is
@@ -75,7 +70,6 @@ class StudyContext:
     redistribution_trials: int = 3
     workers: int = 1
     cache_dir: str | Path | None = None
-    sched: str | None = None
     chunk: int | None = None
     telemetry: object | None = None
     _studies: dict[tuple[str, ...], StudyResult] = field(
@@ -167,7 +161,6 @@ class StudyContext:
                     self.emulator,
                     workers=self.workers,
                     cache=self.cache,
-                    sched=self.sched,
                     chunk=self.chunk,
                     telemetry=self.telemetry,
                 )

@@ -36,9 +36,10 @@ serial loop:
    (:meth:`~repro.cache.result_cache.ResultCache.peek`).  Fully cached
    cells never reach the pool: the parent replays them inline through
    the exact per-cell path, so their counters and records are the ones
-   the normal counted reads produce.  With the array scheduler, each
-   DAG's ``GraphLayout`` is lowered once, parent-side, before the fork,
-   so every worker inherits it copy-on-write.
+   the normal counted reads produce.  Each DAG's
+   :class:`~repro.scheduling.arena.GraphLayout` (the allocation loop's
+   flat lowering) is built once, parent-side, before the fork, so every
+   worker inherits it copy-on-write.
 2. **Chunked executor** (:func:`_pool_run_chunk`): cache-missing cells
    are dispatched to the pool as whole chunks (``chunk`` cells per
    future; default ~4 chunks per worker so the pool's shared queue
@@ -89,7 +90,7 @@ from repro.obs.sinks import MemorySink
 from repro.obs.timeline import Timeline
 from repro.profiling.calibration import SimulatorSuite
 from repro.scheduling.costs import SchedulingCosts
-from repro.scheduling.arena import graph_layout, resolve_sched
+from repro.scheduling.arena import graph_layout
 from repro.scheduling.driver import schedule_dag
 from repro.scheduling.schedule import Schedule
 from repro.simgrid.simulator import ApplicationSimulator
@@ -259,7 +260,6 @@ def _run_cell(
     costs: SchedulingCosts | None = None,
     cache: ResultCache | None = None,
     simulator: ApplicationSimulator | None = None,
-    sched: str | None = None,
     keys: CellKeys | None = None,
 ) -> RunRecord:
     """One grid cell: schedule, simulate, execute, record.
@@ -288,8 +288,7 @@ def _run_cell(
     with cell_ctx:
         return _run_cell_body(
             suite, params, graph, algorithm, emulator, obs,
-            costs=costs, cache=cache, simulator=simulator, sched=sched,
-            keys=keys,
+            costs=costs, cache=cache, simulator=simulator, keys=keys,
         )
 
 
@@ -303,7 +302,6 @@ def _run_cell_body(
     costs: SchedulingCosts | None = None,
     cache: ResultCache | None = None,
     simulator: ApplicationSimulator | None = None,
-    sched: str | None = None,
     keys: CellKeys | None = None,
 ) -> RunRecord:
     platform = emulator.platform
@@ -319,12 +317,12 @@ def _run_cell_body(
         "study.schedule", algorithm=algorithm, simulator=suite.name
     ):
         if cache is None:
-            schedule = schedule_dag(graph, costs, algorithm, sched=sched)
+            schedule = schedule_dag(graph, costs, algorithm)
         else:
             schedule = cache.get_or_compute(
                 "schedule",
                 keys.schedule(algorithm),
-                lambda: schedule_dag(graph, costs, algorithm, sched=sched),
+                lambda: schedule_dag(graph, costs, algorithm),
             )
     if simulator is None:
         simulator = ApplicationSimulator(
@@ -392,7 +390,6 @@ def _pool_init(
     cache: ResultCache | None = None,
     timeline_enabled: bool = False,
     profiler_enabled: bool = False,
-    sched: str | None = None,
     live: tuple | None = None,
     keys: StudyKeys | None = None,
 ) -> None:
@@ -403,7 +400,6 @@ def _pool_init(
     _POOL_STATE["cache"] = cache
     _POOL_STATE["timeline_enabled"] = timeline_enabled
     _POOL_STATE["profiler_enabled"] = profiler_enabled
-    _POOL_STATE["sched"] = sched
     _POOL_STATE["keys"] = keys
     # Per-suite simulator reuse within a worker: its network topology
     # is then built once per worker (simulators are reusable across
@@ -455,7 +451,6 @@ def _chunk_cell(cell: tuple[int, int, str], state: dict) -> RunRecord:
     return _run_cell(
         suite, params, graph, algorithm, emulator, costs=costs,
         cache=state.get("cache"), simulator=simulator,
-        sched=state.get("sched"),
         keys=keys.cell(suite_idx, dag_idx) if keys is not None else None,
     )
 
@@ -603,7 +598,6 @@ def _run_grid_chunked(
     algorithms: Sequence[str],
     workers: int,
     cache: ResultCache | None,
-    sched: str,
     chunk: int | None,
     obs: Recorder,
     telemetry: LiveTelemetry | None = None,
@@ -673,7 +667,7 @@ def _run_grid_chunked(
             )
         return _run_cell(
             suite, params, graph, algorithm, emulator, costs=costs,
-            cache=cache, simulator=simulator, sched=sched,
+            cache=cache, simulator=simulator,
             keys=keys.cell(suite_idx, dag_idx) if keys is not None else None,
         )
 
@@ -688,13 +682,11 @@ def _run_grid_chunked(
         return 0.0
 
     # Lower the DAG layouts once, parent-side, before the fork: every
-    # worker then inherits the memoised GraphLayout (array scheduler)
-    # copy-on-write instead of re-lowering it per process.  (Lowering
-    # emits no observability, so this moves work without moving any
-    # counter.)
-    if sched == "array":
-        for _params, graph in dags:
-            graph_layout(graph)
+    # worker then inherits the memoised GraphLayout copy-on-write
+    # instead of re-lowering it per process.  (Lowering emits no
+    # observability, so this moves work without moving any counter.)
+    for _params, graph in dags:
+        graph_layout(graph)
 
     # Fork shares the already-built DAGs/suites/emulator with the
     # workers for free; other start methods pickle them once via the
@@ -721,7 +713,7 @@ def _run_grid_chunked(
         initargs=(
             dags, suites, emulator, obs.enabled, cache,
             obs.timeline is not None, obs.profiler is not None,
-            sched, live, keys,
+            live, keys,
         ),
     ) as pool:
         # All chunks are submitted up front into the pool's shared
@@ -782,7 +774,6 @@ def run_study(
     algorithms: Sequence[str] = ("hcpa", "mcpa"),
     workers: int = 1,
     cache: ResultCache | None = None,
-    sched: str | None = None,
     chunk: int | None = None,
     telemetry: LiveTelemetry | None = None,
 ) -> StudyResult:
@@ -805,12 +796,6 @@ def run_study(
     recorder either way.  In the parallel path, fully cached cells are
     detected up front by a batched side-effect-free probe and replayed
     inline in the parent — they never reach the pool.
-
-    ``sched`` selects the allocation backend of the CPA-family
-    schedulers (``"object"`` or ``"array"``; default resolves via
-    ``REPRO_SCHED``).  Backends are bit-identical, so records, traces
-    and cache entries do not depend on the choice — only wall-clock
-    time does — and it never enters a cache key.
 
     ``chunk`` sets the cells-per-chunk of the parallel executor
     (``None``: honor ``REPRO_CHUNK``; 0 or unset: auto — about
@@ -836,7 +821,6 @@ def run_study(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    sched = resolve_sched(sched)
     result = StudyResult()
     platform = emulator.platform
     obs = get_recorder()
@@ -861,7 +845,7 @@ def run_study(
     if requested > 1:
         dispatch_wait = _run_grid_chunked(
             result, dags, suites, emulator, algorithms, workers,
-            cache, sched, chunk, obs, telemetry, keys,
+            cache, chunk, obs, telemetry, keys,
         )
     else:
         if telemetry is not None and suites and dags and algorithms:
@@ -896,7 +880,7 @@ def run_study(
                         _run_cell(
                             suite, params, graph, algorithm, emulator,
                             costs=costs, cache=cache, simulator=simulator,
-                            sched=sched, keys=cell_keys,
+                            keys=cell_keys,
                         )
                     )
                     if telemetry is not None:

@@ -5,8 +5,9 @@ plus *dimension-tagged kernel probes*.  A span records wall-clock time
 under its full path (``("sched.allocate", "critical_path_dp")``), so the
 flamegraph exporters in :mod:`repro.obs.flame` can attribute cost
 hierarchically; a probe records ``(kernel, size_bucket, seconds)`` so
-every ``solve_rates`` call, ``alloc_grow`` sweep and ``CriticalPathDP``
-pass contributes to an empirical per-kernel, per-size cost table.
+every ``solve_rates`` call, ``alloc_grow`` sweep and bottom-level DP
+pass of the allocation loop (``critical_path_dp``) contributes to an
+empirical per-kernel, per-size cost table.
 
 Design rules (matching the Recorder's, see ``docs/observability.md``):
 

@@ -14,7 +14,10 @@ phase (which processors, in what order).  This package implements:
   scheduling mapping phase (bottom-level priority, earliest finish);
 * baselines in :mod:`repro.scheduling.baselines`.
 
-The high-level entry point is :func:`~repro.scheduling.driver.schedule_dag`.
+The three CPA-family allocators share one allocation loop,
+:func:`~repro.scheduling.arena.flat_allocation_loop`, which runs over a
+flat-list lowering of the graph.  The high-level entry point is
+:func:`~repro.scheduling.driver.schedule_dag`.
 """
 
 from repro.scheduling.schedule import Placement, Schedule
@@ -25,20 +28,7 @@ from repro.scheduling.mcpa import mcpa_allocate
 from repro.scheduling.mapping import map_allocations
 from repro.scheduling.mheft import mheft_schedule
 from repro.scheduling.baselines import sequential_allocate, full_parallel_allocate
-from repro.scheduling.driver import (
-    ALGORITHMS,
-    ONE_PHASE_ALGORITHMS,
-    SCHED_AWARE,
-    schedule_dag,
-)
-from repro.scheduling.arena import (
-    SCHED_BACKENDS,
-    allocate_batch,
-    cpa_allocate_array,
-    hcpa_allocate_array,
-    mcpa_allocate_array,
-    resolve_sched,
-)
+from repro.scheduling.driver import ALGORITHMS, ONE_PHASE_ALGORITHMS, schedule_dag
 
 __all__ = [
     "Placement",
@@ -53,12 +43,5 @@ __all__ = [
     "full_parallel_allocate",
     "ALGORITHMS",
     "ONE_PHASE_ALGORITHMS",
-    "SCHED_AWARE",
     "schedule_dag",
-    "SCHED_BACKENDS",
-    "allocate_batch",
-    "cpa_allocate_array",
-    "hcpa_allocate_array",
-    "mcpa_allocate_array",
-    "resolve_sched",
 ]

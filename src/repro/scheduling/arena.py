@@ -1,51 +1,51 @@
-"""Array-backed allocation core for the CPA family.
+"""The flat-array allocation loop of the CPA family.
 
-This module lowers the per-step object walks of the scheduling hot
-path onto flat lists while staying **bit-identical** to the object
-implementation in :mod:`repro.scheduling.cpa`.
+:func:`flat_allocation_loop` is the one allocation loop behind
+:func:`~repro.scheduling.cpa.cpa_allocate`,
+:func:`~repro.scheduling.hcpa.hcpa_allocate` and
+:func:`~repro.scheduling.mcpa.mcpa_allocate`.  It lowers the graph to
+flat lists once and keeps every per-step cost proportional to what one
+grow step changes (one task's allocation):
 
-Three costs dominate the object allocation loop (one grow step changes
-exactly one task's allocation):
+* bottom levels are re-propagated *incrementally*: only through the
+  prefix of the reverse topological order that can reach the grown
+  task (every node outside its ancestor cone keeps its bottom level,
+  because ``bl`` depends on successors only);
+* the critical-path walk is fused into that DP pass, which tracks each
+  node's best successor (largest ``bl``, ties to the smallest task id —
+  an order-independent function of the successor set), so the path is
+  pointer-following;
+* the per-candidate gain sweep reads a contiguous gain list that is
+  updated only for the grown task;
+* the layout (:class:`GraphLayout`) is memoised per graph and the p=1
+  cost/area/gain vectors per ``SchedulingCosts``, so the second and
+  later algorithms over a (graph, costs) pair start from copies.
 
-* a full :class:`~repro.dag.analysis.CriticalPathDP` bottom-level pass
-  per step over dicts — here replaced by an *incremental* array DP that
-  re-propagates bottom levels only through the part of the DAG a single
-  cost change can reach (every node outside the changed task's ancestor
-  cone keeps its bottom level, because ``bl`` depends on successors
-  only);
-* a separate critical-path walk per step — here fused into the DP pass,
-  which tracks each node's best successor (largest ``bl``, ties to the
-  smallest task id — the exact tie-break of
-  :meth:`CriticalPathDP.path`, and an order-independent function of the
-  successor set, so pointer-following reconstructs the identical path);
-* the per-candidate ``select`` sweep re-probing memoised gains — here a
-  contiguous gain list updated only for the grown task and swept by one
-  scalar loop.
-
-Bit-identity rules (checked end-to-end by ``tests/test_sched_arena.py``):
+The object loop in ``tests/reference_cpa.py`` — a dict-based DP per
+step and per-algorithm ``select``/``stop`` hooks — is the test oracle
+this loop is compared against, bit for bit
+(``tests/test_sched_arena.py``):
 
 * bottom levels are a max/+ DP — exact in IEEE arithmetic, so partial
-  re-propagation reproduces the object DP bit-for-bit;
+  re-propagation reproduces the full DP bit-for-bit;
 * ``T_A`` stays a *sequential left fold* (``sum``) over the per-task
   areas in task order;
-* the gain sweep keeps first-occurrence-wins semantics, matching the
-  object loop's strictly-greater update;
+* the gain sweep keeps first-occurrence-wins semantics (strictly
+  greater gain wins);
 * HCPA caps and MCPA level sums are integers — exact either way.
 
-Observability parity: the array loop emits the *same* records as the
-object loop — ``sched.critical_path`` timings and ``critical_path_dp``
-/ ``alloc_grow`` probes (so profiles keep one kernel vocabulary across
-``sched`` backends), ``sched.alloc_grow_steps`` /
-``sched.hcpa.cap_hits`` / ``sched.mcpa.level_saturated`` counters, the
-``sched.alloc_grow`` / ``sched.alloc_done`` / ``sched.hcpa.caps``
-events, the ``alloc.hcpa.caps`` / ``alloc.mcpa.levels`` spans, and
-byte-identical timeline ``alloc`` records.
+Observability: the loop emits ``sched.critical_path`` timings,
+``critical_path_dp`` / ``alloc_grow`` profiler probes, the
+``sched.alloc_grow_steps`` / ``sched.hcpa.cap_hits`` /
+``sched.mcpa.level_saturated`` counters, the ``sched.alloc_grow`` /
+``sched.alloc_done`` events and timeline ``alloc`` records.  With no
+recorder attached it takes a branch with the DP and the sweep inlined,
+which is what an untraced study runs.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from weakref import WeakKeyDictionary
 
@@ -53,37 +53,7 @@ from repro.dag.graph import TaskGraph
 from repro.obs.recorder import get_recorder
 from repro.scheduling.costs import SchedulingCosts
 
-__all__ = [
-    "SCHED_BACKENDS",
-    "SCHED_ENV_VAR",
-    "GraphLayout",
-    "allocate_batch",
-    "cpa_allocate_array",
-    "graph_layout",
-    "hcpa_allocate_array",
-    "mcpa_allocate_array",
-    "resolve_sched",
-]
-
-#: Environment variable consulted when no scheduler backend is given.
-SCHED_ENV_VAR = "REPRO_SCHED"
-SCHED_BACKENDS = ("object", "array")
-
-
-def resolve_sched(sched: str | None = None) -> str:
-    """Resolve a scheduler backend name.
-
-    Explicit argument wins; otherwise the ``REPRO_SCHED`` environment
-    variable; otherwise ``"object"`` (the oracle backend).
-    """
-    if sched is None:
-        sched = os.environ.get(SCHED_ENV_VAR) or "object"
-    if sched not in SCHED_BACKENDS:
-        raise ValueError(
-            f"unknown scheduler backend {sched!r}; "
-            f"choose one of {SCHED_BACKENDS}"
-        )
-    return sched
+__all__ = ["GraphLayout", "flat_allocation_loop", "graph_layout"]
 
 
 class GraphLayout:
@@ -225,9 +195,9 @@ def _bl_full_scalar(
     """Full bottom-level pass, fused with best-successor tracking.
 
     ``bestsucc[i]`` is the successor with the largest bottom level,
-    ties to the smallest task id — the selection
-    :meth:`CriticalPathDP.path` makes at every walk step, precomputed
-    so path reconstruction is pointer-following.
+    ties to the smallest task id — the critical-path walk's choice at
+    every step, precomputed so path reconstruction is
+    pointer-following.
     """
     tids = layout.tids
     succ = layout.succ
@@ -297,11 +267,10 @@ def _grow_scalar(
 ) -> tuple[int, int]:
     """Scalar gain sweep; returns ``(chosen index or -1, blocked count)``.
 
-    Mirrors the object ``select`` hooks exactly: strictly-greater gain
-    wins (first occurrence on ties), HCPA skips capped tasks, MCPA
-    skips tasks whose precedence level saturates the machine; skipped
-    candidates are tallied so the callers can emit the same
-    ``cap_hits`` / ``level_saturated`` counter totals.
+    Strictly-greater gain wins (first occurrence on ties), HCPA skips
+    capped tasks, MCPA skips tasks whose precedence level saturates the
+    machine; skipped candidates are tallied for the ``cap_hits`` /
+    ``level_saturated`` counters.
     """
     best = 0.0
     chosen = -1
@@ -336,7 +305,7 @@ def _grow_scalar(
 # -- the allocation loop ------------------------------------------------
 
 
-def _allocation_loop_array(
+def flat_allocation_loop(
     graph: TaskGraph,
     costs: SchedulingCosts,
     *,
@@ -344,24 +313,29 @@ def _allocation_loop_array(
     caps: list[int] | None = None,
     level_of: list[int] | None = None,
     level_sums: list[int] | None = None,
-    max_alloc: int | None = None,
 ) -> dict[int, int]:
-    """Array twin of :func:`repro.scheduling.cpa.allocation_loop`.
+    """The CPA-family allocation loop over a graph's flat layout.
 
     One loop serves all three algorithms: CPA is the bare gain sweep,
     HCPA adds per-task ``caps`` and a damped stop (``stop_mult`` =
     beta), MCPA adds per-level allocation bounds (``level_of`` +
-    ``level_sums``, maintained incrementally as exact integers).  Every
-    stop reason, record, counter, probe and timeline write matches the
-    object loop — see the module docstring for the invariants that make
-    the numbers themselves bit-identical.
+    ``level_sums``, maintained incrementally as exact integers).
+
+    Starting from one processor per task, each step evaluates
+    ``T_CP`` (critical-path length) and ``T_A`` (processor area over
+    the machine's aggregate speed) and stops once
+    ``T_CP <= stop_mult * T_A``; otherwise it grows the critical-path
+    task with the largest positive marginal gain.  It also stops when
+    every critical-path task holds the whole machine
+    (``critical_path_capped``), when no candidate may or should grow
+    (``no_beneficial_candidate``), or after ``tasks * P + 1`` grows
+    (``iteration_budget``).
     """
     layout = graph_layout(graph)
     n = layout.n
     if n == 0:
         return {}
     P = costs.num_procs
-    cap = P if max_alloc is None else min(max_alloc, P)
     obs = get_recorder()
     enabled = obs.enabled
     tl = obs.timeline if enabled else None
@@ -394,7 +368,7 @@ def _allocation_loop_array(
 
     stop_reason = "iteration_budget"
     t_cp = t_a = math.nan
-    budget = n * cap + 1
+    budget = n * P + 1
     grows = 0
     changed = -1
     while True:
@@ -450,7 +424,7 @@ def _allocation_loop_array(
         growable = []
         node = src
         while node >= 0:
-            if alloc[node] < cap:
+            if alloc[node] < P:
                 growable.append(node)
             node = bestsucc[node]
         if not growable:
@@ -508,8 +482,8 @@ def _allocation_loop_array(
         if c_t is None:
             c_t = task_time(tid, p_new)
         cost[chosen] = c_t
-        # work(t, p) == p * task_time(t, p) — the same float product the
-        # object loop stores.
+        # work(t, p) == p * task_time(t, p) — the same float product
+        # SchedulingCosts.work returns.
         area = p_new * c_t
         areas[chosen] = area
         # marginal_gain(tid, p_new) inlined with the memo-identical
@@ -552,96 +526,3 @@ def _allocation_loop_array(
         if tl is not None:
             tl.alloc_done(stop_reason, total, t_cp, t_a, grows)
     return dict(zip(tids, alloc))
-
-
-# -- public allocators --------------------------------------------------
-
-
-def cpa_allocate_array(graph: TaskGraph, costs: SchedulingCosts) -> dict[int, int]:
-    """Array twin of :func:`repro.scheduling.cpa.cpa_allocate`."""
-    return _allocation_loop_array(graph, costs)
-
-
-def hcpa_allocate_array(
-    graph: TaskGraph,
-    costs: SchedulingCosts,
-    *,
-    beta: float | None = None,
-) -> dict[int, int]:
-    """Array twin of :func:`repro.scheduling.hcpa.hcpa_allocate`."""
-    if beta is None:
-        from repro.scheduling.hcpa import DEFAULT_BETA
-
-        beta = DEFAULT_BETA
-    if beta < 1.0:
-        raise ValueError(f"beta must be >= 1 (CPA's criterion), got {beta}")
-    P = costs.num_procs
-    obs = get_recorder()
-    layout = graph_layout(graph)
-    with obs.span("alloc.hcpa.caps", dag=graph.name):
-        level_sizes = layout.level_sizes
-        caps = [
-            max(1, math.ceil(P / level_sizes[lvl])) for lvl in layout.levels
-        ]
-    if obs.enabled:
-        obs.event(
-            "sched.hcpa.caps",
-            dag=graph.name,
-            beta=beta,
-            min_cap=min(caps),
-            max_cap=max(caps),
-            widest_level=max(level_sizes),
-        )
-    return _allocation_loop_array(graph, costs, stop_mult=beta, caps=caps)
-
-
-def mcpa_allocate_array(graph: TaskGraph, costs: SchedulingCosts) -> dict[int, int]:
-    """Array twin of :func:`repro.scheduling.mcpa.mcpa_allocate`."""
-    obs = get_recorder()
-    layout = graph_layout(graph)
-    with obs.span("alloc.mcpa.levels", dag=graph.name):
-        level_of = layout.levels
-        level_sums = list(layout.level_sizes)
-    return _allocation_loop_array(
-        graph, costs, level_of=level_of, level_sums=level_sums
-    )
-
-
-#: Array allocators by algorithm name, for the driver's ``sched`` switch.
-ARRAY_ALLOCATORS = {
-    "cpa": cpa_allocate_array,
-    "hcpa": hcpa_allocate_array,
-    "mcpa": mcpa_allocate_array,
-}
-
-
-def allocate_batch(
-    graphs: list[TaskGraph],
-    costs: list[SchedulingCosts],
-    *,
-    algorithm: str = "cpa",
-    beta: float | None = None,
-) -> list[dict[int, int]]:
-    """Allocate many DAGs in one call (the study grid's natural shape).
-
-    Layout lowering and p=1 base vectors are memoised per graph/costs,
-    so a batch over the same graphs across algorithms or repetitions
-    pays the construction once.  Results are exactly the per-graph
-    allocator outputs, in order.
-    """
-    if len(graphs) != len(costs):
-        raise ValueError(
-            f"got {len(graphs)} graphs but {len(costs)} costs objects"
-        )
-    if algorithm not in ARRAY_ALLOCATORS:
-        raise ValueError(
-            f"unknown array algorithm {algorithm!r}; "
-            f"choose from {sorted(ARRAY_ALLOCATORS)}"
-        )
-    out = []
-    for graph, c in zip(graphs, costs):
-        if algorithm == "hcpa":
-            out.append(hcpa_allocate_array(graph, c, beta=beta))
-        else:
-            out.append(ARRAY_ALLOCATORS[algorithm](graph, c))
-    return out

@@ -18,7 +18,7 @@ from repro.scheduling.mcpa import mcpa_allocate
 from repro.scheduling.mheft import mheft_schedule
 from repro.scheduling.schedule import Schedule
 
-__all__ = ["ALGORITHMS", "ONE_PHASE_ALGORITHMS", "SCHED_AWARE", "schedule_dag"]
+__all__ = ["ALGORITHMS", "ONE_PHASE_ALGORITHMS", "schedule_dag"]
 
 Allocator = Callable[[TaskGraph, SchedulingCosts], dict[int, int]]
 
@@ -30,10 +30,6 @@ ALGORITHMS: dict[str, Allocator] = {
     "seq": sequential_allocate,
     "maxpar": full_parallel_allocate,
 }
-
-#: Algorithms whose allocators accept the ``sched`` backend switch (the
-#: CPA family has an array twin; the baselines have no allocation loop).
-SCHED_AWARE = frozenset({"cpa", "hcpa", "mcpa"})
 
 #: Registry of one-phase algorithms (decide allocation and mapping
 #: together); each entry builds a complete Schedule.
@@ -48,7 +44,6 @@ def schedule_dag(
     algorithm: str,
     *,
     cache: ResultCache | None = None,
-    sched: str | None = None,
 ) -> Schedule:
     """Run the named two-phase algorithm and return a validated schedule.
 
@@ -67,12 +62,6 @@ def schedule_dag(
         cost models and the algorithm.  Scheduling is deterministic in
         exactly those inputs, so a replayed schedule is bit-identical
         to a recomputed one.
-    sched:
-        Allocation backend for the :data:`SCHED_AWARE` algorithms
-        (``"object"`` or ``"array"``; ``None`` defers to
-        ``REPRO_SCHED``).  Deliberately *not* part of the cache key:
-        both backends produce bit-identical schedules, so cached
-        entries replay across backends.
     """
     if cache is not None:
         key = schedule_key(
@@ -81,16 +70,15 @@ def schedule_dag(
         return cache.get_or_compute(
             "schedule",
             key,
-            lambda: _schedule_dag_uncached(graph, costs, algorithm, sched),
+            lambda: _schedule_dag_uncached(graph, costs, algorithm),
         )
-    return _schedule_dag_uncached(graph, costs, algorithm, sched)
+    return _schedule_dag_uncached(graph, costs, algorithm)
 
 
 def _schedule_dag_uncached(
     graph: TaskGraph,
     costs: SchedulingCosts,
     algorithm: str,
-    sched: str | None = None,
 ) -> Schedule:
     graph.validate()
     obs = get_recorder()
@@ -111,10 +99,7 @@ def _schedule_dag_uncached(
         else nullcontext()
     )
     with tl_ctx, obs.span("sched.allocate", algorithm=algorithm, dag=graph.name):
-        if algorithm in SCHED_AWARE:
-            alloc = allocator(graph, costs, sched=sched)
-        else:
-            alloc = allocator(graph, costs)
+        alloc = allocator(graph, costs)
     with obs.span("sched.map", algorithm=algorithm, dag=graph.name):
         schedule = map_allocations(graph, costs, alloc, algorithm=algorithm)
     schedule.validate(graph, costs.platform)

@@ -36,11 +36,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.dag.analysis import precedence_levels
 from repro.dag.graph import TaskGraph
 from repro.obs.recorder import get_recorder
+from repro.scheduling.arena import flat_allocation_loop, graph_layout
 from repro.scheduling.costs import SchedulingCosts
-from repro.scheduling.cpa import _cpa_gain, allocation_loop
 
 __all__ = ["hcpa_allocate", "ReferenceCluster"]
 
@@ -84,60 +83,32 @@ def hcpa_allocate(
     costs: SchedulingCosts,
     *,
     beta: float = DEFAULT_BETA,
-    sched: str | None = None,
 ) -> dict[int, int]:
     """HCPA allocation: CPA with a concurrency cap and a damped stop.
 
-    ``sched`` selects the object loop or the bit-identical array core
-    (see :func:`repro.scheduling.cpa.cpa_allocate`).
+    ``beta`` must be at least 1; NaN is rejected too, since no
+    ``T_CP <= NaN * T_A`` test ever holds.
     """
-    from repro.scheduling.arena import hcpa_allocate_array, resolve_sched
-
-    if resolve_sched(sched) == "array":
-        return hcpa_allocate_array(graph, costs, beta=beta)
-    if beta < 1.0:
+    if not beta >= 1.0:
         raise ValueError(f"beta must be >= 1 (CPA's criterion), got {beta}")
     P = costs.num_procs
     obs = get_recorder()
+    layout = graph_layout(graph)
     # Phase span: the static cap construction is HCPA's only work on
     # top of the shared loop, so profiles separate it from the grow
     # sweeps it bounds.
     with obs.span("alloc.hcpa.caps", dag=graph.name):
-        levels = precedence_levels(graph)
-        level_size: dict[int, int] = {}
-        for lvl in levels.values():
-            level_size[lvl] = level_size.get(lvl, 0) + 1
-        cap: dict[int, int] = {
-            t: max(1, math.ceil(P / level_size[levels[t]]))
-            for t in graph.task_ids
-        }
+        level_sizes = layout.level_sizes
+        caps = [
+            max(1, math.ceil(P / level_sizes[lvl])) for lvl in layout.levels
+        ]
     if obs.enabled:
         obs.event(
             "sched.hcpa.caps",
             dag=graph.name,
             beta=beta,
-            min_cap=min(cap.values()),
-            max_cap=max(cap.values()),
-            widest_level=max(level_size.values()),
+            min_cap=min(caps),
+            max_cap=max(caps),
+            widest_level=max(level_sizes),
         )
-
-    def stop(t_cp: float, t_a: float, _alloc: dict[int, int]) -> bool:
-        return t_cp <= beta * t_a
-
-    def select(candidates: list[int], alloc: dict[int, int]) -> int | None:
-        best_task = None
-        best_gain = 0.0
-        for t in candidates:
-            if alloc[t] >= cap[t]:
-                # The concurrency cap is HCPA's over-allocation fix in
-                # action; count how often it actually binds.
-                if obs.enabled:
-                    obs.count("sched.hcpa.cap_hits")
-                continue
-            gain = _cpa_gain(costs, t, alloc[t])
-            if gain > best_gain:
-                best_gain = gain
-                best_task = t
-        return best_task
-
-    return allocation_loop(graph, costs, select=select, stop=stop)
+    return flat_allocation_loop(graph, costs, stop_mult=beta, caps=caps)

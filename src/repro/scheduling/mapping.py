@@ -35,7 +35,8 @@ def map_allocations(
 
     ``locality_tiebreak=False`` ranks hosts purely by availability
     (ignoring which hosts hold the input data) — exposed for the
-    mapping-policy ablation bench.
+    mapping-policy ablation bench
+    (``benchmarks/ablations/test_ablation_mapping.py``).
     """
     P = costs.num_procs
     platform = costs.platform

@@ -16,57 +16,27 @@ like CPA.
 
 from __future__ import annotations
 
-from repro.dag.analysis import precedence_levels
 from repro.dag.graph import TaskGraph
 from repro.obs.recorder import get_recorder
+from repro.scheduling.arena import flat_allocation_loop, graph_layout
 from repro.scheduling.costs import SchedulingCosts
-from repro.scheduling.cpa import _cpa_gain, allocation_loop
 
 __all__ = ["mcpa_allocate"]
 
 
-def mcpa_allocate(
-    graph: TaskGraph,
-    costs: SchedulingCosts,
-    *,
-    sched: str | None = None,
-) -> dict[int, int]:
+def mcpa_allocate(graph: TaskGraph, costs: SchedulingCosts) -> dict[int, int]:
     """Level-bounded CPA allocation.
 
-    ``sched`` selects the object loop or the bit-identical array core
-    (see :func:`repro.scheduling.cpa.cpa_allocate`).
+    The loop tracks each precedence level's summed allocation and skips
+    a candidate whose level already holds ``P`` processors.
     """
-    from repro.scheduling.arena import mcpa_allocate_array, resolve_sched
-
-    if resolve_sched(sched) == "array":
-        return mcpa_allocate_array(graph, costs)
     obs = get_recorder()
-    # Phase span: the level-membership index is MCPA's only setup work
-    # on top of the shared loop, mirroring HCPA's cap-construction span.
+    layout = graph_layout(graph)
+    # Phase span: the level bookkeeping is MCPA's only setup work on
+    # top of the shared loop, mirroring HCPA's cap-construction span.
     with obs.span("alloc.mcpa.levels", dag=graph.name):
-        levels = precedence_levels(graph)
-        members: dict[int, list[int]] = {}
-        for task_id, lvl in levels.items():
-            members.setdefault(lvl, []).append(task_id)
-    P = costs.num_procs
-
-    def level_load(task_id: int, alloc: dict[int, int]) -> int:
-        return sum(alloc[t] for t in members[levels[task_id]])
-
-    def select(candidates: list[int], alloc: dict[int, int]) -> int | None:
-        best_task = None
-        best_gain = 0.0
-        for t in candidates:
-            if level_load(t, alloc) >= P:
-                # MCPA's width constraint binding: the level already
-                # saturates the machine, so this task cannot grow.
-                if obs.enabled:
-                    obs.count("sched.mcpa.level_saturated")
-                continue
-            gain = _cpa_gain(costs, t, alloc[t])
-            if gain > best_gain:
-                best_gain = gain
-                best_task = t
-        return best_task
-
-    return allocation_loop(graph, costs, select=select)
+        level_of = layout.levels
+        level_sums = list(layout.level_sizes)
+    return flat_allocation_loop(
+        graph, costs, level_of=level_of, level_sums=level_sums
+    )

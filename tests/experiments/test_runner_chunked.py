@@ -5,7 +5,7 @@ may regroup the grid into arbitrary chunks, pre-lower layouts in the
 parent, satisfy cached cells before dispatch and ship one compact
 observability payload per chunk — but none of that is allowed to show:
 records, counters, events, timeline lines and profiler structure must
-equal the serial loop's bit for bit at every (workers, chunk, backend)
+equal the serial loop's bit for bit at every (workers, chunk)
 combination.
 """
 
@@ -36,7 +36,7 @@ def study_inputs():
 
 
 def _observed_study(study_inputs, *, workers, chunk=None, cache=None,
-                    sched=None, telemetry=None):
+                    telemetry=None):
     """One fully-observed study; returns its comparable facets."""
     dags, suite, emulator = study_inputs
     sink = MemorySink()
@@ -44,7 +44,7 @@ def _observed_study(study_inputs, *, workers, chunk=None, cache=None,
     with recording(rec):
         result = run_study(
             dags, [suite], emulator, workers=workers, chunk=chunk,
-            cache=cache, sched=sched, telemetry=telemetry,
+            cache=cache, telemetry=telemetry,
         )
     # The clamp counter legitimately differs across hosts (it fires
     # whenever the requested pool exceeds the core count).
@@ -66,16 +66,12 @@ def _observed_study(study_inputs, *, workers, chunk=None, cache=None,
     }
 
 
-@pytest.mark.parametrize("backends", [
-    {"sched": None},
-    {"sched": "array"},
-], ids=["object", "array"])
-def test_chunked_matches_serial_on_every_facet(study_inputs, backends):
-    serial = _observed_study(study_inputs, workers=1, **backends)
+def test_chunked_matches_serial_on_every_facet(study_inputs):
+    serial = _observed_study(study_inputs, workers=1)
     assert serial["records"]  # the study actually ran
     for workers, chunk in [(2, 1), (2, 4), (4, 1), (4, 4), (4, 10**9)]:
         chunked = _observed_study(
-            study_inputs, workers=workers, chunk=chunk, **backends
+            study_inputs, workers=workers, chunk=chunk
         )
         for facet in ("records", "events", "counters", "span_counts",
                       "timeline", "profile"):

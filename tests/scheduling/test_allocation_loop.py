@@ -1,4 +1,9 @@
-"""Tests for the shared CPA-family allocation skeleton."""
+"""Tests for the oracle's shared CPA-family allocation skeleton.
+
+``allocation_loop`` in ``tests/reference_cpa.py`` is the object loop the
+production allocators are compared against; its ``select``/``stop``/
+``max_alloc`` hooks and stop reasons are pinned here.
+"""
 
 import pytest
 
@@ -7,7 +12,7 @@ from repro.dag.kernels import MATMUL
 from repro.models.base import ModelKind, TaskTimeModel
 from repro.platform.personalities import bayreuth_cluster
 from repro.scheduling.costs import SchedulingCosts
-from repro.scheduling.cpa import allocation_loop
+from tests.reference_cpa import allocation_loop
 
 
 class PerfectScaling(TaskTimeModel):

@@ -88,6 +88,13 @@ class TestBetaDamping:
         with pytest.raises(ValueError):
             hcpa_allocate(small_dag, costs, beta=0.5)
 
+    def test_nan_beta_rejected(self, small_dag):
+        # NaN passes a ``beta < 1`` test, and then no
+        # ``T_CP <= beta * T_A`` stop ever fires.
+        costs = costs_for(small_dag)
+        with pytest.raises(ValueError, match="beta"):
+            hcpa_allocate(small_dag, costs, beta=float("nan"))
+
 
 class TestReferenceCluster:
     def test_identity_on_homogeneous_platform(self):

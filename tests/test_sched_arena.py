@@ -1,13 +1,21 @@
-"""Scheduler backends must be bit-identical.
+"""The production allocators must match the object-loop oracle bit for bit.
 
-The flat-array allocation core (:mod:`repro.scheduling.arena`) is a
-performance twin of the object allocation loop: same allocations, same
-observability events and counters, same timeline bytes, same profiler
-structure.  These tests compare the backends exactly, on the paper's
-DAGs and on Hypothesis-generated ones, then check the study-level
-plumbing: the ``sched`` switch, parallel-worker determinism, and
-warm-cache replay across backends (the backend is deliberately absent
-from cache keys).
+The CPA, HCPA and MCPA allocators of :mod:`repro.scheduling` run the
+flat-array loop of :mod:`repro.scheduling.arena`.  ``tests/reference_cpa.py``
+keeps the object allocation loop as an independent oracle.  These tests
+compare the two exactly — allocations, events, counters, timeline lines
+and profiler structure — on the paper's DAGs and on Hypothesis-generated
+ones, through each of the production loop's three branches:
+
+* ``no_recorder``: the disabled default recorder, where the DP and the
+  gain sweep are inlined — what every untraced study runs;
+* ``recorder``: a recorder and timeline without a profiler
+  (``--trace-out`` / ``--timeline-out``);
+* ``profiler``: a recorder, timeline and profiler (``--profile``).
+
+The analytic suite's allocations mostly stop on the ``T_CP <= T_A``
+criterion; measured (profile) models mostly stop when no critical-path
+task gains from another processor, so both suites are compared.
 """
 
 from __future__ import annotations
@@ -16,33 +24,44 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache.result_cache import ResultCache
 from repro.dag.generator import DagParameters, generate_dag, generate_paper_dags
 from repro.dag.graph import Task, TaskGraph
 from repro.dag.kernels import MATMUL
-from repro.experiments.runner import run_study
 from repro.obs import MemorySink, Profiler
 from repro.obs.recorder import Recorder, recording
 from repro.obs.timeline import Timeline, timeline_lines
 from repro.platform.personalities import bayreuth_cluster
-from repro.profiling.calibration import build_analytical_suite
-from repro.scheduling import SchedulingCosts, allocate_batch, schedule_dag
-from repro.scheduling import arena
-from repro.scheduling.arena import ARRAY_ALLOCATORS, graph_layout, resolve_sched
+from repro.profiling.calibration import build_analytical_suite, build_profile_suite
+from repro.scheduling import SchedulingCosts
+from repro.scheduling.arena import graph_layout
 from repro.scheduling.cpa import cpa_allocate
 from repro.scheduling.hcpa import hcpa_allocate
 from repro.scheduling.mcpa import mcpa_allocate
 from repro.testbed.tgrid import TGridEmulator
+from tests import reference_cpa
 
-OBJECT_ALLOCATORS = {
+PRODUCTION_ALLOCATORS = {
     "cpa": cpa_allocate,
     "hcpa": hcpa_allocate,
     "mcpa": mcpa_allocate,
 }
+ORACLE_ALLOCATORS = {
+    "cpa": reference_cpa.cpa_allocate,
+    "hcpa": reference_cpa.hcpa_allocate,
+    "mcpa": reference_cpa.mcpa_allocate,
+}
+ALGORITHMS = sorted(PRODUCTION_ALLOCATORS)
+BRANCHES = ("no_recorder", "recorder", "profiler")
 
 _PLATFORM = bayreuth_cluster(8)
 _SUITE = build_analytical_suite(_PLATFORM)
 _DAGS = generate_paper_dags(seed=0)[:3]
+
+
+@pytest.fixture(scope="module")
+def profile_suite():
+    """Measured models of the 8-node platform (about 0.5 s to build)."""
+    return build_profile_suite(TGridEmulator(_PLATFORM, seed=0))
 
 
 def _costs(graph, platform=_PLATFORM, suite=_SUITE):
@@ -55,56 +74,110 @@ def _costs(graph, platform=_PLATFORM, suite=_SUITE):
     )
 
 
-def _observed_run(allocator, graph, costs):
-    """Allocate under full observability; return every comparable facet."""
+def _observed_run(allocator, graph, costs, branch="profiler"):
+    """Allocate on one recorder branch; return every comparable facet.
+
+    ``no_recorder`` yields the allocation alone, ``recorder`` adds
+    events, counters and timeline lines, ``profiler`` adds the profile
+    structure.
+    """
+    if branch == "no_recorder":
+        rec = Recorder()
+        assert not rec.enabled and rec.profiler is None
+        with recording(rec):
+            return (allocator(graph, costs),)
     sink = MemorySink()
-    rec = Recorder(sink, timeline=Timeline(), profiler=Profiler())
+    profiler = Profiler() if branch == "profiler" else None
+    rec = Recorder(sink, timeline=Timeline(), profiler=profiler)
     with recording(rec):
         alloc = allocator(graph, costs)
-    return (
+    facets = (
         alloc,
         [r for r in sink.records if r.get("type") == "event"],
         dict(rec.counters),
         timeline_lines(rec.timeline.records),
-        rec.profiler.structure(),
     )
+    if profiler is not None:
+        facets += (profiler.structure(),)
+    return facets
+
+
+def _assert_paper_dags_match(algorithm, branch, suite=_SUITE):
+    facets = ("allocations", "events", "counters", "timeline", "profile")
+    observed = []
+    for _params, graph in _DAGS:
+        oracle = _observed_run(
+            ORACLE_ALLOCATORS[algorithm], graph, _costs(graph, suite=suite),
+            branch,
+        )
+        production = _observed_run(
+            PRODUCTION_ALLOCATORS[algorithm], graph,
+            _costs(graph, suite=suite), branch,
+        )
+        assert len(oracle) == len(production)
+        for facet, x, y in zip(facets, oracle, production):
+            assert x == y, (
+                f"{facet} diverged on {graph.name} ({algorithm}, {branch})"
+            )
+        assert oracle[0]  # non-empty allocation
+        observed.append(oracle)
+    return observed
+
+
+def _stop_reasons(observed):
+    return {
+        event["reason"]
+        for run in observed
+        for event in run[1]
+        if event["name"] == "sched.alloc_done"
+    }
 
 
 # ----------------------------------------------------------------------
 # bit-identity: paper DAGs, all algorithms
 # ----------------------------------------------------------------------
 class TestBitIdentity:
-    @pytest.mark.parametrize("algorithm", sorted(ARRAY_ALLOCATORS))
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_paper_dags_match_on_every_facet(self, algorithm):
-        facets = ("allocations", "events", "counters", "timeline", "profile")
-        for _params, graph in _DAGS:
-            obj = _observed_run(
-                OBJECT_ALLOCATORS[algorithm], graph, _costs(graph)
-            )
-            arr = _observed_run(
-                ARRAY_ALLOCATORS[algorithm], graph, _costs(graph)
-            )
-            for facet, x, y in zip(facets, obj, arr):
-                assert x == y, (
-                    f"{facet} diverged on {graph.name} ({algorithm})"
-                )
-            # Real work happened: counters saw the allocation loop.
-            assert obj[2].get("sched.alloc_grow_steps", 0) >= 0
-            assert obj[0]  # non-empty allocation
+        observed = _assert_paper_dags_match(algorithm, "profiler")
+        # Real work happened: the allocation loop grew something.
+        assert any(
+            run[2].get("sched.alloc_grow_steps", 0) > 0 for run in observed
+        )
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_paper_dags_match_without_recorder(self, algorithm):
+        _assert_paper_dags_match(algorithm, "no_recorder")
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_paper_dags_match_without_profiler(self, algorithm):
+        _assert_paper_dags_match(algorithm, "recorder")
 
     def test_hcpa_counters_include_cap_hits(self):
         graph = _DAGS[0][1]
-        obj = _observed_run(hcpa_allocate, graph, _costs(graph))
-        arr = _observed_run(
-            ARRAY_ALLOCATORS["hcpa"], graph, _costs(graph)
+        oracle = _observed_run(
+            reference_cpa.hcpa_allocate, graph, _costs(graph)
         )
-        assert obj[2] == arr[2]
-        assert "sched.hcpa.cap_hits" in obj[2]
+        production = _observed_run(hcpa_allocate, graph, _costs(graph))
+        assert oracle[2] == production[2]
+        assert "sched.hcpa.cap_hits" in oracle[2]
 
-    def test_hcpa_array_rejects_beta_below_one(self):
-        graph = _DAGS[0][1]
-        with pytest.raises(ValueError, match="beta"):
-            arena.hcpa_allocate_array(graph, _costs(graph), beta=0.5)
+
+# ----------------------------------------------------------------------
+# bit-identity: measured models
+# ----------------------------------------------------------------------
+class TestMeasuredModels:
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_profile_suite_paper_dags_match(self, profile_suite, branch):
+        observed = []
+        for algorithm in ALGORITHMS:
+            observed += _assert_paper_dags_match(
+                algorithm, branch, suite=profile_suite
+            )
+        if branch != "no_recorder":
+            # The case this suite exists for: measured scaling knees
+            # end the loop before the area criterion does.
+            assert "no_beneficial_candidate" in _stop_reasons(observed)
 
 
 # ----------------------------------------------------------------------
@@ -120,107 +193,36 @@ def sched_cases(draw):
         seed=draw(st.integers(min_value=0, max_value=300)),
     )
     graph = generate_dag(params)
-    algorithm = draw(st.sampled_from(sorted(ARRAY_ALLOCATORS)))
+    algorithm = draw(st.sampled_from(ALGORITHMS))
     return graph, algorithm
+
+
+def _assert_case_matches(case, branch):
+    graph, algorithm = case
+    oracle = _observed_run(
+        ORACLE_ALLOCATORS[algorithm], graph, _costs(graph), branch
+    )
+    production = _observed_run(
+        PRODUCTION_ALLOCATORS[algorithm], graph, _costs(graph), branch
+    )
+    assert oracle == production
 
 
 class TestHypothesisIdentity:
     @given(sched_cases())
     @settings(max_examples=30, deadline=None)
     def test_random_dags_match(self, case):
-        graph, algorithm = case
-        obj = _observed_run(OBJECT_ALLOCATORS[algorithm], graph, _costs(graph))
-        arr = _observed_run(ARRAY_ALLOCATORS[algorithm], graph, _costs(graph))
-        assert obj == arr
+        _assert_case_matches(case, "profiler")
 
+    @given(sched_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_random_dags_match_without_recorder(self, case):
+        _assert_case_matches(case, "no_recorder")
 
-# ----------------------------------------------------------------------
-# the sched switch end to end
-# ----------------------------------------------------------------------
-class TestSchedSwitch:
-    def test_schedule_dag_matches_across_backends(self):
-        for _params, graph in _DAGS:
-            for algorithm in sorted(ARRAY_ALLOCATORS):
-                obj = schedule_dag(
-                    graph, _costs(graph), algorithm, sched="object"
-                )
-                arr = schedule_dag(
-                    graph, _costs(graph), algorithm, sched="array"
-                )
-                assert arr.placements == obj.placements
-                assert arr.order == obj.order
-                assert arr.makespan_estimate == obj.makespan_estimate
-                assert arr.algorithm == obj.algorithm
-
-    def test_resolve_sched_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="bogus"):
-            resolve_sched("bogus")
-
-    def test_resolve_sched_honors_env(self, monkeypatch):
-        monkeypatch.setenv(arena.SCHED_ENV_VAR, "array")
-        assert resolve_sched() == "array"
-        assert resolve_sched("object") == "object"  # explicit wins
-        monkeypatch.delenv(arena.SCHED_ENV_VAR)
-        assert resolve_sched() == "object"
-
-    def test_study_records_match_across_backends(self):
-        emulator = TGridEmulator(_PLATFORM, seed=0)
-        obj = run_study(_DAGS, [_SUITE], emulator, sched="object")
-        arr = run_study(_DAGS, [_SUITE], emulator, sched="array")
-        assert arr.records == obj.records
-
-    def test_parallel_array_study_equals_serial_object_study(self):
-        emulator = TGridEmulator(_PLATFORM, seed=0)
-        serial = run_study(
-            _DAGS, [_SUITE], emulator, sched="object", workers=1
-        )
-        parallel = run_study(
-            _DAGS, [_SUITE], emulator, sched="array", workers=2
-        )
-        assert parallel.records == serial.records
-
-    def test_warm_cache_replays_across_sched_backends(self, tmp_path):
-        # The backend is deliberately absent from cache keys: a cache
-        # populated by one backend serves the other verbatim.
-        emulator = TGridEmulator(_PLATFORM, seed=0)
-        cache = ResultCache(tmp_path / "cache")
-        cold = run_study(
-            _DAGS, [_SUITE], emulator, cache=cache, sched="object"
-        )
-        rec = Recorder.to_memory()
-        with recording(rec):
-            warm = run_study(
-                _DAGS, [_SUITE], emulator, cache=cache, sched="array"
-            )
-        assert warm.records == cold.records
-        counters = rec.metrics()["counters"]
-        assert counters["cache.hits"] > 0
-        assert counters.get("cache.misses", 0) == 0
-
-
-# ----------------------------------------------------------------------
-# batch API
-# ----------------------------------------------------------------------
-class TestAllocateBatch:
-    def test_batch_matches_individual_allocations(self):
-        graphs = [graph for _params, graph in _DAGS]
-        for algorithm in sorted(ARRAY_ALLOCATORS):
-            batch = allocate_batch(
-                graphs, [_costs(g) for g in graphs], algorithm=algorithm
-            )
-            individual = [
-                ARRAY_ALLOCATORS[algorithm](g, _costs(g)) for g in graphs
-            ]
-            assert batch == individual
-
-    def test_batch_validates_lengths_and_algorithm(self):
-        graphs = [graph for _params, graph in _DAGS]
-        with pytest.raises(ValueError, match="graphs"):
-            allocate_batch(graphs, [_costs(graphs[0])])
-        with pytest.raises(ValueError, match="unknown array algorithm"):
-            allocate_batch(
-                graphs, [_costs(g) for g in graphs], algorithm="mheft"
-            )
+    @given(sched_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_random_dags_match_without_profiler(self, case):
+        _assert_case_matches(case, "recorder")
 
 
 # ----------------------------------------------------------------------
