@@ -149,15 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         "are identical either way)",
     )
     parser.add_argument(
-        "--chunk-size",
-        type=_int_at_least(0),
-        default=None,
-        metavar="N",
-        help="cells per pool dispatch for parallel study sweeps "
-        "(0 = auto-size to the pool; results are bit-identical at any "
-        "chunking; REPRO_CHUNK sets the default)",
-    )
-    parser.add_argument(
         "--trace-out",
         default="",
         metavar="PATH",
@@ -864,7 +855,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         seed=args.seed,
         workers=args.workers,
         cache_dir=args.cache_dir or None,
-        chunk=args.chunk_size,
         telemetry=telemetry,
     )
     try:

@@ -43,19 +43,14 @@ class StudyContext:
     kernel_trials / startup_trials / redistribution_trials:
         Measurement repetitions used during calibration (paper: 3 / 20 / 3).
     workers:
-        Process-pool size for study sweeps (1 = serial, the default).
-        Parallel sweeps produce record-for-record identical results —
-        see :func:`repro.experiments.runner.run_study`.
+        Process-pool size for study sweeps (1 = in process, the
+        default).  Pooled sweeps produce record-for-record identical
+        results — see :func:`repro.experiments.runner.run_study`.
     cache_dir:
         Optional directory of the persistent content-addressed result
         cache.  When set, calibrated suites, schedules and traces are
         memoised on disk and warm study re-runs replay unchanged cells
         bit-identically — see :mod:`repro.cache`.
-    chunk:
-        Cells per pool dispatch for parallel sweeps (None resolves via
-        ``REPRO_CHUNK``; 0 = auto-size to the pool).  Any chunking is
-        bit-identical to per-cell dispatch — see
-        :func:`repro.experiments.runner.resolve_chunk`.
     telemetry:
         Optional :class:`repro.obs.live.LiveTelemetry` bus attached to
         every study sweep (the ``--progress`` / ``--live-out`` CLI
@@ -70,7 +65,6 @@ class StudyContext:
     redistribution_trials: int = 3
     workers: int = 1
     cache_dir: str | Path | None = None
-    chunk: int | None = None
     telemetry: object | None = None
     _studies: dict[tuple[str, ...], StudyResult] = field(
         default_factory=dict, repr=False
@@ -161,7 +155,6 @@ class StudyContext:
                     self.emulator,
                     workers=self.workers,
                     cache=self.cache,
-                    chunk=self.chunk,
                     telemetry=self.telemetry,
                 )
                 self._studies[key] = cached

@@ -14,55 +14,55 @@ makespans.
 
 Parallel execution
 ------------------
-``run_study(..., workers=N)`` fans the (suite x DAG x algorithm) grid
-out over a process pool.  Every grid cell is independent by
+``run_study(..., workers=N)`` may fan the (suite x DAG x algorithm)
+grid out over a process pool.  Every grid cell is independent by
 construction: scheduling is deterministic in its inputs, and the
 emulator derives each execution's RNG from ``(seed, dag, algorithm,
 run_label)`` rather than from shared sequential state — so cell
-results do not depend on execution order, and ``workers=N`` produces
-record-for-record the same study as the serial loop.  Workers record
-observability into their own in-memory recorder; the parent absorbs
-the per-cell payloads in grid submission order, keeping the merged
-event stream deterministic too.
+results do not depend on where or in what order they run, and
+``workers=N`` produces record-for-record the same study as
+``workers=1``.
 
-Plan-then-execute pipeline
---------------------------
-The parallel path runs in three stages, all bit-identical to the
-serial loop:
+One grid walk
+-------------
+Every study, with or without a pool, goes through one runner and one
+walk:
 
-1. **Planner** (:func:`_plan_cache_hits`): with a cache attached, every
-   cell's schedule/simulation/testbed keys are hashed in one pass and
-   probed *side-effect-free*
-   (:meth:`~repro.cache.result_cache.ResultCache.peek`).  Fully cached
-   cells never reach the pool: the parent replays them inline through
-   the exact per-cell path, so their counters and records are the ones
-   the normal counted reads produce.  Each DAG's
+1. **One cell runner** (:class:`_CellRunner`), built per study, holds
+   the cells in suite -> DAG -> algorithm order, one simulator per
+   suite and the ``SchedulingCosts`` of the current (suite, DAG) pair.
+   Its :meth:`~_CellRunner.run` is the only way a cell runs, in the
+   parent or in a pool worker.
+2. **The plan.**  With one worker (after the clamp to the core count)
+   there is no plan: no cache probe, no pool, no pickle, and every
+   cell emits straight into the parent's recorder.  With more, a cache
+   is probed *side-effect-free* (:func:`_plan_cache_hits`) so fully
+   cached cells stay in the parent, and the misses are cut into
+   chunks of consecutive positions — about four per worker, so the
+   pool's shared queue rebalances stragglers work-stealing-style.  A
+   pool is forked only if it gets at least two workers; otherwise
+   every cell runs in the parent.  Before the fork each DAG's
    :class:`~repro.scheduling.arena.GraphLayout` (the allocation loop's
-   flat lowering) is built once, parent-side, before the fork, so every
-   worker inherits it copy-on-write.
-2. **Chunked executor** (:func:`_pool_run_chunk`): cache-missing cells
-   are dispatched to the pool as whole chunks (``chunk`` cells per
-   future; default ~4 chunks per worker so the pool's shared queue
-   rebalances stragglers work-stealing-style).  A worker runs its
-   chunk's cells sequentially — reusing one simulator per suite and one
-   ``SchedulingCosts`` per (suite, DAG) across the chunk — and ships
-   one compact result+observability payload per chunk instead of one
-   pickle per cell.
-3. **Merge**: the parent walks the grid in submission order,
-   interleaving inline cache hits with chunk payload slices.  Chunk
-   counters/span-stats/profiles merge once per chunk (their sums are
-   order-independent); event records and timeline slices are replayed
-   at each cell's grid position, with worker-local run ids rebased per
-   slice — so records, counters, timelines and profiles come out
-   exactly as the serial loop emits them.
+   flat lowering) is built parent-side, so every worker inherits it
+   copy-on-write.  A worker runs its chunk's positions in order into
+   one private recorder (:func:`_pool_run_chunk`) and ships one
+   compact result+observability payload per chunk.
+3. **The walk** (:func:`_walk_grid`) visits grid positions in order.
+   Each position either runs in the parent or is taken from its
+   chunk's payload.  Chunk counters, span stats and profiles merge
+   once per chunk (their sums are order-independent); each cell's
+   event records and timeline slice are replayed at its grid position,
+   with worker-local run ids rebased per slice — so records, counters,
+   timelines and profiles come out exactly as if every cell ran in the
+   parent.  A study without a pool is the case where every position
+   runs in the parent.
 
 Cache keys
 ----------
-With a cache attached, ``run_study`` builds one
-:class:`~repro.cache.keys.StudyKeys` and every cell path takes its keys
-from it: the serial loop, the planner, the parent's inline replay of
-hits and the pool workers.  The shared fingerprints (emulator, each
-suite's cost and simulator models, each DAG) are encoded once per
+With a cache attached, the runner builds one
+:class:`~repro.cache.keys.StudyKeys` and every cell takes its keys from
+it, as does the planner's probe.  The shared fingerprints (emulator,
+each suite's cost and simulator models, each DAG) are encoded once per
 study, not per cell, and each cell's schedule once for its two
 execution keys.  Without a cache nothing is built.
 """
@@ -92,52 +92,20 @@ from repro.profiling.calibration import SimulatorSuite
 from repro.scheduling.costs import SchedulingCosts
 from repro.scheduling.arena import graph_layout
 from repro.scheduling.driver import schedule_dag
-from repro.scheduling.schedule import Schedule
 from repro.simgrid.simulator import ApplicationSimulator
 from repro.testbed.tgrid import TGridEmulator
 from repro.util.stats import relative_error
 
 __all__ = [
-    "CHUNK_ENV_VAR",
     "RunRecord",
     "StudyResult",
-    "resolve_chunk",
     "run_study",
 ]
-
-#: Environment variable naming the default cells-per-chunk of the
-#: parallel study executor (see :func:`resolve_chunk`).
-CHUNK_ENV_VAR = "REPRO_CHUNK"
 
 #: Auto chunk sizing targets this many chunks per pool worker: small
 #: enough that the pool's shared queue rebalances stragglers, large
 #: enough that per-future dispatch overhead stays amortized.
 _CHUNKS_PER_WORKER = 4
-
-
-def resolve_chunk(chunk: int | None = None) -> int:
-    """Resolve the chunk-size setting of the parallel study executor.
-
-    An explicit ``chunk`` wins; ``None`` defers to the ``REPRO_CHUNK``
-    environment variable; an unset variable means auto.  Returns 0 for
-    auto — the executor then aims for :data:`_CHUNKS_PER_WORKER` chunks
-    per pool worker — or the positive cells-per-chunk count
-    (``1`` = per-cell dispatch, the pre-chunking behaviour).
-    """
-    if chunk is None:
-        raw = os.environ.get(CHUNK_ENV_VAR, "").strip()
-        if not raw:
-            return 0
-        try:
-            chunk = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{CHUNK_ENV_VAR} must be an integer (0 = auto), "
-                f"got {raw!r}"
-            ) from None
-    if chunk < 0:
-        raise ValueError(f"chunk size must be >= 0 (0 = auto), got {chunk}")
-    return chunk
 
 
 @dataclass(frozen=True)
@@ -257,17 +225,13 @@ def _run_cell(
     graph: TaskGraph,
     algorithm: str,
     emulator: TGridEmulator,
-    costs: SchedulingCosts | None = None,
-    cache: ResultCache | None = None,
-    simulator: ApplicationSimulator | None = None,
-    keys: CellKeys | None = None,
+    obs: Recorder,
+    costs: SchedulingCosts,
+    simulator: ApplicationSimulator,
+    cache: ResultCache | None,
+    keys: CellKeys | None,
 ) -> RunRecord:
     """One grid cell: schedule, simulate, execute, record.
-
-    Shared by the serial loop (which reuses one ``costs`` per
-    (suite, DAG) so the memoised task times carry across algorithms,
-    and one ``simulator`` per suite so its network topology is built
-    once per sweep) and the pool workers (which build their own).
 
     With a ``cache`` (and this cell's ``keys``), all three phases are
     memoised: the schedule under the ``"schedule"`` layer and the
@@ -275,44 +239,8 @@ def _run_cell(
     Each phase is deterministic in exactly its key — the emulator
     derives its RNG from its own configuration plus (dag, algorithm,
     run label), never from shared sequential state — so cached replays
-    are bit-identical to fresh computation, serial or pooled.
+    are bit-identical to fresh computation, in the parent or a worker.
     """
-    platform = emulator.platform
-    obs = get_recorder()
-    tl = obs.timeline if obs.enabled else None
-    cell_ctx = (
-        tl.context(variant=suite.name, n=params.n)
-        if tl is not None
-        else nullcontext()
-    )
-    with cell_ctx:
-        return _run_cell_body(
-            suite, params, graph, algorithm, emulator, obs,
-            costs=costs, cache=cache, simulator=simulator, keys=keys,
-        )
-
-
-def _run_cell_body(
-    suite: SimulatorSuite,
-    params: DagParameters,
-    graph: TaskGraph,
-    algorithm: str,
-    emulator: TGridEmulator,
-    obs: Recorder,
-    costs: SchedulingCosts | None = None,
-    cache: ResultCache | None = None,
-    simulator: ApplicationSimulator | None = None,
-    keys: CellKeys | None = None,
-) -> RunRecord:
-    platform = emulator.platform
-    if costs is None:
-        costs = SchedulingCosts(
-            graph,
-            platform,
-            suite.task_model,
-            startup_model=suite.startup_model,
-            redistribution_model=suite.redistribution_model,
-        )
     with obs.span(
         "study.schedule", algorithm=algorithm, simulator=suite.name
     ):
@@ -324,13 +252,6 @@ def _run_cell_body(
                 keys.schedule(algorithm),
                 lambda: schedule_dag(graph, costs, algorithm),
             )
-    if simulator is None:
-        simulator = ApplicationSimulator(
-            platform,
-            suite.task_model,
-            startup_model=suite.startup_model,
-            redistribution_model=suite.redistribution_model,
-        )
     with obs.span(
         "study.simulate", algorithm=algorithm, simulator=suite.name
     ):
@@ -377,39 +298,111 @@ def _run_cell_body(
     return record
 
 
-#: Per-worker study inputs, installed once by the pool initializer so
-#: each cell submission ships only three small indices.
+class _CellRunner:
+    """Runs the cells of one study by grid position.
+
+    Holds the cells in suite -> DAG -> algorithm order, one simulator
+    per suite (so its network topology is built once) and the
+    ``SchedulingCosts`` of the current (suite, DAG) pair.  A pair's
+    cells are adjacent in grid order and in every chunk, so that one
+    entry carries the memoised task times across the pair's
+    algorithms.  (Cost evaluation emits no observability, so the memo
+    cannot change any counter.)  :meth:`run` is the only way a cell
+    runs, in the parent or in a pool worker.
+    """
+
+    def __init__(
+        self,
+        dags: Sequence[tuple[DagParameters, TaskGraph]],
+        suites: Sequence[SimulatorSuite],
+        emulator: TGridEmulator,
+        algorithms: Sequence[str],
+        cache: ResultCache | None,
+    ) -> None:
+        self.dags = dags
+        self.suites = suites
+        self.emulator = emulator
+        self.cache = cache
+        self.keys = (
+            StudyKeys(emulator, suites, [graph for _params, graph in dags])
+            if cache is not None
+            else None
+        )
+        self.cells = [
+            (suite_idx, dag_idx, algorithm)
+            for suite_idx in range(len(suites))
+            for dag_idx in range(len(dags))
+            for algorithm in algorithms
+        ]
+        self.simulators = [
+            ApplicationSimulator(
+                emulator.platform,
+                suite.task_model,
+                startup_model=suite.startup_model,
+                redistribution_model=suite.redistribution_model,
+            )
+            for suite in suites
+        ]
+        self._pair: tuple[int, int] | None = None
+        self._costs: SchedulingCosts | None = None
+        self._cell_keys: CellKeys | None = None
+
+    def label(self, pos: int) -> str:
+        """Human-readable cell name for live telemetry: suite:dag/algorithm."""
+        suite_idx, dag_idx, algorithm = self.cells[pos]
+        graph = self.dags[dag_idx][1]
+        return f"{self.suites[suite_idx].name}:{graph.name}/{algorithm}"
+
+    def run(self, pos: int) -> RunRecord:
+        """Run the cell at grid position ``pos`` into the active recorder."""
+        suite_idx, dag_idx, algorithm = self.cells[pos]
+        suite = self.suites[suite_idx]
+        params, graph = self.dags[dag_idx]
+        if self._pair != (suite_idx, dag_idx):
+            self._pair = (suite_idx, dag_idx)
+            self._costs = SchedulingCosts(
+                graph,
+                self.emulator.platform,
+                suite.task_model,
+                startup_model=suite.startup_model,
+                redistribution_model=suite.redistribution_model,
+            )
+            self._cell_keys = (
+                self.keys.cell(suite_idx, dag_idx)
+                if self.keys is not None
+                else None
+            )
+        obs = get_recorder()
+        tl = obs.timeline if obs.enabled else None
+        cell_ctx = (
+            tl.context(variant=suite.name, n=params.n)
+            if tl is not None
+            else nullcontext()
+        )
+        with cell_ctx:
+            return _run_cell(
+                suite, params, graph, algorithm, self.emulator, obs,
+                self._costs, self.simulators[suite_idx], self.cache,
+                self._cell_keys,
+            )
+
+
+#: Per-worker study state, installed once by the pool initializer so
+#: each chunk submission ships only its grid positions.
 _POOL_STATE: dict = {}
 
 
 def _pool_init(
-    dags: Sequence[tuple[DagParameters, TaskGraph]],
-    suites: Sequence[SimulatorSuite],
-    emulator: TGridEmulator,
+    runner: _CellRunner,
     obs_enabled: bool,
-    cache: ResultCache | None = None,
-    timeline_enabled: bool = False,
-    profiler_enabled: bool = False,
-    live: tuple | None = None,
-    keys: StudyKeys | None = None,
+    timeline_enabled: bool,
+    profiler_enabled: bool,
+    live: tuple | None,
 ) -> None:
-    _POOL_STATE["dags"] = dags
-    _POOL_STATE["suites"] = suites
-    _POOL_STATE["emulator"] = emulator
+    _POOL_STATE["runner"] = runner
     _POOL_STATE["obs_enabled"] = obs_enabled
-    _POOL_STATE["cache"] = cache
     _POOL_STATE["timeline_enabled"] = timeline_enabled
     _POOL_STATE["profiler_enabled"] = profiler_enabled
-    _POOL_STATE["keys"] = keys
-    # Per-suite simulator reuse within a worker: its network topology
-    # is then built once per worker (simulators are reusable across
-    # runs).
-    _POOL_STATE["simulators"] = {}
-    # Per-(suite, DAG) SchedulingCosts reuse, mirroring the serial
-    # loop: the memoised task-time estimates carry across a chunk's
-    # algorithms instead of being rebuilt per cell.  (Cost evaluation
-    # emits no observability, so the memo cannot change any counter.)
-    _POOL_STATE["costs"] = {}
     # Live telemetry side-channel: ``live`` is (queue, heartbeat_s)
     # when the parent runs with a LiveTelemetry attached.  The emitter
     # is strictly observational — it feeds the progress display, never
@@ -422,54 +415,10 @@ def _pool_init(
     )
 
 
-def _chunk_cell(cell: tuple[int, int, str], state: dict) -> RunRecord:
-    """Run one grid cell inside a worker, through the shared memos."""
-    suite_idx, dag_idx, algorithm = cell
-    suite = state["suites"][suite_idx]
-    params, graph = state["dags"][dag_idx]
-    emulator = state["emulator"]
-    simulator = state["simulators"].get(suite_idx)
-    if simulator is None:
-        simulator = ApplicationSimulator(
-            emulator.platform,
-            suite.task_model,
-            startup_model=suite.startup_model,
-            redistribution_model=suite.redistribution_model,
-        )
-        state["simulators"][suite_idx] = simulator
-    costs = state["costs"].get((suite_idx, dag_idx))
-    if costs is None:
-        costs = SchedulingCosts(
-            graph,
-            emulator.platform,
-            suite.task_model,
-            startup_model=suite.startup_model,
-            redistribution_model=suite.redistribution_model,
-        )
-        state["costs"][(suite_idx, dag_idx)] = costs
-    keys = state.get("keys")
-    return _run_cell(
-        suite, params, graph, algorithm, emulator, costs=costs,
-        cache=state.get("cache"), simulator=simulator,
-        keys=keys.cell(suite_idx, dag_idx) if keys is not None else None,
-    )
-
-
-def _cell_label(
-    cell: tuple[int, int, str],
-    suites: Sequence[SimulatorSuite],
-    dags: Sequence[tuple[DagParameters, TaskGraph]],
-) -> str:
-    """Human-readable cell name for live telemetry: suite:dag/algorithm."""
-    suite_idx, dag_idx, algorithm = cell
-    return f"{suites[suite_idx].name}:{dags[dag_idx][1].name}/{algorithm}"
-
-
 def _pool_run_chunk(
-    cells: Sequence[tuple[int, int, str]],
-    positions: Sequence[int] | None = None,
+    positions: Sequence[int],
 ) -> tuple[list[RunRecord], dict | None]:
-    """Run one chunk of grid cells in a worker.
+    """Run one chunk of grid positions in a worker.
 
     Returns ``(records, obs payload)`` — one compact payload for the
     whole chunk instead of one pickle per cell.  When the parent's
@@ -483,40 +432,39 @@ def _pool_run_chunk(
     span stats, profile sums) in once per chunk.
     """
     state = _POOL_STATE
+    runner = state["runner"]
     records: list[RunRecord] = []
-    emitter = state.get("live")
-    if positions is None:
-        positions = range(len(cells))
+    emitter = state["live"]
 
-    def _traced_cell(k: int, cell: tuple[int, int, str]) -> RunRecord:
+    def _traced_cell(pos: int) -> RunRecord:
         if emitter is None:
-            return _chunk_cell(cell, state)
-        label = _cell_label(cell, state["suites"], state["dags"])
-        emitter.cell_started(positions[k], label)
-        record = _chunk_cell(cell, state)
-        emitter.cell_finished(positions[k], label)
+            return runner.run(pos)
+        label = runner.label(pos)
+        emitter.cell_started(pos, label)
+        record = runner.run(pos)
+        emitter.cell_finished(pos, label)
         return record
 
     if emitter is not None:
-        emitter.chunk_claimed(len(cells))
+        emitter.chunk_claimed(len(positions))
     if not state["obs_enabled"]:
-        for k, cell in enumerate(cells):
-            records.append(_traced_cell(k, cell))
+        for pos in positions:
+            records.append(_traced_cell(pos))
         return records, None
     # A worker timeline numbers its runs from 0; the parent's
     # Timeline.absorb rebases each slice's run ids by its running
     # offset minus the slice's run_base, so absorbing chunk slices in
-    # grid submission order reproduces the serial numbering exactly.
-    tl = Timeline() if state.get("timeline_enabled") else None
+    # grid order reproduces the in-process numbering exactly.
+    tl = Timeline() if state["timeline_enabled"] else None
     # Worker profiles merge by absolute span path with summed counts,
     # so one chunk-wide profile absorbs to the same structure as the
-    # serial run's per-cell increments.
-    prof = Profiler() if state.get("profiler_enabled") else None
+    # per-cell increments of cells run in the parent.
+    prof = Profiler() if state["profiler_enabled"] else None
     worker_obs = Recorder(MemorySink(), timeline=tl, profiler=prof)
     marks: list[tuple[int, int, int]] = []
     with recording(worker_obs):
-        for k, cell in enumerate(cells):
-            records.append(_traced_cell(k, cell))
+        for pos in positions:
+            records.append(_traced_cell(pos))
             marks.append(
                 (
                     len(worker_obs.sink.records),
@@ -529,11 +477,7 @@ def _pool_run_chunk(
     return records, payload
 
 
-def _plan_cache_hits(
-    cells: Sequence[tuple[int, int, str]],
-    cache: ResultCache | None,
-    keys: StudyKeys | None,
-) -> list[bool]:
+def _plan_cache_hits(runner: _CellRunner) -> list[bool]:
     """One-pass batched cache probe: which cells are fully cached?
 
     Hashes every cell's schedule/simulation/testbed keys from the
@@ -543,14 +487,15 @@ def _plan_cache_hits(
     :meth:`~repro.cache.result_cache.ResultCache.contains`), so the
     probe leaves hit/miss counters, byte counters and the LRU exactly
     as if it never ran.  A True entry is advisory: the parent replays
-    that cell inline through the normal counted path, which still
-    detects (and counts) a stale or corrupt entry — a wrong hint only
-    moves where the cell computes, never what it produces.
+    that cell through the normal counted path, which still detects
+    (and counts) a stale or corrupt entry — a wrong hint only moves
+    where the cell computes, never what it produces.
     """
+    cache, keys = runner.cache, runner.keys
     if cache is None:
-        return [False] * len(cells)
+        return [False] * len(runner.cells)
     hits: list[bool] = []
-    for suite_idx, dag_idx, algorithm in cells:
+    for suite_idx, dag_idx, algorithm in runner.cells:
         cell_keys = keys.cell(suite_idx, dag_idx)
         found, schedule = cache.peek("schedule", cell_keys.schedule(algorithm))
         if not found:
@@ -590,154 +535,78 @@ def _absorb_chunk_slice(obs: Recorder, payload: dict, k: int) -> None:
         )
 
 
-def _run_grid_chunked(
+def _walk_grid(
+    runner: _CellRunner,
     result: StudyResult,
-    dags: Sequence[tuple[DagParameters, TaskGraph]],
-    suites: Sequence[SimulatorSuite],
-    emulator: TGridEmulator,
-    algorithms: Sequence[str],
     workers: int,
-    cache: ResultCache | None,
-    chunk: int | None,
+    chunk: int,
     obs: Recorder,
-    telemetry: LiveTelemetry | None = None,
-    keys: StudyKeys | None = None,
+    telemetry: LiveTelemetry | None,
 ) -> float:
-    """Plan, dispatch and merge the parallel grid; returns the seconds
-    the parent spent blocked on pool futures (the dispatch wait).
+    """Run the grid in position order; returns the seconds the parent
+    spent blocked on pool futures (the dispatch wait).
 
-    See the module docstring for the three stages.  The merge walks
-    cell positions in grid submission order — interleaving inline
-    cache-hit replays with worker chunk slices — so records, events,
-    timeline lines and run numbering come out exactly as the serial
-    loop emits them, regardless of chunking or completion order.
+    See the module docstring.  Each position either runs in the parent
+    or is replayed from its chunk's payload, so records, events,
+    timeline lines and run numbering come out exactly as if every cell
+    ran in the parent, regardless of chunking or completion order.
     """
-    platform = emulator.platform
-    cells = [
-        (suite_idx, dag_idx, algorithm)
-        for suite_idx in range(len(suites))
-        for dag_idx in range(len(dags))
-        for algorithm in algorithms
-    ]
-    if not cells:
+    total = len(runner.cells)
+    if not total:
         return 0.0
-    hits = _plan_cache_hits(cells, cache, keys)
+    hits = _plan_cache_hits(runner) if workers > 1 else [False] * total
     misses = [pos for pos, hit in enumerate(hits) if not hit]
-    pool_workers = max(1, min(workers, len(misses)))
-    chunk_size = resolve_chunk(chunk)
-    if chunk_size == 0:
-        chunk_size = max(
-            1, math.ceil(len(misses) / (pool_workers * _CHUNKS_PER_WORKER))
+    pool_workers = min(workers, len(misses))
+    chunks: list[list[int]] = []
+    if pool_workers >= 2:
+        size = chunk or math.ceil(
+            len(misses) / (pool_workers * _CHUNKS_PER_WORKER)
         )
-    chunks = [
-        misses[i : i + chunk_size]
-        for i in range(0, len(misses), chunk_size)
-    ]
+        chunks = [misses[i : i + size] for i in range(0, len(misses), size)]
+    else:
+        # A one-worker pool would do the in-process work plus the
+        # fork, pickling and merge: every cell runs in the parent.
+        pool_workers = 0
     if telemetry is not None:
-        telemetry.begin_study(
-            len(cells), pool_workers if chunks else 0
-        )
-
-    # Parent-side memos for inline cache-hit replays, mirroring the
-    # serial loop's reuse: one simulator per suite, one SchedulingCosts
-    # per (suite, DAG).
-    par_sims: dict[int, ApplicationSimulator] = {}
-    par_costs: dict[tuple[int, int], SchedulingCosts] = {}
-
-    def _parent_cell(pos: int) -> RunRecord:
-        suite_idx, dag_idx, algorithm = cells[pos]
-        suite = suites[suite_idx]
-        params, graph = dags[dag_idx]
-        simulator = par_sims.get(suite_idx)
-        if simulator is None:
-            simulator = par_sims[suite_idx] = ApplicationSimulator(
-                platform,
-                suite.task_model,
-                startup_model=suite.startup_model,
-                redistribution_model=suite.redistribution_model,
-            )
-        costs = par_costs.get((suite_idx, dag_idx))
-        if costs is None:
-            costs = par_costs[(suite_idx, dag_idx)] = SchedulingCosts(
-                graph,
-                platform,
-                suite.task_model,
-                startup_model=suite.startup_model,
-                redistribution_model=suite.redistribution_model,
-            )
-        return _run_cell(
-            suite, params, graph, algorithm, emulator, costs=costs,
-            cache=cache, simulator=simulator,
-            keys=keys.cell(suite_idx, dag_idx) if keys is not None else None,
-        )
-
-    if not chunks:
-        # Every cell is cached: the warm study never touches the pool.
-        for pos in range(len(cells)):
-            result.records.append(_parent_cell(pos))
-            if telemetry is not None:
-                telemetry.cache_hit(
-                    pos, _cell_label(cells[pos], suites, dags)
-                )
-        return 0.0
-
-    # Lower the DAG layouts once, parent-side, before the fork: every
-    # worker then inherits the memoised GraphLayout copy-on-write
-    # instead of re-lowering it per process.  (Lowering emits no
-    # observability, so this moves work without moving any counter.)
-    for _params, graph in dags:
-        graph_layout(graph)
-
-    # Fork shares the already-built DAGs/suites/emulator with the
-    # workers for free; other start methods pickle them once via the
-    # initializer args.
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    where: dict[int, tuple[int, int]] = {}
-    for ci, chunk_positions in enumerate(chunks):
-        for k, pos in enumerate(chunk_positions):
-            where[pos] = (ci, k)
+        telemetry.begin_study(total, pool_workers)
+    where = {
+        pos: (ci, k)
+        for ci, positions in enumerate(chunks)
+        for k, pos in enumerate(positions)
+    }
     dispatch_wait = 0.0
-    # The live side-channel queue must come from the pool's own
-    # multiprocessing context so it rides through the initializer args
-    # (queues are inherited, not pickled).
-    live = (
-        (telemetry.connect(ctx), telemetry.heartbeat_s)
-        if telemetry is not None
-        else None
+    pool = (
+        _fork_pool(runner, pool_workers, obs, telemetry)
+        if chunks
+        else nullcontext()
     )
-    with ProcessPoolExecutor(
-        max_workers=pool_workers,
-        mp_context=ctx,
-        initializer=_pool_init,
-        initargs=(
-            dags, suites, emulator, obs.enabled, cache,
-            obs.timeline is not None, obs.profiler is not None,
-            live, keys,
-        ),
-    ) as pool:
+    with pool:
         # All chunks are submitted up front into the pool's shared
         # queue; idle workers pull the next chunk as they finish, so
-        # uneven chunks rebalance work-stealing-style.  The merge below
-        # still consumes results strictly in grid submission order.
+        # uneven chunks rebalance work-stealing-style.  The walk below
+        # still consumes results strictly in grid position order.
         futures = [
-            pool.submit(
-                _pool_run_chunk,
-                [cells[pos] for pos in positions],
-                positions,
-            )
-            for positions in chunks
+            pool.submit(_pool_run_chunk, positions) for positions in chunks
         ]
         ready: dict[int, tuple[list[RunRecord], dict | None]] = {}
-        for pos in range(len(cells)):
-            if hits[pos]:
-                result.records.append(_parent_cell(pos))
-                if telemetry is not None:
-                    telemetry.cache_hit(
-                        pos, _cell_label(cells[pos], suites, dags)
+        for pos in range(total):
+            located = where.get(pos)
+            if located is None:
+                if telemetry is None:
+                    result.records.append(runner.run(pos))
+                elif hits[pos]:
+                    result.records.append(runner.run(pos))
+                    telemetry.cache_hit(pos, runner.label(pos))
+                else:
+                    label = runner.label(pos)
+                    telemetry.cell_started(pos, label)
+                    cell_t0 = time.monotonic()
+                    result.records.append(runner.run(pos))
+                    telemetry.cell_finished(
+                        pos, label, time.monotonic() - cell_t0
                     )
                 continue
-            ci, k = where[pos]
+            ci, k = located
             fetched = ready.get(ci)
             if fetched is None:
                 t0 = time.perf_counter()
@@ -747,8 +616,8 @@ def _run_grid_chunked(
                 if payload is not None:
                     # Chunk-wide aggregates merge once at first
                     # contact: counter/span/profile merges are plain
-                    # sums, so per-chunk folding equals the serial
-                    # per-cell accumulation exactly.
+                    # sums, so per-chunk folding equals the per-cell
+                    # accumulation of the parent exactly.
                     obs.absorb(
                         {
                             "records": (),
@@ -766,6 +635,42 @@ def _run_grid_chunked(
     return dispatch_wait
 
 
+def _fork_pool(
+    runner: _CellRunner,
+    pool_workers: int,
+    obs: Recorder,
+    telemetry: LiveTelemetry | None,
+) -> ProcessPoolExecutor:
+    """A process pool whose workers each hold a copy of ``runner``."""
+    # Lower the DAG layouts once, parent-side, before the fork: every
+    # worker then inherits the memoised GraphLayout copy-on-write
+    # instead of re-lowering it per process.  (Lowering emits no
+    # observability, so this moves work without moving any counter.)
+    for _params, graph in runner.dags:
+        graph_layout(graph)
+    # Fork shares the already-built runner with the workers for free;
+    # other start methods pickle it once via the initializer args.
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
+    # The live side-channel queue must come from the pool's own
+    # multiprocessing context so it rides through the initializer args
+    # (queues are inherited, not pickled).
+    live = (
+        (telemetry.connect(ctx), telemetry.heartbeat_s)
+        if telemetry is not None
+        else None
+    )
+    return ProcessPoolExecutor(
+        max_workers=pool_workers,
+        mp_context=ctx,
+        initializer=_pool_init,
+        initargs=(
+            runner, obs.enabled, obs.timeline is not None,
+            obs.profiler is not None, live,
+        ),
+    )
+
+
 def run_study(
     dags: Sequence[tuple[DagParameters, TaskGraph]],
     suites: Iterable[SimulatorSuite],
@@ -774,34 +679,34 @@ def run_study(
     algorithms: Sequence[str] = ("hcpa", "mcpa"),
     workers: int = 1,
     cache: ResultCache | None = None,
-    chunk: int | None = None,
+    chunk: int = 0,
     telemetry: LiveTelemetry | None = None,
 ) -> StudyResult:
     """Run the full grid; returns every (DAG, algorithm, suite) record.
 
-    ``workers`` > 1 distributes the grid over a process pool through
-    the plan-then-execute pipeline (see the module docstring); the
-    default keeps the serial in-process loop.  The records — and, with
-    an enabled recorder, the merged metrics — are identical either
-    way.  Requested workers beyond ``os.cpu_count()`` are clamped to
-    the core count (oversubscribing a process pool only multiplies
-    fork and pickle overhead); the clamp is recorded as a
-    ``runner.workers_clamped`` counter, never applied silently.
+    ``workers`` > 1 may distribute the grid over a process pool (see
+    the module docstring); the default runs every cell in process.  The
+    records — and, with an enabled recorder, the merged metrics — are
+    identical either way.  Requested workers beyond ``os.cpu_count()``
+    are clamped to the core count (oversubscribing a process pool only
+    multiplies fork and pickle overhead); the clamp is recorded as a
+    ``runner.workers_clamped`` counter, never applied silently.  A pool
+    is forked only when it would get at least two workers.
 
     ``cache`` enables content-addressed memoization of every cell's
     schedule, simulated trace and emulated trace: a warm re-run skips
     any cell whose inputs are unchanged and returns bit-identical
     records.  The cache is shared safely with pool workers (atomic
     file-per-entry writes); per-layer hit/miss counters land in the
-    recorder either way.  In the parallel path, fully cached cells are
-    detected up front by a batched side-effect-free probe and replayed
-    inline in the parent — they never reach the pool.
+    recorder either way.  With more than one worker, fully cached cells
+    are detected up front by a batched side-effect-free probe and
+    replayed in the parent — they never reach the pool.
 
-    ``chunk`` sets the cells-per-chunk of the parallel executor
-    (``None``: honor ``REPRO_CHUNK``; 0 or unset: auto — about
+    ``chunk`` forces the cells per pool dispatch (0, the default: about
     :data:`_CHUNKS_PER_WORKER` chunks per pool worker; 1: per-cell
-    dispatch).  Chunking changes dispatch granularity only — results,
-    counters, timelines and profiles are identical for every setting.
+    dispatch); tests use it to move chunk boundaries.  Chunking changes
+    dispatch granularity only — results, counters, timelines and
+    profiles are identical for every setting.
 
     ``telemetry`` attaches a :class:`~repro.obs.live.LiveTelemetry` bus
     for streaming progress (cell start/finish, cache hits, chunk
@@ -816,87 +721,38 @@ def run_study(
     Whatever the path, the recorder's span aggregates gain two
     wall-clock timings per study: ``study.grid`` (end-to-end grid wall
     time, the denominator of cells/sec) and ``study.dispatch`` (time
-    the parent spent blocked on pool futures; 0 in the serial loop) —
-    see ``repro report``.
+    the parent spent blocked on pool futures; 0 without a pool) — see
+    ``repro report``.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if chunk < 0:
+        raise ValueError(f"chunk size must be >= 0 (0 = auto), got {chunk}")
     result = StudyResult()
-    platform = emulator.platform
     obs = get_recorder()
     suites = list(suites)
     dags = list(dags)
-    requested = workers
     cpus = os.cpu_count() or 1
     if workers > cpus:
-        # Clamp the pool to the cores that exist; the parallel code
-        # path (and its chunking) is still exercised — only the pool
-        # size shrinks.
+        # Clamp the pool to the cores that exist; a clamp to one core
+        # runs the whole study in process.
         workers = cpus
         if obs.enabled:
             obs.count("runner.workers_clamped")
     grid_t0 = time.perf_counter()
-    dispatch_wait = 0.0
-    keys = (
-        StudyKeys(emulator, suites, [graph for _params, graph in dags])
-        if cache is not None
-        else None
+    runner = _CellRunner(dags, suites, emulator, algorithms, cache)
+    dispatch_wait = _walk_grid(
+        runner, result, workers, chunk, obs, telemetry
     )
-    if requested > 1:
-        dispatch_wait = _run_grid_chunked(
-            result, dags, suites, emulator, algorithms, workers,
-            cache, chunk, obs, telemetry, keys,
-        )
-    else:
-        if telemetry is not None and suites and dags and algorithms:
-            telemetry.begin_study(
-                len(suites) * len(dags) * len(algorithms), 0
-            )
-        pos = 0
-        for suite_idx, suite in enumerate(suites):
-            simulator = ApplicationSimulator(
-                platform,
-                suite.task_model,
-                startup_model=suite.startup_model,
-                redistribution_model=suite.redistribution_model,
-            )
-            for dag_idx, (params, graph) in enumerate(dags):
-                costs = SchedulingCosts(
-                    graph,
-                    platform,
-                    suite.task_model,
-                    startup_model=suite.startup_model,
-                    redistribution_model=suite.redistribution_model,
-                )
-                cell_keys = (
-                    keys.cell(suite_idx, dag_idx) if keys is not None else None
-                )
-                for algorithm in algorithms:
-                    if telemetry is not None:
-                        label = f"{suite.name}:{graph.name}/{algorithm}"
-                        telemetry.cell_started(pos, label)
-                        cell_t0 = time.monotonic()
-                    result.records.append(
-                        _run_cell(
-                            suite, params, graph, algorithm, emulator,
-                            costs=costs, cache=cache, simulator=simulator,
-                            keys=cell_keys,
-                        )
-                    )
-                    if telemetry is not None:
-                        telemetry.cell_finished(
-                            pos, label, time.monotonic() - cell_t0
-                        )
-                    pos += 1
     if obs.enabled:
-        # Same two aggregates in both modes (the serial loop's
-        # dispatch wait is genuinely zero), so metrics keep identical
-        # span-name sets and counts across serial/parallel/chunked.
+        # Same two aggregates with or without a pool (the dispatch
+        # wait is genuinely zero without one), so metrics keep
+        # identical span-name sets and counts at every (workers, chunk).
         obs.timing("study.grid", time.perf_counter() - grid_t0)
         obs.timing("study.dispatch", dispatch_wait)
     result.manifest = RunManifest.collect(
         seed=emulator.seed,
-        cluster=platform,
+        cluster=emulator.platform,
         simulators=[s.name for s in suites],
         algorithms=list(algorithms),
         num_records=len(result.records),

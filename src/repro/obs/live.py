@@ -323,9 +323,9 @@ class LiveTelemetry:
     check every tick, and — with ``snapshot_path`` set — atomically
     rewrites the JSON snapshot file.
 
-    Parent-local emissions (the serial loop, inline cache-hit replays)
-    bypass the queue and fold directly under the lock, so serial
-    studies get the same state without any IPC.
+    Parent-local emissions (cells run in the parent, cache-hit replays)
+    bypass the queue and fold directly under the lock, so a study
+    without a pool gets the same state without any IPC.
     """
 
     def __init__(

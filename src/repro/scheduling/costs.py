@@ -153,7 +153,3 @@ class SchedulingCosts:
         bandwidth = self.platform.effective_bandwidth(0, 1)
         transfer = total_bytes / (ports * bandwidth)
         return overhead + transfer + self.platform.route_latency(0, 1)
-
-    def mean_edge_time(self, src_id: int, alloc: dict[int, int], dst_id: int) -> float:
-        """Edge-cost estimate under current allocations (used for levels)."""
-        return self.redistribution_time(src_id, alloc[src_id], alloc[dst_id])

@@ -118,10 +118,6 @@ class Action:
         self.finish_time = math.nan
         self._seq = next(_action_counter)
 
-    @property
-    def in_latency_phase(self) -> bool:
-        return self.latency_left > 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Action({self.name!r}, remaining={self.remaining:g}, "
@@ -194,10 +190,6 @@ class SimulationEngine:
             Action(name, work=0.0, latency=delay, on_complete=on_complete,
                    payload=payload)
         )
-
-    @property
-    def pending_actions(self) -> int:
-        return len(self._actions)
 
     # ------------------------------------------------------------------
     def _release_resources(self, action: Action) -> bool:
@@ -309,17 +301,6 @@ class SimulationEngine:
                 rate = action.rate
                 if rate != inf:
                     tl.share(now, action.name, rate)
-
-    def _time_to_event(self, action: Action) -> float:
-        if action.in_latency_phase:
-            return action.latency_left
-        if action.remaining <= 0.0:
-            return 0.0
-        if action.rate <= 0.0:
-            return math.inf
-        if math.isinf(action.rate):
-            return 0.0
-        return action.remaining / action.rate
 
     def step(self) -> bool:
         """Advance to the next event; return False when nothing is left."""

@@ -1,11 +1,11 @@
-"""The chunked study executor must be indistinguishable from the serial loop.
+"""A pooled study must be indistinguishable from an in-process one.
 
-The plan-then-execute pipeline (see :mod:`repro.experiments.runner`)
-may regroup the grid into arbitrary chunks, pre-lower layouts in the
-parent, satisfy cached cells before dispatch and ship one compact
-observability payload per chunk — but none of that is allowed to show:
-records, counters, events, timeline lines and profiler structure must
-equal the serial loop's bit for bit at every (workers, chunk)
+The grid walk (see :mod:`repro.experiments.runner`) may regroup the
+grid into arbitrary chunks, pre-lower layouts in the parent, satisfy
+cached cells before dispatch and ship one compact observability
+payload per chunk — but none of that is allowed to show: records,
+counters, events, timeline lines and profiler structure must equal the
+``workers=1`` study's bit for bit at every (workers, chunk)
 combination.
 """
 
@@ -16,7 +16,8 @@ import pytest
 from repro.cache import ResultCache
 from repro.dag.generator import generate_paper_dags
 from repro.experiments import runner as runner_mod
-from repro.experiments.runner import CHUNK_ENV_VAR, resolve_chunk, run_study
+from repro.experiments.runner import run_study
+from repro.obs.live import LiveTelemetry
 from repro.obs.prof import Profiler
 from repro.obs.recorder import Recorder, recording
 from repro.obs.sinks import MemorySink
@@ -35,7 +36,7 @@ def study_inputs():
     return dags, suite, emulator
 
 
-def _observed_study(study_inputs, *, workers, chunk=None, cache=None,
+def _observed_study(study_inputs, *, workers, chunk=0, cache=None,
                     telemetry=None):
     """One fully-observed study; returns its comparable facets."""
     dags, suite, emulator = study_inputs
@@ -81,11 +82,23 @@ def test_chunked_matches_serial_on_every_facet(study_inputs):
 
 
 def test_chunked_cold_and_warm_cache_match_serial(study_inputs, tmp_path):
+    dags, suite, emulator = study_inputs
+
+    def partly_warm(name):
+        # Only the middle DAG is cached, so the walk interleaves the
+        # parent's cache hits with chunk slices.
+        run_study(dags[1:2], [suite], emulator,
+                  cache=ResultCache(tmp_path / name))
+        return ResultCache(tmp_path / name)
+
     serial_cold = _observed_study(
         study_inputs, workers=1, cache=ResultCache(tmp_path / "serial")
     )
     serial_warm = _observed_study(
         study_inputs, workers=1, cache=ResultCache(tmp_path / "serial")
+    )
+    serial_partial = _observed_study(
+        study_inputs, workers=1, cache=partly_warm("serial_partial")
     )
     cold = _observed_study(
         study_inputs, workers=4, chunk=2,
@@ -95,8 +108,19 @@ def test_chunked_cold_and_warm_cache_match_serial(study_inputs, tmp_path):
         study_inputs, workers=4, chunk=2,
         cache=ResultCache(tmp_path / "chunked"),
     )
-    for label, a, b in (("cold", serial_cold, cold),
-                        ("warm", serial_warm, warm)):
+    runs = [("cold", serial_cold, cold), ("warm", serial_warm, warm)]
+    # chunk=2 puts the two hits between chunks, chunk=3 inside one.
+    for chunk in (2, 3):
+        partial = _observed_study(
+            study_inputs, workers=4, chunk=chunk,
+            cache=partly_warm(f"chunked_partial_{chunk}"),
+        )
+        # The middle DAG's two cells hit on all three layers; the
+        # other four cells miss.
+        assert partial["counters"]["cache.hits"] == 6
+        assert partial["counters"]["cache.misses"] == 12
+        runs.append((f"partly warm, chunk={chunk}", serial_partial, partial))
+    for label, a, b in runs:
         for facet in ("records", "events", "counters", "span_counts",
                       "timeline", "profile"):
             assert a[facet] == b[facet], f"{facet} diverged on {label} run"
@@ -105,18 +129,44 @@ def test_chunked_cold_and_warm_cache_match_serial(study_inputs, tmp_path):
     assert warm["counters"].get("cache.misses", 0) == 0
 
 
+def _forbid(what):
+    def _fail(*args, **kwargs):  # pragma: no cover - failure path
+        raise AssertionError(f"study {what}")
+
+    return _fail
+
+
 def test_warm_study_never_touches_the_pool(study_inputs, tmp_path,
                                            monkeypatch):
     dags, suite, emulator = study_inputs
     cache = ResultCache(tmp_path / "cache")
     cold = run_study(dags, [suite], emulator, workers=2, cache=cache)
 
-    def _no_pool(*args, **kwargs):  # pragma: no cover - failure path
-        raise AssertionError("warm study constructed a process pool")
-
-    monkeypatch.setattr(runner_mod, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(
+        runner_mod, "ProcessPoolExecutor",
+        _forbid("constructed a process pool"),
+    )
     warm = run_study(dags, [suite], emulator, workers=2, cache=cache)
     assert warm.records == cold.records
+
+    # A one-worker study stays in process: cold, warm and fully
+    # observed, it neither forks a pool nor probes the cache.
+    monkeypatch.setattr(ResultCache, "peek", _forbid("probed the cache"))
+    monkeypatch.setattr(ResultCache, "contains", _forbid("probed the cache"))
+    for _run in ("cold", "warm"):
+        result = run_study(
+            dags, [suite], emulator, workers=1,
+            cache=ResultCache(tmp_path / "serial"),
+        )
+        assert result.records == cold.records
+    telemetry = LiveTelemetry(heartbeat_s=0.1).start()
+    try:
+        observed = _observed_study(
+            study_inputs, workers=1, telemetry=telemetry
+        )
+    finally:
+        telemetry.close()
+    assert observed["records"] == cold.records
 
 
 def test_empty_grid_parallel(study_inputs):
@@ -142,6 +192,12 @@ def test_single_cell_parallel(study_inputs):
 def test_workers_clamped_to_cpu_count(study_inputs, monkeypatch):
     dags, suite, emulator = study_inputs
     monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: 1)
+    # One core leaves one worker, and a one-worker pool would only add
+    # the fork, pickling and merge: the clamped study stays in process.
+    monkeypatch.setattr(
+        runner_mod, "ProcessPoolExecutor",
+        _forbid("constructed a process pool"),
+    )
     rec = Recorder.to_memory()
     with recording(rec):
         clamped = run_study(dags[:1], [suite], emulator, workers=8)
@@ -239,8 +295,6 @@ def test_live_telemetry_does_not_perturb_study(study_inputs):
     facet must equal the detached run's — and the bus itself must have
     seen every cell (6 cells: 3 dags x 2 algorithms).
     """
-    from repro.obs.live import LiveTelemetry
-
     detached = {
         workers: _observed_study(study_inputs, workers=workers)
         for workers in (1, 2)
@@ -265,8 +319,6 @@ def test_live_telemetry_does_not_perturb_study(study_inputs):
 
 
 def test_live_telemetry_counts_cache_hits(study_inputs, tmp_path):
-    from repro.obs.live import LiveTelemetry
-
     dags, suite, emulator = study_inputs
     cache = ResultCache(tmp_path / "cache")
     run_study(dags, [suite], emulator, cache=cache)  # populate
@@ -284,35 +336,8 @@ def test_live_telemetry_counts_cache_hits(study_inputs, tmp_path):
     assert snap["study"]["cache_hits"] == 6
 
 
-class TestResolveChunk:
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(CHUNK_ENV_VAR, "7")
-        assert resolve_chunk(3) == 3
-        assert resolve_chunk(0) == 0
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv(CHUNK_ENV_VAR, "5")
-        assert resolve_chunk(None) == 5
-
-    def test_unset_or_blank_env_means_auto(self, monkeypatch):
-        monkeypatch.delenv(CHUNK_ENV_VAR, raising=False)
-        assert resolve_chunk() == 0
-        monkeypatch.setenv(CHUNK_ENV_VAR, "  ")
-        assert resolve_chunk() == 0
-
-    def test_invalid_env_raises(self, monkeypatch):
-        monkeypatch.setenv(CHUNK_ENV_VAR, "lots")
-        with pytest.raises(ValueError, match="REPRO_CHUNK"):
-            resolve_chunk()
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError, match="chunk size"):
-            resolve_chunk(-1)
-
-
-def test_chunk_env_applies_to_study(study_inputs, monkeypatch):
+def test_negative_chunk_raises(study_inputs):
     dags, suite, emulator = study_inputs
-    serial = run_study(dags, [suite], emulator, workers=1)
-    monkeypatch.setenv(CHUNK_ENV_VAR, "2")
-    via_env = run_study(dags, [suite], emulator, workers=2)
-    assert via_env.records == serial.records
+    for workers in (1, 2):
+        with pytest.raises(ValueError, match="chunk size"):
+            run_study(dags, [suite], emulator, workers=workers, chunk=-1)

@@ -131,19 +131,29 @@ class TestMaxMinProperties:
     @given(sharing_problems())
     @settings(max_examples=60, deadline=None)
     def test_every_action_hits_a_saturated_resource(self, problem):
-        # Max-min optimality: each action crosses at least one resource
-        # that is (numerically) saturated — otherwise its rate could grow.
+        # Max-min optimality (the bottleneck condition): each action
+        # crosses a (numerically) saturated resource on which no other
+        # action runs faster.  Otherwise it could grow at the expense
+        # of a faster action only, so the allocation would not be
+        # max-min fair even though it wastes no capacity.
         consumption, capacity = problem
         rates = solve_rates(consumption, capacity)
         load = {r: 0.0 for r in capacity}
+        users = {r: [] for r in capacity}
         for action, weights in consumption.items():
             for r, w in weights.items():
                 load[r] += w * rates[action]
+                users[r].append(action)
         for action, weights in consumption.items():
-            saturated = any(
-                load[r] >= capacity[r] * (1 - 1e-6) for r in weights
+            bottlenecked = any(
+                load[r] >= capacity[r] * (1 - 1e-6)
+                and all(
+                    rates[other] <= rates[action] * (1 + 1e-6)
+                    for other in users[r]
+                )
+                for r in weights
             )
-            assert saturated, f"{action} could still grow"
+            assert bottlenecked, f"{action} has no bottleneck resource"
 
     @given(sharing_problems())
     @settings(max_examples=40, deadline=None)

@@ -29,12 +29,6 @@ class TestParser:
         assert exc.value.code == 2
         assert "--workers: must be >= 1" in capsys.readouterr().err
 
-    def test_negative_chunk_size_is_a_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--chunk-size", "-1", "study"])
-        assert exc.value.code == 2
-        assert "--chunk-size: must be >= 0" in capsys.readouterr().err
-
 
 class TestDagCommand:
     def test_table_output(self, capsys):
