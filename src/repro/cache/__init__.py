@@ -17,8 +17,7 @@ Pieces
     into every cell's keys.
 :mod:`repro.cache.store`
     Atomic file-per-entry store (write-temp-then-rename, fork-pool
-    safe) with an in-process LRU tier and corruption/version-skew
-    detection.
+    safe) with corruption/version-skew detection.
 :mod:`repro.cache.result_cache`
     The :class:`ResultCache` facade the pipeline calls, with per-layer
     hit/miss counters through the observability Recorder.

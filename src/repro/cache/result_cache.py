@@ -48,18 +48,14 @@ class ResultCache:
     """Content-addressed memoization over a directory.
 
     Safe to share with forked pool workers: lookups and stores go
-    through the store's atomic file protocol, and each process keeps
-    its own in-memory LRU tier.
+    through the store's atomic file protocol, and every read goes to
+    the disk.
     """
 
     def __init__(
-        self,
-        root: str | Path,
-        *,
-        schema: str = CACHE_SCHEMA_VERSION,
-        lru_entries: int = 512,
+        self, root: str | Path, *, schema: str = CACHE_SCHEMA_VERSION
     ) -> None:
-        self.store = CacheStore(root, schema=schema, lru_entries=lru_entries)
+        self.store = CacheStore(root, schema=schema)
 
     @property
     def root(self) -> Path:
@@ -97,10 +93,10 @@ class ResultCache:
     def peek(self, layer: str, key: Any) -> tuple[bool, Any]:
         """Side-effect-free probe of ``(layer, key)``; ``(found, value)``.
 
-        Records no hit/miss counters, warms no LRU tier and discards no
-        stale files (see :meth:`CacheStore.peek`): the study planner
-        uses it to decide *where* a cell should run, and every value a
-        study actually consumes still flows through the counted
+        Records no hit/miss counters and discards no stale files (see
+        :meth:`CacheStore.peek`): the study planner uses it to count the
+        cells a study still has to compute, and every value a study
+        actually consumes still flows through the counted
         :meth:`get_or_compute` path afterwards.
         """
         return self.store.peek(layer, canonical_hash(key))

@@ -1,4 +1,4 @@
-"""Content-addressed on-disk entry store with an in-process LRU tier.
+"""Content-addressed on-disk entry store.
 
 Layout: ``<root>/<namespace>/<hash[:2]>/<hash>.pkl`` — one file per
 entry, fanned out over 256 subdirectories.  Each file holds a pickled
@@ -13,10 +13,6 @@ same directory and is published with :func:`os.replace`.  Concurrent
 writers (the study runner's fork pool) can therefore race on the same
 entry safely — both compute the same value, the last rename wins, and
 no reader ever observes a half-written file.
-
-The LRU tier keeps recently touched values in memory so repeated
-lookups within one process (e.g. the 27-cell grid re-querying one
-calibration suite) skip deserialisation entirely.
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ import io
 import os
 import pickle
 import shutil
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -38,9 +33,6 @@ __all__ = ["CacheEntryStatus", "CacheStoreInfo", "CacheStore"]
 _SUFFIX = ".pkl"
 #: Pickle protocol pinned for portability across the supported Pythons.
 _PICKLE_PROTOCOL = 4
-
-#: Sentinel distinguishing "miss" from a cached None value.
-_MISS = object()
 
 
 class CacheEntryStatus:
@@ -80,18 +72,10 @@ class CacheStore:
     """File-per-entry store, safe under concurrent forked writers."""
 
     def __init__(
-        self,
-        root: str | Path,
-        *,
-        schema: str = CACHE_SCHEMA_VERSION,
-        lru_entries: int = 512,
+        self, root: str | Path, *, schema: str = CACHE_SCHEMA_VERSION
     ) -> None:
-        if lru_entries < 0:
-            raise ValueError(f"lru_entries must be >= 0, got {lru_entries}")
         self.root = Path(root)
         self.schema = schema
-        self._lru_entries = lru_entries
-        self._lru: OrderedDict[tuple[str, str], Any] = OrderedDict()
         self._tmp_counter = 0
 
     # -- paths ---------------------------------------------------------
@@ -105,15 +89,9 @@ class CacheStore:
         A stale-schema or corrupt file counts as a miss: it is deleted,
         a ``cache.discard`` event is recorded, and the caller recomputes.
         """
-        lru_key = (namespace, key_hash)
-        cached = self._lru.get(lru_key, _MISS)
-        if cached is not _MISS:
-            self._lru.move_to_end(lru_key)
-            return True, cached
         path = self._entry_path(namespace, key_hash)
         value, status, nbytes = self._read_entry(path, namespace, key_hash)
         if status == CacheEntryStatus.HIT:
-            self._remember(lru_key, value)
             obs = get_recorder()
             if obs.enabled:
                 obs.count("cache.bytes_read", nbytes)
@@ -126,17 +104,13 @@ class CacheStore:
         """Side-effect-free lookup; returns ``(found, value)``.
 
         Unlike :meth:`get`, a peek never disturbs the state the counted
-        path owns: the LRU is consulted without reordering, a disk hit
-        is neither counted (``cache.bytes_read``) nor remembered in the
-        LRU, and stale or corrupt files are left in place — the counted
-        read that follows a real hit still discards and counts them.
-        The study planner's batched cache front-end probes with this,
-        so probing leaves every counter and every LRU position exactly
-        as if the probe had never happened.
+        path owns: a hit is not counted (``cache.bytes_read``), and
+        stale or corrupt files are left in place — the counted read
+        that follows a real hit still discards and counts them.  The
+        study planner's batched cache front-end probes with this, so
+        probing leaves every counter exactly as if the probe had never
+        happened.
         """
-        cached = self._lru.get((namespace, key_hash), _MISS)
-        if cached is not _MISS:
-            return True, cached
         path = self._entry_path(namespace, key_hash)
         value, status, _nbytes = self._read_entry(path, namespace, key_hash)
         if status == CacheEntryStatus.HIT:
@@ -144,15 +118,13 @@ class CacheStore:
         return False, None
 
     def contains(self, namespace: str, key_hash: str) -> bool:
-        """Cheap existence hint: LRU membership or an entry file on disk.
+        """Cheap existence hint: an entry file on disk.
 
         Purely advisory — the file is not read or validated, so a stale
         or corrupt entry answers True and the counted read that follows
         discovers the truth.  Callers must treat a wrong hint as "fall
         back to the normal path", never as data.
         """
-        if (namespace, key_hash) in self._lru:
-            return True
         return self._entry_path(namespace, key_hash).exists()
 
     def _read_entry(
@@ -194,14 +166,6 @@ class CacheStore:
                 reason=status,
             )
 
-    def _remember(self, lru_key: tuple[str, str], value: Any) -> None:
-        if not self._lru_entries:
-            return
-        self._lru[lru_key] = value
-        self._lru.move_to_end(lru_key)
-        while len(self._lru) > self._lru_entries:
-            self._lru.popitem(last=False)
-
     # -- write ---------------------------------------------------------
     def put(self, namespace: str, key_hash: str, value: Any) -> int:
         """Atomically persist an entry; returns the bytes written."""
@@ -224,7 +188,6 @@ class CacheStore:
         finally:
             if tmp.exists():  # pragma: no cover - only on replace failure
                 tmp.unlink(missing_ok=True)
-        self._remember((namespace, key_hash), value)
         obs = get_recorder()
         if obs.enabled:
             obs.count("cache.bytes_written", len(blob))
@@ -277,7 +240,6 @@ class CacheStore:
     def clear(self) -> int:
         """Delete every entry (and the store directory); returns the count."""
         removed = sum(1 for _ in self._iter_entry_paths())
-        self._lru.clear()
         if self.root.is_dir():
             shutil.rmtree(self.root)
         return removed

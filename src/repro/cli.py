@@ -349,7 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--role",
         choices=("sim", "experiment", "any"),
         default="sim",
-        help="which runs to pair (default sim; 'any' pairs across roles)",
+        help=(
+            "which runs to pair (default sim; 'any' keeps both roles, "
+            "and each run pairs with the run of the same role in the "
+            "other file)"
+        ),
     )
     p_diff.add_argument(
         "--top", type=int, default=5,

@@ -36,26 +36,28 @@ walk:
 2. **The plan.**  With one worker (after the clamp to the core count)
    there is no plan: no cache probe, no pool, no pickle, and every
    cell emits straight into the parent's recorder.  With more, a cache
-   is probed *side-effect-free* (:func:`_plan_cache_hits`) so fully
-   cached cells stay in the parent, and the misses are cut into
-   chunks of consecutive positions — about four per worker, so the
-   pool's shared queue rebalances stragglers work-stealing-style.  A
-   pool is forked only if it gets at least two workers; otherwise
-   every cell runs in the parent.  Before the fork each DAG's
+   is probed *side-effect-free* (:func:`_plan_cache_hits`) to count
+   the cells that still need computing.  A pool is forked only if it
+   gets at least two workers; otherwise every cell runs in the parent.
+   With a pool, the whole grid is cut into chunks of consecutive
+   positions, cached cells included — about four per worker, so the
+   pool's shared queue rebalances stragglers work-stealing-style.
+   Before the fork each DAG's
    :class:`~repro.scheduling.arena.GraphLayout` (the allocation loop's
    flat lowering) is built parent-side, so every worker inherits it
    copy-on-write.  A worker runs its chunk's positions in order into
    one private recorder (:func:`_pool_run_chunk`) and ships one
    compact result+observability payload per chunk.
-3. **The walk** (:func:`_walk_grid`) visits grid positions in order.
-   Each position either runs in the parent or is taken from its
-   chunk's payload.  Chunk counters, span stats and profiles merge
-   once per chunk (their sums are order-independent); each cell's
-   event records and timeline slice are replayed at its grid position,
-   with worker-local run ids rebased per slice — so records, counters,
-   timelines and profiles come out exactly as if every cell ran in the
-   parent.  A study without a pool is the case where every position
-   runs in the parent.
+3. **The walk** (:func:`_walk_grid`).  Without a pool, the parent runs
+   every position in order.  With one, nothing runs in the parent: it
+   takes each chunk's payload in submission order and absorbs it whole
+   with one :meth:`~repro.obs.recorder.Recorder.absorb`.  Chunks hold
+   consecutive positions, so sink records and timeline lines land in
+   grid order, and each worker timeline numbers its runs from 0, so
+   the parent's running offset alone rebases them; counters, span
+   stats and profiles are sums.  Records, counters, timelines and
+   profiles therefore come out exactly as if every cell ran in the
+   parent.
 
 Cache keys
 ----------
@@ -73,6 +75,7 @@ import math
 import multiprocessing
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -416,30 +419,31 @@ def _pool_init(
 
 
 def _pool_run_chunk(
-    positions: Sequence[int],
+    positions: range, hits: Sequence[bool]
 ) -> tuple[list[RunRecord], dict | None]:
-    """Run one chunk of grid positions in a worker.
+    """Run one chunk of consecutive grid positions in a worker.
 
-    Returns ``(records, obs payload)`` — one compact payload for the
-    whole chunk instead of one pickle per cell.  When the parent's
-    recorder is enabled the worker records every cell into a single
-    private in-memory recorder (never into any sink inherited across
-    the fork, which the parent process owns) and annotates the payload
-    with per-cell ``marks`` — ``(sink records, timeline records,
-    timeline runs)`` high-water marks after each cell — so the parent
-    can replay each cell's record and timeline slice at its exact grid
-    position while folding the order-independent aggregates (counters,
-    span stats, profile sums) in once per chunk.
+    ``hits`` is the planner's verdict for each position; it only picks
+    the live event a cell reports (a cache hit, or a start and a
+    finish).  Returns ``(records, obs payload)`` — one compact payload
+    for the whole chunk instead of one pickle per cell.  When the
+    parent's recorder is enabled the worker records every cell into a
+    single private in-memory recorder (never into any sink inherited
+    across the fork, which the parent process owns), whose export the
+    parent absorbs whole.
     """
     state = _POOL_STATE
     runner = state["runner"]
-    records: list[RunRecord] = []
     emitter = state["live"]
 
-    def _traced_cell(pos: int) -> RunRecord:
+    def _traced_cell(pos: int, hit: bool) -> RunRecord:
         if emitter is None:
             return runner.run(pos)
         label = runner.label(pos)
+        if hit:
+            record = runner.run(pos)
+            emitter.cache_hit(pos, label)
+            return record
         emitter.cell_started(pos, label)
         record = runner.run(pos)
         emitter.cell_finished(pos, label)
@@ -447,34 +451,20 @@ def _pool_run_chunk(
 
     if emitter is not None:
         emitter.chunk_claimed(len(positions))
+    cells = zip(positions, hits)
     if not state["obs_enabled"]:
-        for pos in positions:
-            records.append(_traced_cell(pos))
-        return records, None
+        return [_traced_cell(pos, hit) for pos, hit in cells], None
     # A worker timeline numbers its runs from 0; the parent's
-    # Timeline.absorb rebases each slice's run ids by its running
-    # offset minus the slice's run_base, so absorbing chunk slices in
-    # grid order reproduces the in-process numbering exactly.
+    # Timeline.absorb offsets them by its running total.
     tl = Timeline() if state["timeline_enabled"] else None
     # Worker profiles merge by absolute span path with summed counts,
     # so one chunk-wide profile absorbs to the same structure as the
     # per-cell increments of cells run in the parent.
     prof = Profiler() if state["profiler_enabled"] else None
     worker_obs = Recorder(MemorySink(), timeline=tl, profiler=prof)
-    marks: list[tuple[int, int, int]] = []
     with recording(worker_obs):
-        for pos in positions:
-            records.append(_traced_cell(pos))
-            marks.append(
-                (
-                    len(worker_obs.sink.records),
-                    len(tl.records) if tl is not None else 0,
-                    tl.run_count if tl is not None else 0,
-                )
-            )
-    payload = worker_obs.export_state()
-    payload["marks"] = marks
-    return records, payload
+        records = [_traced_cell(pos, hit) for pos, hit in cells]
+    return records, worker_obs.export_state()
 
 
 def _plan_cache_hits(runner: _CellRunner) -> list[bool]:
@@ -485,11 +475,12 @@ def _plan_cache_hits(runner: _CellRunner) -> list[bool]:
     *side-effect-free*
     (:meth:`~repro.cache.result_cache.ResultCache.peek` /
     :meth:`~repro.cache.result_cache.ResultCache.contains`), so the
-    probe leaves hit/miss counters, byte counters and the LRU exactly
-    as if it never ran.  A True entry is advisory: the parent replays
-    that cell through the normal counted path, which still detects
-    (and counts) a stale or corrupt entry — a wrong hint only moves
-    where the cell computes, never what it produces.
+    probe leaves hit/miss and byte counters exactly as if it never
+    ran.  The misses decide whether a pool is worth forking, and each
+    entry picks the live event its cell reports.  A True entry is
+    advisory: the cell still runs through the normal counted path,
+    which detects (and counts) a stale or corrupt entry — a wrong hint
+    never changes what a cell produces.
     """
     cache, keys = runner.cache, runner.keys
     if cache is None:
@@ -509,32 +500,6 @@ def _plan_cache_hits(runner: _CellRunner) -> list[bool]:
     return hits
 
 
-def _absorb_chunk_slice(obs: Recorder, payload: dict, k: int) -> None:
-    """Replay cell ``k`` of a chunk payload at the current grid position.
-
-    The cell's sink records land in payload order; its timeline slice
-    is rebased from the worker-local run numbering to the parent's via
-    ``run_base`` (see :meth:`Timeline.absorb`).  Aggregates — counters,
-    span stats, the profile — are NOT touched here: they merge once per
-    chunk, which yields the same sums.
-    """
-    marks = payload["marks"]
-    rec_lo, tl_lo, run_lo = marks[k - 1] if k else (0, 0, 0)
-    rec_hi, tl_hi, run_hi = marks[k]
-    sink = obs.sink
-    for record in payload["records"][rec_lo:rec_hi]:
-        sink.write(record)
-    tl_state = payload.get("timeline")
-    if tl_state is not None and obs.timeline is not None:
-        obs.timeline.absorb(
-            {
-                "records": tl_state["records"][tl_lo:tl_hi],
-                "runs": run_hi - run_lo,
-                "run_base": run_lo,
-            }
-        )
-
-
 def _walk_grid(
     runner: _CellRunner,
     result: StudyResult,
@@ -546,92 +511,63 @@ def _walk_grid(
     """Run the grid in position order; returns the seconds the parent
     spent blocked on pool futures (the dispatch wait).
 
-    See the module docstring.  Each position either runs in the parent
-    or is replayed from its chunk's payload, so records, events,
-    timeline lines and run numbering come out exactly as if every cell
-    ran in the parent, regardless of chunking or completion order.
+    See the module docstring.  Without a pool every position runs in
+    the parent; with one, every position runs in its chunk and each
+    chunk's payload is absorbed whole, in submission order, so records,
+    events, timeline lines and run numbering come out exactly as if
+    every cell ran in the parent, regardless of chunking or completion
+    order.
     """
     total = len(runner.cells)
     if not total:
         return 0.0
     hits = _plan_cache_hits(runner) if workers > 1 else [False] * total
-    misses = [pos for pos, hit in enumerate(hits) if not hit]
-    pool_workers = min(workers, len(misses))
-    chunks: list[list[int]] = []
-    if pool_workers >= 2:
-        size = chunk or math.ceil(
-            len(misses) / (pool_workers * _CHUNKS_PER_WORKER)
-        )
-        chunks = [misses[i : i + size] for i in range(0, len(misses), size)]
-    else:
+    pool_workers = min(workers, hits.count(False))
+    if pool_workers < 2:
         # A one-worker pool would do the in-process work plus the
         # fork, pickling and merge: every cell runs in the parent.
         pool_workers = 0
     if telemetry is not None:
         telemetry.begin_study(total, pool_workers)
-    where = {
-        pos: (ci, k)
-        for ci, positions in enumerate(chunks)
-        for k, pos in enumerate(positions)
-    }
+    if not pool_workers:
+        for pos in range(total):
+            if telemetry is None:
+                result.records.append(runner.run(pos))
+            elif hits[pos]:
+                result.records.append(runner.run(pos))
+                telemetry.cache_hit(pos, runner.label(pos))
+            else:
+                label = runner.label(pos)
+                telemetry.cell_started(pos, label)
+                cell_t0 = time.monotonic()
+                result.records.append(runner.run(pos))
+                telemetry.cell_finished(pos, label, time.monotonic() - cell_t0)
+        return 0.0
+    size = chunk or math.ceil(total / (pool_workers * _CHUNKS_PER_WORKER))
     dispatch_wait = 0.0
-    pool = (
-        _fork_pool(runner, pool_workers, obs, telemetry)
-        if chunks
-        else nullcontext()
-    )
-    with pool:
+    with _fork_pool(runner, pool_workers, obs, telemetry) as pool:
         # All chunks are submitted up front into the pool's shared
         # queue; idle workers pull the next chunk as they finish, so
         # uneven chunks rebalance work-stealing-style.  The walk below
-        # still consumes results strictly in grid position order.
-        futures = [
-            pool.submit(_pool_run_chunk, positions) for positions in chunks
-        ]
-        ready: dict[int, tuple[list[RunRecord], dict | None]] = {}
-        for pos in range(total):
-            located = where.get(pos)
-            if located is None:
-                if telemetry is None:
-                    result.records.append(runner.run(pos))
-                elif hits[pos]:
-                    result.records.append(runner.run(pos))
-                    telemetry.cache_hit(pos, runner.label(pos))
-                else:
-                    label = runner.label(pos)
-                    telemetry.cell_started(pos, label)
-                    cell_t0 = time.monotonic()
-                    result.records.append(runner.run(pos))
-                    telemetry.cell_finished(
-                        pos, label, time.monotonic() - cell_t0
-                    )
-                continue
-            ci, k = located
-            fetched = ready.get(ci)
-            if fetched is None:
-                t0 = time.perf_counter()
-                fetched = ready[ci] = futures[ci].result()
-                dispatch_wait += time.perf_counter() - t0
-                payload = fetched[1]
-                if payload is not None:
-                    # Chunk-wide aggregates merge once at first
-                    # contact: counter/span/profile merges are plain
-                    # sums, so per-chunk folding equals the per-cell
-                    # accumulation of the parent exactly.
-                    obs.absorb(
-                        {
-                            "records": (),
-                            "counters": payload["counters"],
-                            "spans": payload["spans"],
-                            "profile": payload.get("profile"),
-                        }
-                    )
-            records, payload = fetched
-            result.records.append(records[k])
+        # still consumes them strictly in submission (= grid) order and
+        # keeps no future it has consumed, so each payload is freed
+        # once absorbed instead of living until the pool closes.
+        futures = deque(
+            pool.submit(
+                _pool_run_chunk,
+                range(lo, min(lo + size, total)),
+                hits[lo : lo + size],
+            )
+            for lo in range(0, total, size)
+        )
+        while futures:
+            future = futures.popleft()
+            t0 = time.perf_counter()
+            records, payload = future.result()
+            dispatch_wait += time.perf_counter() - t0
+            result.records.extend(records)
             if payload is not None:
-                _absorb_chunk_slice(obs, payload, k)
-            if k + 1 == len(chunks[ci]):
-                del ready[ci]
+                obs.absorb(payload)
     return dispatch_wait
 
 
@@ -698,9 +634,11 @@ def run_study(
     any cell whose inputs are unchanged and returns bit-identical
     records.  The cache is shared safely with pool workers (atomic
     file-per-entry writes); per-layer hit/miss counters land in the
-    recorder either way.  With more than one worker, fully cached cells
-    are detected up front by a batched side-effect-free probe and
-    replayed in the parent — they never reach the pool.
+    recorder either way.  With more than one worker, a batched
+    side-effect-free probe counts the cells that still need computing
+    before the pool is forked; a warm grid (fewer than two misses)
+    never forks one.  With a pool, cached cells replay in their
+    chunk's worker like any other cell.
 
     ``chunk`` forces the cells per pool dispatch (0, the default: about
     :data:`_CHUNKS_PER_WORKER` chunks per pool worker; 1: per-cell

@@ -277,9 +277,10 @@ def diff_timelines(
     Returns a dict with ``pairs`` (per-cell makespan deltas and their
     component decomposition; the components of every pair sum to its
     makespan delta), ``wrong_sign`` cells, the ``top`` per-task
-    duration movers, and unmatched-run counts.  ``role=None`` pairs
-    across roles (e.g. a ``sim`` timeline against an ``experiment``
-    one).
+    duration movers, and unmatched-run counts.  ``role=None`` keeps
+    both roles, and each run pairs with the run of the same role in
+    the other timeline, so a ``sim``-only timeline against an
+    ``experiment``-only one pairs nothing.
     """
     a_runs = split_runs(a_records)
     b_runs = split_runs(b_records)

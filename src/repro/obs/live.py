@@ -24,7 +24,7 @@ Event schema (tuples, cheap to pickle through the queue)::
     ("chunk",  pid, t, cells)               worker claimed a chunk
     ("start",  pid, t, pos, label)          cell started
     ("finish", pid, t, pos, label, dur_s)   cell finished
-    ("hit",    pid, t, pos, label)          parent replayed a cache hit
+    ("hit",    pid, t, pos, label)          cell replayed from the cache
     ("hb",     pid, t, pos, age_s)          worker heartbeat
 
 ``t`` is ``time.monotonic()`` — on the platforms the pool supports,
@@ -40,8 +40,9 @@ Straggler/stall detection (checked every drain tick):
   finished — is flagged a *straggler* (once per cell);
 * a pool worker that has not been heard from (heartbeat cadence
   ``heartbeat_s``, default 0.5 s) for ``stall_after_beats`` (default 6)
-  cadences while a cell is in flight is flagged *stalled*.  Parent-side
-  (serial / inline cache-hit) cells send no heartbeats and are exempt.
+  cadences while a cell is in flight is flagged *stalled*.  Cells run
+  in the parent (studies without a pool) send no heartbeats and are
+  exempt.
 
 Snapshots: :meth:`LiveTelemetry.snapshot` renders the state as a plain
 dict; with ``snapshot_path`` set, the drain thread atomically rewrites
@@ -323,9 +324,9 @@ class LiveTelemetry:
     check every tick, and — with ``snapshot_path`` set — atomically
     rewrites the JSON snapshot file.
 
-    Parent-local emissions (cells run in the parent, cache-hit replays)
-    bypass the queue and fold directly under the lock, so a study
-    without a pool gets the same state without any IPC.
+    Parent-local emissions (cells run in a study without a pool)
+    bypass the queue and fold directly under the lock, so such a study
+    gets the same state without any IPC.
     """
 
     def __init__(
@@ -530,6 +531,9 @@ class WorkerEmitter:
             self._current = None
         dur = t - current[2] if current is not None else 0.0
         self._put(("finish", self.pid, t, pos, label, dur))
+
+    def cache_hit(self, pos: int, label: str) -> None:
+        self._put(("hit", self.pid, time.monotonic(), pos, label))
 
     def _beat(self, heartbeat_s: float) -> None:
         while not self._stop.wait(heartbeat_s):

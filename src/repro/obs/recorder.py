@@ -218,7 +218,7 @@ class Recorder:
         buffered sink records (memory sinks only — other sinks stream
         and have nothing to export), the counters and the span
         aggregates.  The parallel study runner ships one such payload
-        per worker back to the parent, which folds them in with
+        per chunk back to the parent, which folds each in whole with
         :meth:`absorb`.
         """
         state = {

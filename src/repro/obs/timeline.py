@@ -237,19 +237,11 @@ class Timeline:
         """Fold a worker's :meth:`export_state` payload into this timeline.
 
         Worker run ids (numbered from 0 per worker) are offset by this
-        timeline's running total, so absorbing per-cell payloads in grid
-        submission order reproduces the serial numbering exactly.  The
-        worker's ``meta`` header is dropped (the merged stream has one).
-
-        ``run_base`` (default 0) is the worker-local run id the
-        payload's records start at, which lets the chunked study
-        executor absorb one worker timeline slice by slice: ``runs``
-        then counts only the slice's runs, and ids rebase by
-        ``run_count - run_base`` instead of assuming the slice starts
-        at worker run 0.
+        timeline's running total, so absorbing worker payloads in grid
+        order reproduces the serial numbering exactly.  The worker's
+        ``meta`` header is dropped (the merged stream has one).
         """
-        base = int(state.get("run_base", 0))
-        offset = self._run_seq - base
+        offset = self._run_seq
         self._run_seq += int(state.get("runs", 0))
         for record in state["records"]:
             kind = record.get("kind")

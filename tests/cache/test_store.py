@@ -44,16 +44,10 @@ class TestRoundTrip:
     def test_miss(self, root):
         assert CacheStore(root).get("schedule", KEY) == (False, None)
 
-    def test_lru_skips_disk(self, root):
+    def test_get_reads_the_disk(self, root):
         store = CacheStore(root)
         store.put("schedule", KEY, "value")
         shutil.rmtree(root)  # rip the disk out from under the store
-        assert store.get("schedule", KEY) == (True, "value")
-
-    def test_lru_can_be_disabled(self, root):
-        store = CacheStore(root, lru_entries=0)
-        store.put("schedule", KEY, "value")
-        shutil.rmtree(root)
         assert store.get("schedule", KEY) == (False, None)
 
 
@@ -65,7 +59,7 @@ class TestCorruptionAndSkew:
         mutate(_entry_file(writer, "schedule", KEY))
 
         recorder = Recorder.to_memory()
-        reader = CacheStore(root)  # fresh store: no LRU shortcut
+        reader = CacheStore(root)  # a second store over the same files
         with recording(recorder):
             found, value = reader.get("schedule", KEY)
         assert (found, value) == (False, None)
@@ -178,7 +172,3 @@ class TestMaintenance:
         assert store.clear() == 4
         assert not root.exists()
         assert store.info().entries == 0
-
-    def test_lru_entries_must_be_non_negative(self, root):
-        with pytest.raises(ValueError, match="lru_entries"):
-            CacheStore(root, lru_entries=-1)

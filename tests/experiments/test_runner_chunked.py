@@ -1,8 +1,8 @@
 """A pooled study must be indistinguishable from an in-process one.
 
 The grid walk (see :mod:`repro.experiments.runner`) may regroup the
-grid into arbitrary chunks, pre-lower layouts in the parent, satisfy
-cached cells before dispatch and ship one compact observability
+grid into arbitrary chunks, pre-lower layouts in the parent, replay
+cached cells inside its chunks and ship one compact observability
 payload per chunk — but none of that is allowed to show: records,
 counters, events, timeline lines and profiler structure must equal the
 ``workers=1`` study's bit for bit at every (workers, chunk)
@@ -85,8 +85,8 @@ def test_chunked_cold_and_warm_cache_match_serial(study_inputs, tmp_path):
     dags, suite, emulator = study_inputs
 
     def partly_warm(name):
-        # Only the middle DAG is cached, so the walk interleaves the
-        # parent's cache hits with chunk slices.
+        # Only the middle DAG is cached, so the pool's chunks mix
+        # cache hits with misses.
         run_study(dags[1:2], [suite], emulator,
                   cache=ResultCache(tmp_path / name))
         return ResultCache(tmp_path / name)
@@ -109,7 +109,9 @@ def test_chunked_cold_and_warm_cache_match_serial(study_inputs, tmp_path):
         cache=ResultCache(tmp_path / "chunked"),
     )
     runs = [("cold", serial_cold, cold), ("warm", serial_warm, warm)]
-    # chunk=2 puts the two hits between chunks, chunk=3 inside one.
+    # The pool replays the two hits (positions 2 and 3) inside its
+    # chunks: chunk=2 gives them a chunk of their own, chunk=3 puts
+    # each in a chunk with two misses.
     for chunk in (2, 3):
         partial = _observed_study(
             study_inputs, workers=4, chunk=chunk,
@@ -216,12 +218,11 @@ def test_workers_within_cpu_count_not_clamped(study_inputs, monkeypatch):
 
 
 class TestAbsorbEmptyWorkerExport:
-    """A chunk whose cells all hit the cache ships an empty export.
+    """Absorbing an empty export is a no-op.
 
-    The planner satisfies cached cells in the parent, so a worker can
-    legitimately return a payload with no records, no counters, no
-    spans and a zero-run timeline slice.  Absorbing it must be a
-    no-op — and must not disturb the run numbering of later slices.
+    A payload with no records, no counters, no spans and a zero-run
+    timeline must leave the absorbing recorder unchanged — and must
+    not disturb the run numbering of payloads absorbed after it.
     """
 
     @staticmethod
@@ -259,12 +260,12 @@ class TestAbsorbEmptyWorkerExport:
         parent.begin_run(dag="d0", algorithm="hcpa", model="m")
         parent.end_run(makespan=1.0, tasks=0, xfers=0)
 
-        # An all-cache-hit chunk: zero runs, no records.
+        # An empty export: zero runs, no records.
         parent.absorb(Timeline().export_state())
         assert parent._run_seq == 1
 
-        # The next real worker slice still lands at run 1, exactly as
-        # if the empty slice had never been absorbed.
+        # The next real worker export still lands at run 1, exactly as
+        # if the empty one had never been absorbed.
         worker = Timeline()
         worker.begin_run(dag="d1", algorithm="mcpa", model="m")
         worker.end_run(makespan=2.0, tasks=0, xfers=0)
@@ -318,7 +319,8 @@ def test_live_telemetry_does_not_perturb_study(study_inputs):
         assert snap["phase"] == "done"
 
 
-def test_live_telemetry_counts_cache_hits(study_inputs, tmp_path):
+def test_live_telemetry_counts_cache_hits(study_inputs, tmp_path,
+                                          monkeypatch):
     dags, suite, emulator = study_inputs
     cache = ResultCache(tmp_path / "cache")
     run_study(dags, [suite], emulator, cache=cache)  # populate
@@ -334,6 +336,25 @@ def test_live_telemetry_counts_cache_hits(study_inputs, tmp_path):
     snap = telemetry.snapshot()
     assert snap["study"]["done"] == 6
     assert snap["study"]["cache_hits"] == 6
+
+    # A partly warm grid (middle DAG cached) forks a pool, and a pool
+    # runs every cell: its two hits count from the workers, and no
+    # cell runs in the parent.  Four CPUs keep a 1-CPU host forking.
+    monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: 4)
+    partial = ResultCache(tmp_path / "partial")
+    run_study(dags[1:2], [suite], emulator, cache=partial)
+    telemetry = LiveTelemetry(heartbeat_s=0.1).start()
+    try:
+        run_study(
+            dags, [suite], emulator, workers=2, cache=partial,
+            telemetry=telemetry,
+        )
+    finally:
+        telemetry.close()
+    snap = telemetry.snapshot()
+    assert snap["study"]["done"] == 6
+    assert snap["study"]["cache_hits"] == 2
+    assert not [w for w in snap["workers"] if w["local"]], snap["workers"]
 
 
 def test_negative_chunk_raises(study_inputs):

@@ -177,6 +177,12 @@ class TestDiff:
         assert len(
             diff_timelines(a.records, b.records, role=None)["pairs"]
         ) == 1
+        # 'any' keeps both roles but never pairs a run across them.
+        sim = Timeline()
+        _emit_run(sim, role="sim")
+        across = diff_timelines(sim.records, a.records, role=None)
+        assert across["pairs"] == []
+        assert (across["unmatched_a"], across["unmatched_b"]) == (1, 1)
 
     def test_render_and_diff_files(self, tmp_path):
         for name, hcpa_wins in (("a.jsonl", True), ("b.jsonl", False)):
