@@ -95,7 +95,7 @@ from repro.profiling.calibration import SimulatorSuite
 from repro.scheduling.costs import SchedulingCosts
 from repro.scheduling.arena import graph_layout
 from repro.scheduling.driver import schedule_dag
-from repro.simgrid.simulator import ApplicationSimulator
+from repro.simgrid.simulator import ApplicationSimulator, ScheduleLowering
 from repro.testbed.tgrid import TGridEmulator
 from repro.util.stats import relative_error
 
@@ -243,6 +243,10 @@ def _run_cell(
     derives its RNG from its own configuration plus (dag, algorithm,
     run label), never from shared sequential state — so cached replays
     are bit-identical to fresh computation, in the parent or a worker.
+
+    Both executions share one :class:`ScheduleLowering` of the final
+    schedule: the first that runs lowers (and validates) it, and a cell
+    whose two traces are both cached never lowers at all.
     """
     with obs.span(
         "study.schedule", algorithm=algorithm, simulator=suite.name
@@ -255,26 +259,29 @@ def _run_cell(
                 keys.schedule(algorithm),
                 lambda: schedule_dag(graph, costs, algorithm),
             )
+    lowering = ScheduleLowering(graph, schedule)
     with obs.span(
         "study.simulate", algorithm=algorithm, simulator=suite.name
     ):
         if cache is None:
-            sim_trace = simulator.run(graph, schedule)
+            sim_trace = simulator.run(graph, schedule, lowering=lowering)
         else:
             sim_key, exp_key = keys.executions(schedule)
             sim_trace = cache.get_or_compute(
-                "simulation", sim_key, lambda: simulator.run(graph, schedule)
+                "simulation",
+                sim_key,
+                lambda: simulator.run(graph, schedule, lowering=lowering),
             )
     with obs.span(
         "study.execute", algorithm=algorithm, simulator=suite.name
     ):
         if cache is None:
-            exp_trace = emulator.execute(graph, schedule)
+            exp_trace = emulator.execute(graph, schedule, lowering=lowering)
         else:
             exp_trace = cache.get_or_compute(
                 "simulation",
                 exp_key,
-                lambda: emulator.execute(graph, schedule),
+                lambda: emulator.execute(graph, schedule, lowering=lowering),
             )
     record = RunRecord(
         dag_label=graph.name,

@@ -26,6 +26,11 @@ Fast-path invariants (cf. SimGrid's lazy action management):
   this with ``_rates_dirty`` and skips the sharing solve entirely on
   steps where only resource-free actions (timers, pure latencies)
   completed — the surviving actions' rates are provably unchanged.
+* **Sole users rated directly.**  A re-solve gives every working action
+  whose resources no other pending action references its standalone
+  fair share, and hands only the rest to the sharing solver (none at
+  all when nothing is shared).  The max-min problem is separable, so
+  the rates are bit-identical to one solve over the whole working set.
 * **O(1) completion handling.**  Pending actions live in an
   insertion-ordered dict used as a set, so removing the completed
   actions of a step costs O(completed) instead of the O(completed * n)
@@ -214,30 +219,30 @@ class SimulationEngine:
                 del self._capacity[res]
         return shared
 
-    def _set_standalone_rate(self, action: Action) -> bool:
-        """Rate a working-set entrant directly when it shares nothing.
+    def _standalone_rate(self, action: Action) -> float | None:
+        """The max-min rate of an action that shares nothing, else None.
 
-        When every resource the entrant consumes is referenced by no
+        When every resource the action consumes is referenced by no
         other pending action (capacity refcount 1), the sharing problem
-        is separable: the survivors' rates are unchanged and the
-        entrant's max-min rate equals its standalone fair share
-        ``min(capacity / weight)`` over its resources — computed with
-        the exact expressions the full solver would use, so the result
-        is bit-identical.  Returns False (caller must schedule a full
-        re-solve) when any resource is shared, or when every weight
-        falls under the solver's load epsilon (the solver would reject
-        that instance; let it).
+        is separable: no other action ever deducts from the action's
+        resources, so its max-min rate is its standalone fair share
+        ``min(capacity / weight)`` over its resources, computed with
+        the exact expressions the full solver would use and therefore
+        bit-identical, and every other action's rate is what a solve
+        without it gives.  Returns None (the action needs the joint
+        solve) when any resource is shared, or when every weight falls
+        under the solver's load epsilon (the solver would reject that
+        instance; let it).
         """
         cap_refs = self._cap_refs
         consumption = action.consumption
         for res in consumption:
             if cap_refs[res] != 1:
-                return False
+                return None
         if not consumption:
             # Resource-free work progresses at infinite rate, exactly as
             # the solver rates it.
-            action.rate = math.inf
-            return True
+            return math.inf
         best = math.inf
         capacity = self._capacity
         for res, w in consumption.items():
@@ -247,23 +252,59 @@ class SimulationEngine:
             if share < best:
                 best = share
         if math.isinf(best):
+            return None
+        return best
+
+    def _set_standalone_rate(self, action: Action) -> bool:
+        """Rate a working-set entrant directly when it shares nothing.
+
+        The survivors' rates are unchanged (see
+        :meth:`_standalone_rate`).  Returns False when the caller must
+        schedule a full re-solve instead.
+        """
+        rate = self._standalone_rate(action)
+        if rate is None:
             return False
-        action.rate = best
-        if self._tl is not None:
-            self._tl.share(self.now, action.name, best)
+        action.rate = rate
+        if rate != math.inf and self._tl is not None:
+            self._tl.share(self.now, action.name, rate)
         return True
 
-    def _solve(self) -> None:
-        """Refresh every working action's rate from the sharing solver.
+    def _rate_working_set(self, working: list[Action]) -> None:
+        """Rate sole users directly and solve the rest jointly.
 
-        Calls the solver with ``validate=False``: the Action constructor
+        An action whose every resource has capacity refcount 1 gets its
+        standalone rate (:meth:`_standalone_rate`); the others go to the
+        sharing solver, with ``validate=False``: the Action constructor
         already drops non-positive weights, ``Resource`` rejects
-        non-positive capacities, and the refcounted ``_capacity`` covers
-        every pending action's resources by construction.
+        non-positive capacities, and the refcounted ``_capacity``
+        covers every pending action's resources by construction.  The
+        problem is separable, so both parts are bit-identical to one
+        solve over the whole working set, and the solver is not called
+        when no action shares a resource.
         """
-        working = {
-            a: a.consumption for a in self._actions if a.latency_left <= 0.0
-        }
+        standalone_rate = self._standalone_rate
+        shared: dict[Action, dict[Resource, float]] = {}
+        for action in working:
+            rate = standalone_rate(action)
+            if rate is None:
+                shared[action] = action.consumption
+            else:
+                action.rate = rate
+        if shared:
+            rates = solve_rates(shared, self._capacity, validate=False)
+            for action, rate in rates.items():
+                action.rate = rate
+
+    def _solve(self) -> None:
+        """Refresh every working action's rate.
+
+        Every call with a non-empty working set counts as one re-solve
+        (``solver_calls``, the ``engine.solve`` timing and the
+        ``solve_rates`` profile probe, sized by the whole working set),
+        however many of its actions the sharing solver itself sees.
+        """
+        working = [a for a in self._actions if a.latency_left <= 0.0]
         if not working:
             return
         self.solver_calls += 1
@@ -273,7 +314,7 @@ class SimulationEngine:
             # write to the sink more often than any other event in the
             # system and distort the timings it reports.
             t0 = time.perf_counter()
-            rates = solve_rates(working, self._capacity, validate=False)
+            self._rate_working_set(working)
             seconds = time.perf_counter() - t0
             obs.timing("engine.solve", seconds)
             prof = self._prof
@@ -282,13 +323,11 @@ class SimulationEngine:
                 # working-set size.
                 prof.probe(
                     "solve_rates",
-                    sum(len(w) for w in working.values()),
+                    sum(len(a.consumption) for a in working),
                     seconds,
                 )
         else:
-            rates = solve_rates(working, self._capacity, validate=False)
-        for action, rate in rates.items():
-            action.rate = rate
+            self._rate_working_set(working)
         tl = self._tl
         if tl is not None:
             # Share records iterate the working set in creation order,

@@ -30,12 +30,15 @@ __all__ = [
     "ParallelTaskSpec",
     "build_ptask_action",
     "build_matrix_ptask",
+    "build_totals_ptask",
     "comm_matrix_to_flows",
     "matrix_network_totals",
     "redistribution_flows",
 ]
 
 Flow = tuple[int, int, float]  # (src_host, dst_host, bytes)
+#: ``(up_items, down_items, backbone_total)`` of :func:`matrix_network_totals`.
+NetworkTotals = tuple[list[tuple[int, float]], list[tuple[int, float]], float]
 
 
 @dataclass
@@ -134,7 +137,7 @@ def matrix_network_totals(
     matrix_rows: Sequence[Sequence[float]],
     src_hosts: Sequence[int],
     dst_hosts: Sequence[int],
-) -> tuple[list[tuple[int, float]], list[tuple[int, float]], float]:
+) -> NetworkTotals:
     """Per-link byte totals of a byte matrix on a star topology.
 
     Returns ``(up_items, down_items, backbone_total)``: uplink
@@ -183,7 +186,7 @@ def build_matrix_ptask(
     extra_latency: float = 0.0,
     on_complete: Optional[Callable[[SimulationEngine, Action], None]] = None,
     payload: object = None,
-) -> tuple[Action, float]:
+) -> Action:
     """Fused byte-matrix-to-action builder for trusted callers.
 
     Semantically ``build_ptask_action`` applied to the flows of
@@ -199,10 +202,32 @@ def build_matrix_ptask(
     Inputs are trusted (no spec validation): the byte matrix must be
     non-negative and shaped ``(len(src_hosts), len(dst_hosts))``, as
     the distribution/model helpers guarantee by construction.
+    """
+    totals = (
+        matrix_network_totals(matrix_rows, src_hosts, dst_hosts)
+        if matrix_rows
+        else None
+    )
+    return build_totals_ptask(
+        topology, name, comp, totals, extra_latency, on_complete, payload
+    )
 
-    Returns ``(action, volume)`` where ``volume`` is the total bytes
-    crossing the network — the same left-to-right flow-order sum the
-    flow-list path computes.
+
+def build_totals_ptask(
+    topology: NetworkTopology,
+    name: str,
+    comp: dict[int, float],
+    totals: NetworkTotals | None,
+    extra_latency: float = 0.0,
+    on_complete: Optional[Callable[[SimulationEngine, Action], None]] = None,
+    payload: object = None,
+) -> Action:
+    """The action of :func:`build_matrix_ptask` from precomputed totals.
+
+    ``totals`` is :func:`matrix_network_totals` of the byte matrix, or
+    None for a task without one, so a caller that runs the same
+    matrix on the same hosts more than once computes its totals once.
+    The totals are only read.
     """
     consumption: dict[Resource, float] = {}
     get = consumption.get
@@ -211,11 +236,8 @@ def build_matrix_ptask(
             cpu = topology.cpu(host)
             consumption[cpu] = get(cpu, 0.0) + flops
     max_route_latency = 0.0
-    backbone_total = 0.0
-    if matrix_rows:
-        up_items, down_items, backbone_total = matrix_network_totals(
-            matrix_rows, src_hosts, dst_hosts
-        )
+    if totals is not None:
+        up_items, down_items, backbone_total = totals
         uplinks = topology.uplinks
         for src, total in up_items:
             consumption[uplinks[src]] = total
@@ -228,7 +250,7 @@ def build_matrix_ptask(
             for dst, total in down_items:
                 consumption[downlinks[dst]] = total
     work = 0.0 if not consumption else 1.0
-    action = Action(
+    return Action(
         name=name,
         work=work,
         consumption=consumption,
@@ -236,7 +258,6 @@ def build_matrix_ptask(
         on_complete=on_complete,
         payload=payload,
     )
-    return action, backbone_total
 
 
 def build_ptask_action(

@@ -21,6 +21,12 @@ redistributions have completed and each of its processors has finished
 every earlier-ordered task placed on it.  Redistributions start when the
 producer finishes and do not occupy CPUs (transfers are asynchronous;
 their CPU-side protocol cost is what the overhead model measures).
+
+What a run needs of its (graph, schedule) pair beyond the models — the
+validation, the order index, the host-order dependents and pending
+counts, and every edge's per-link byte totals — is the same for every
+run of the pair.  A :class:`ScheduleLowering` builds it once for all of
+them: the study hands a cell's simulated and emulated runs one lowering.
 """
 
 from __future__ import annotations
@@ -43,11 +49,22 @@ from repro.obs.recorder import get_recorder
 from repro.platform.cluster import ClusterPlatform
 from repro.scheduling.schedule import Schedule
 from repro.simgrid.engine import SimulationEngine
-from repro.simgrid.ptask import build_matrix_ptask
+from repro.simgrid.ptask import (
+    NetworkTotals,
+    build_matrix_ptask,
+    build_totals_ptask,
+    matrix_network_totals,
+)
 from repro.simgrid.resources import NetworkTopology
 from repro.util.errors import SimulationError
 
-__all__ = ["TaskRecord", "EdgeRecord", "SimulationTrace", "ApplicationSimulator"]
+__all__ = [
+    "TaskRecord",
+    "EdgeRecord",
+    "SimulationTrace",
+    "ScheduleLowering",
+    "ApplicationSimulator",
+]
 
 
 @dataclass(frozen=True)
@@ -107,23 +124,40 @@ class SimulationTrace:
                 raise SimulationError(f"task {rec.task_id} has negative duration")
 
 
-class _ExecutionState:
-    """Per-run bookkeeping shared by the event callbacks.
+class _Layout:
+    """The validated, run-independent part of executing one schedule.
 
-    Readiness is tracked by counting: every task carries the number of
-    outstanding input redistributions and host-order predecessors, and
-    whichever count hits zero last appends the task to the newly-ready
-    list.  :meth:`take_ready` drains that list in schedule order, which
-    makes the start sequence identical to a full rescan of
-    ``schedule.order`` (the previous implementation) at O(1) per event
-    instead of O(tasks).
+    Built by :meth:`ScheduleLowering.layout` and only read afterwards:
+
+    * ``order_index`` — each task's position in the schedule order;
+    * ``host_dependents`` — for each task, the tasks that wait for it
+      because it precedes them on a shared host;
+    * ``pending_hosts`` / ``pending_edges`` — each task's number of
+      host-order predecessors and of input redistributions;
+    * ``ready`` — the tasks with neither, in schedule order;
+    * ``edge_totals`` — each edge's :func:`matrix_network_totals` over
+      its redistribution matrix, which depend on the sizes and hosts
+      alone, not on bandwidth or on any cost model;
+    * ``max_host`` — the highest host index the schedule uses.
     """
 
-    def __init__(self, graph: TaskGraph, schedule: Schedule) -> None:
-        self.graph = graph
-        self.schedule = schedule
+    __slots__ = (
+        "order_index",
+        "host_dependents",
+        "pending_hosts",
+        "pending_edges",
+        "ready",
+        "edge_totals",
+        "max_host",
+    )
+
+    def __init__(
+        self, graph: TaskGraph, schedule: Schedule, platform: ClusterPlatform
+    ) -> None:
+        graph.validate()
+        schedule.validate(graph, platform)
         order = schedule.order
-        self._order_index = {t: i for i, t in enumerate(order)}
+        self.order_index = {t: i for i, t in enumerate(order)}
         # Host-order dependencies: for each task, the set of tasks that
         # must finish first because they precede it on a shared host.
         host_deps: dict[int, set[int]] = {t: set() for t in graph.task_ids}
@@ -135,6 +169,7 @@ class _ExecutionState:
                 if prev is not None:
                     deps.add(prev)
                 last_on_host[host] = task_id
+        self.max_host = max(last_on_host, default=-1)
         self.host_dependents: dict[int, list[int]] = {
             t: [] for t in graph.task_ids
         }
@@ -146,13 +181,77 @@ class _ExecutionState:
         self.pending_edges: dict[int, int] = {
             t: len(set(graph.predecessors(t))) for t in graph.task_ids
         }
-        self.started: set[int] = set()
-        self.finished: set[int] = set()
-        self._newly_ready: list[int] = [
+        self.ready: tuple[int, ...] = tuple(
             t
             for t in order
             if not self.pending_edges[t] and not self.pending_hosts[t]
-        ]
+        )
+        self.edge_totals: dict[tuple[int, int], NetworkTotals] = {}
+        for src, dst in graph.edges():
+            src_hosts = schedule.hosts(src)
+            dst_hosts = schedule.hosts(dst)
+            rows = redistribution_matrix_rows(
+                graph.task(src).n, len(src_hosts), len(dst_hosts)
+            )
+            self.edge_totals[(src, dst)] = matrix_network_totals(
+                rows, src_hosts, dst_hosts
+            )
+
+
+class ScheduleLowering:
+    """A (graph, schedule) pair, lowered once for every run of it.
+
+    A study cell executes one schedule twice, in the simulator and on
+    the testbed, and both runs need the same validated layout of the
+    pair (:class:`_Layout`).  Hand both runs one ``ScheduleLowering``
+    and the first run that needs the layout builds it; a cell whose two
+    traces both come from a cache never lowers at all.  Make it where
+    the schedule is final: the layout is not rebuilt if the schedule
+    changes afterwards.
+    """
+
+    __slots__ = ("graph", "schedule", "_layout")
+
+    def __init__(self, graph: TaskGraph, schedule: Schedule) -> None:
+        self.graph = graph
+        self.schedule = schedule
+        self._layout: _Layout | None = None
+
+    def layout(self, platform: ClusterPlatform) -> _Layout:
+        """The pair's layout, validated against ``platform``.
+
+        The first call validates the graph and the schedule and builds
+        the layout.  Of that validation only the host bounds depend on
+        the platform, so a later call re-validates only for a platform
+        too small for the schedule's hosts, where it raises.
+        """
+        layout = self._layout
+        if layout is None:
+            layout = self._layout = _Layout(self.graph, self.schedule, platform)
+        elif layout.max_host >= platform.num_nodes:
+            self.schedule.validate(self.graph, platform)
+        return layout
+
+
+class _ExecutionState:
+    """Per-run bookkeeping shared by the event callbacks.
+
+    Readiness is tracked by counting: every task carries the number of
+    outstanding input redistributions and host-order predecessors, and
+    whichever count hits zero last appends the task to the newly-ready
+    list.  :meth:`take_ready` drains that list in schedule order, which
+    makes the start sequence identical to a full rescan of
+    ``schedule.order`` at O(1) per event instead of O(tasks).  The
+    counts start from the shared layout's and are this run's own.
+    """
+
+    def __init__(self, layout: _Layout) -> None:
+        self._order_index = layout.order_index
+        self.host_dependents = layout.host_dependents
+        self.pending_hosts = dict(layout.pending_hosts)
+        self.pending_edges = dict(layout.pending_edges)
+        self.finished: set[int] = set()
+        self._newly_ready: list[int] = list(layout.ready)
 
     def task_finished(self, task_id: int) -> None:
         """Record completion and release host-order dependents."""
@@ -173,14 +272,13 @@ class _ExecutionState:
             self._newly_ready.append(dst)
 
     def take_ready(self) -> Sequence[int]:
-        """Drain newly-ready tasks in schedule order and mark them started."""
+        """Drain newly-ready tasks in schedule order."""
         ready = self._newly_ready
         if not ready:
             return ()
         self._newly_ready = []
         if len(ready) > 1:
             ready.sort(key=self._order_index.__getitem__)
-        self.started.update(ready)
         return ready
 
 
@@ -195,10 +293,18 @@ class ApplicationSimulator:
         redistribution_model: RedistributionOverheadModel | None = None,
         *,
         contention: bool = True,
+        topology: NetworkTopology | None = None,
     ) -> None:
         """``contention=False`` gives every action private copies of the
         network resources, so concurrent transfers never share bandwidth
-        — the "no contention" ablation of SimGrid's fair-sharing model."""
+        — the "no contention" ablation of SimGrid's fair-sharing model.
+
+        ``topology`` shares a prebuilt :class:`NetworkTopology` of
+        ``platform`` with this simulator (the testbed builds one per
+        emulator for all its executions); by default the first
+        contended run builds it."""
+        if topology is not None and topology.platform is not platform:
+            raise ValueError("topology was built for another platform")
         self.platform = platform
         self.task_model = task_model
         self.startup_model = startup_model or ZeroStartupModel()
@@ -206,11 +312,11 @@ class ApplicationSimulator:
             redistribution_model or ZeroRedistributionOverheadModel()
         )
         self.contention = contention
-        # Built lazily on the first contended run and reused after: the
-        # topology is immutable (capacities fixed, routes memoised) and
-        # per-run resource accounting lives in each run's engine, so
-        # sharing it across runs changes no simulated value.
-        self._shared_topology: NetworkTopology | None = None
+        # Reused by every contended run: the topology is immutable
+        # (capacities fixed, routes memoised) and per-run resource
+        # accounting lives in each run's engine, so sharing it across
+        # runs changes no simulated value.
+        self._shared_topology = topology
 
     # ------------------------------------------------------------------
     def run_cached(
@@ -243,7 +349,9 @@ class ApplicationSimulator:
         )
 
     # ------------------------------------------------------------------
-    def _build_engine(self, graph, schedule, on_task_complete, on_edge_complete):
+    def _build_engine(
+        self, graph, schedule, layout, on_task_complete, on_edge_complete
+    ):
         """A fresh engine plus the task and redistribution action starters."""
         shared_topology = self._shared_topology
         if shared_topology is None:
@@ -280,7 +388,7 @@ class ApplicationSimulator:
                     )
                 comp = {h: duration * self.platform.flops for h in hosts}
                 rows = []
-            action, _volume = build_matrix_ptask(
+            action = build_matrix_ptask(
                 topology_for_action(),
                 f"task{task_id}",
                 comp,
@@ -293,46 +401,57 @@ class ApplicationSimulator:
             )
             eng.add_action(action)
 
+        edge_totals = layout.edge_totals
+
         def start_redistribution(
             eng: SimulationEngine, src: int, dst: int
         ) -> None:
-            src_hosts = schedule.hosts(src)
-            dst_hosts = schedule.hosts(dst)
-            task = graph.task(src)
-            rows = redistribution_matrix_rows(
-                task.n, len(src_hosts), len(dst_hosts)
-            )
+            totals = edge_totals[(src, dst)]
             overhead = self.redistribution_model.overhead(
-                len(src_hosts), len(dst_hosts)
+                len(schedule.hosts(src)), len(schedule.hosts(dst))
             )
-            action, volume = build_matrix_ptask(
-                topology_for_action(),
-                f"redist{src}->{dst}",
-                {},
-                rows,
-                src_hosts,
-                dst_hosts,
-                extra_latency=overhead,
-                on_complete=on_edge_complete,
+            eng.add_action(
+                build_totals_ptask(
+                    topology_for_action(),
+                    f"redist{src}->{dst}",
+                    {},
+                    totals,
+                    extra_latency=overhead,
+                    on_complete=on_edge_complete,
+                    payload=(src, dst, overhead, totals[2]),
+                )
             )
-            action.payload = (src, dst, overhead, volume)
-            eng.add_action(action)
 
         return SimulationEngine(), start_task, start_redistribution
 
-    def run(self, graph: TaskGraph, schedule: Schedule) -> SimulationTrace:
-        """Simulate the application; returns the trace with the makespan."""
+    def run(
+        self,
+        graph: TaskGraph,
+        schedule: Schedule,
+        *,
+        lowering: ScheduleLowering | None = None,
+    ) -> SimulationTrace:
+        """Simulate the application; returns the trace with the makespan.
+
+        ``lowering`` is a :class:`ScheduleLowering` of this very
+        (graph, schedule) pair shared with other runs of it; by default
+        the run lowers the pair itself.
+        """
+        if lowering is None:
+            lowering = ScheduleLowering(graph, schedule)
+        elif lowering.graph is not graph or lowering.schedule is not schedule:
+            raise ValueError("lowering belongs to another (graph, schedule)")
         obs = get_recorder()
         tl = obs.timeline if obs.enabled else None
         if tl is None:
-            return self._run(graph, schedule, obs, None)
+            return self._run(graph, schedule, lowering, obs, None)
         tl.begin_run(
             dag=graph.name,
             algorithm=schedule.algorithm,
             model=self.task_model.name,
         )
         try:
-            trace = self._run(graph, schedule, obs, tl)
+            trace = self._run(graph, schedule, lowering, obs, tl)
         except BaseException:
             tl.abort_run()
             raise
@@ -344,11 +463,10 @@ class ApplicationSimulator:
         return trace
 
     def _run(
-        self, graph: TaskGraph, schedule: Schedule, obs, tl
+        self, graph: TaskGraph, schedule: Schedule, lowering, obs, tl
     ) -> SimulationTrace:
-        graph.validate()
-        schedule.validate(graph, self.platform)
-        state = _ExecutionState(graph, schedule)
+        layout = lowering.layout(self.platform)
+        state = _ExecutionState(layout)
         trace = SimulationTrace(makespan=0.0)
 
         def on_task_complete(eng, action) -> None:
@@ -388,7 +506,7 @@ class ApplicationSimulator:
                 start_task(eng, task_id)
 
         engine, start_task, start_redistribution = self._build_engine(
-            graph, schedule, on_task_complete, on_edge_complete
+            graph, schedule, layout, on_task_complete, on_edge_complete
         )
 
         start_ready_tasks(engine)

@@ -35,7 +35,12 @@ from repro.models.overheads import RedistributionOverheadModel, StartupOverheadM
 from repro.obs.recorder import get_recorder
 from repro.platform.cluster import ClusterPlatform
 from repro.scheduling.schedule import Schedule
-from repro.simgrid.simulator import ApplicationSimulator, SimulationTrace
+from repro.simgrid.resources import NetworkTopology
+from repro.simgrid.simulator import (
+    ApplicationSimulator,
+    ScheduleLowering,
+    SimulationTrace,
+)
 from repro.testbed.jvm import JvmStartupGroundTruth
 from repro.testbed.kernels_rt import GroundTruthKernels
 from repro.testbed.noise import lognormal_noise
@@ -187,21 +192,35 @@ class TGridEmulator:
                 self.platform.backbone_bandwidth * self.bandwidth_efficiency
             ),
         )
+        # Built on the first execution and shared by all of them, like
+        # a simulator's topology; derived from the fields, so it is no
+        # field itself.
+        self._topology: NetworkTopology | None = None
 
     # ------------------------------------------------------------------
     # schedule execution ("running the experiment")
     # ------------------------------------------------------------------
     def execute(
-        self, graph: TaskGraph, schedule: Schedule, run_label: object = 0
+        self,
+        graph: TaskGraph,
+        schedule: Schedule,
+        run_label: object = 0,
+        *,
+        lowering: ScheduleLowering | None = None,
     ) -> SimulationTrace:
         """Execute a schedule on the emulated cluster.
 
         Deterministic for identical ``(graph, schedule, run_label)``;
         vary ``run_label`` to emulate repeated real-world runs.
+        ``lowering`` shares the pair's lowering with other runs of it
+        (see :meth:`ApplicationSimulator.run`).
         """
         rng = spawn_rng(
             self._env_seed, "execute", graph.name, schedule.algorithm, run_label
         )
+        topology = self._topology
+        if topology is None:
+            topology = self._topology = NetworkTopology(self.effective_platform)
         executor = ApplicationSimulator(
             self.effective_platform,
             _GroundTruthTaskModel(
@@ -211,6 +230,7 @@ class TGridEmulator:
             redistribution_model=_GroundTruthRedistribution(
                 self.subnet, rng, self.redistribution_scale
             ),
+            topology=topology,
         )
         obs = get_recorder()
         if obs.enabled:
@@ -220,12 +240,12 @@ class TGridEmulator:
             "testbed.execute", dag=graph.name, algorithm=schedule.algorithm
         ):
             if tl is None:
-                return executor.run(graph, schedule)
+                return executor.run(graph, schedule, lowering=lowering)
             # Tag the emulated run's timeline as the experiment side, so
             # `repro diff` can pair it against (or apart from) pure-sim
             # runs of the same cell.
             with tl.context(role="experiment"):
-                return executor.run(graph, schedule)
+                return executor.run(graph, schedule, lowering=lowering)
 
     def makespan(
         self, graph: TaskGraph, schedule: Schedule, run_label: object = 0

@@ -29,7 +29,8 @@ from repro.profiling.calibration import (
 )
 from repro.scheduling.costs import SchedulingCosts
 from repro.scheduling.driver import schedule_dag
-from repro.simgrid.simulator import ApplicationSimulator
+from repro.scheduling.schedule import Schedule
+from repro.simgrid.simulator import ApplicationSimulator, ScheduleLowering
 from repro.testbed.tgrid import TGridEmulator
 
 
@@ -68,6 +69,36 @@ class TestStudyEquivalence:
         assert "cache.hits" not in cold_counters
         assert warm_counters["cache.hits"] == cold_counters["cache.misses"]
         assert "cache.misses" not in warm_counters
+
+    def test_runs_share_one_lowering_and_warm_cells_never_lower(
+        self, study_inputs, tmp_path, monkeypatch
+    ):
+        cache = ResultCache(tmp_path / "cache")
+        lowerings, validations = [], []
+        layout, validate = ScheduleLowering.layout, Schedule.validate
+        monkeypatch.setattr(
+            ScheduleLowering,
+            "layout",
+            lambda lowering, platform: (
+                lowerings.append(lowering) or layout(lowering, platform)
+            ),
+        )
+        monkeypatch.setattr(
+            Schedule,
+            "validate",
+            lambda *args: validations.append(args) or validate(*args),
+        )
+        cold, _ = _run(study_inputs, cache=cache)
+        # A cold cell's two runs take their layout from one lowering,
+        # and its schedule is validated twice: by the driver that
+        # builds it and by that lowering.
+        cells = len(cold.records)
+        assert len(lowerings) == 2 * cells
+        assert all(a is b for a, b in zip(lowerings[::2], lowerings[1::2]))
+        assert len(validations) == 2 * cells
+        del lowerings[:], validations[:]
+        _run(study_inputs, cache=cache)
+        assert lowerings == validations == []
 
     def test_warm_replay_identical_under_worker_pool(
         self, study_inputs, tmp_path

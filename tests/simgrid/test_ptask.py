@@ -2,16 +2,29 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.dag.distributions import (
+    redistribution_matrix,
+    redistribution_matrix_rows,
+)
+from repro.dag.graph import Task, TaskGraph
+from repro.dag.kernels import MATADD, MATMUL
 from repro.platform.cluster import ClusterPlatform
+from repro.scheduling.schedule import Placement, Schedule
 from repro.simgrid.engine import SimulationEngine
 from repro.simgrid.ptask import (
     ParallelTaskSpec,
+    build_matrix_ptask,
     build_ptask_action,
+    build_totals_ptask,
     comm_matrix_to_flows,
+    matrix_network_totals,
     redistribution_flows,
 )
 from repro.simgrid.resources import NetworkTopology
+from repro.simgrid.simulator import ScheduleLowering
 from repro.util.errors import SimulationError
 
 
@@ -152,3 +165,125 @@ class TestValidation:
         spec = ParallelTaskSpec(name="t", extra_latency=-1.0)
         with pytest.raises(SimulationError):
             build_ptask_action(topo, spec)
+
+
+# ----------------------------------------------------------------------
+# The fused builders against the flow-list oracle
+# ----------------------------------------------------------------------
+_ORACLE_NODES = 8
+_ORACLE_PLATFORM = ClusterPlatform(
+    num_nodes=_ORACLE_NODES,
+    flops=100.0,
+    link_bandwidth=10.0,
+    link_latency=0.25,
+    backbone_bandwidth=40.0,
+)
+_ORACLE_TOPO = NetworkTopology(_ORACLE_PLATFORM)
+
+_weights = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e12))
+
+
+@st.composite
+def _host_tuple(draw, p):
+    """``p`` distinct hosts of the oracle platform, in any order."""
+    return tuple(draw(st.permutations(range(_ORACLE_NODES)))[:p])
+
+
+@st.composite
+def _comp(draw):
+    hosts = draw(st.lists(st.integers(0, _ORACLE_NODES - 1), unique=True))
+    return {h: draw(_weights) for h in hosts}
+
+
+def _assert_same_action(fused, oracle):
+    # Resources key by identity, so this compares each resource's
+    # weight exactly, whatever the insertion order.
+    assert fused.consumption == oracle.consumption
+    assert fused.latency_left == oracle.latency_left
+    assert fused.remaining == oracle.remaining
+
+
+def _oracle(comp, flows, latency):
+    return build_ptask_action(
+        _ORACLE_TOPO,
+        ParallelTaskSpec(name="oracle", comp=comp, flows=flows,
+                         extra_latency=latency),
+    )
+
+
+def _volume(oracle_action):
+    return oracle_action.consumption.get(_ORACLE_TOPO.backbone, 0.0)
+
+
+class TestFusedBuilderMatchesFlowList:
+    """``build_matrix_ptask``, ``matrix_network_totals`` and the edge
+    totals of a :class:`ScheduleLowering` claim float identity with
+    ``build_ptask_action`` over the same matrix's flow list."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 3000),
+        p_src=st.integers(1, _ORACLE_NODES),
+        p_dst=st.integers(1, _ORACLE_NODES),
+        comp=_comp(),
+        latency=st.floats(0.0, 10.0),
+        data=st.data(),
+    )
+    def test_redistribution(self, n, p_src, p_dst, comp, latency, data):
+        src = data.draw(_host_tuple(p_src), label="src_hosts")
+        dst = data.draw(_host_tuple(p_dst), label="dst_hosts")
+        oracle = _oracle(
+            comp,
+            redistribution_flows(redistribution_matrix(n, p_src, p_dst),
+                                 src, dst),
+            latency,
+        )
+        rows = redistribution_matrix_rows(n, p_src, p_dst)
+        fused = build_matrix_ptask(
+            _ORACLE_TOPO, "fused", comp, rows, src, dst, extra_latency=latency
+        )
+        _assert_same_action(fused, oracle)
+
+        # The same edge, lowered from a two-task schedule.
+        graph = TaskGraph(name="edge")
+        graph.add_task(Task(task_id=0, kernel=MATMUL, n=n))
+        graph.add_task(Task(task_id=1, kernel=MATADD, n=n))
+        graph.add_edge(0, 1)
+        schedule = Schedule(
+            {0: Placement(0, src), 1: Placement(1, dst)}, [0, 1]
+        )
+        totals = (
+            ScheduleLowering(graph, schedule)
+            .layout(_ORACLE_PLATFORM)
+            .edge_totals[(0, 1)]
+        )
+        assert totals == matrix_network_totals(rows, src, dst)
+        lowered = build_totals_ptask(
+            _ORACLE_TOPO, "lowered", comp, totals, extra_latency=latency
+        )
+        _assert_same_action(lowered, oracle)
+        # The simulator records the backbone total as the edge's volume.
+        assert totals[2] == _volume(oracle)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        p=st.integers(1, _ORACLE_NODES),
+        comp=_comp(),
+        latency=st.floats(0.0, 10.0),
+        data=st.data(),
+    )
+    def test_task_comm_matrix(self, p, comp, latency, data):
+        hosts = data.draw(_host_tuple(p), label="hosts")
+        matrix = data.draw(
+            st.lists(st.lists(_weights, min_size=p, max_size=p),
+                     min_size=p, max_size=p),
+            label="matrix",
+        )
+        oracle = _oracle(
+            comp, comm_matrix_to_flows(np.array(matrix), hosts), latency
+        )
+        fused = build_matrix_ptask(
+            _ORACLE_TOPO, "fused", comp, matrix, hosts, hosts,
+            extra_latency=latency,
+        )
+        _assert_same_action(fused, oracle)

@@ -13,7 +13,8 @@ from repro.models.overheads import (
 from repro.models.regression import LinearFit
 from repro.platform.cluster import ClusterPlatform
 from repro.scheduling.schedule import Placement, Schedule
-from repro.simgrid.simulator import ApplicationSimulator
+from repro.simgrid.resources import NetworkTopology
+from repro.simgrid.simulator import ApplicationSimulator, ScheduleLowering
 from repro.util.errors import InvalidScheduleError
 
 
@@ -199,3 +200,55 @@ class TestScheduleValidationPath:
             chain_dag, sched
         )
         trace.validate_against(chain_dag, sched)  # must not raise
+
+
+class TestScheduleLowering:
+    def test_runs_sharing_a_lowering_validate_once(
+        self, platform, diamond_dag, monkeypatch
+    ):
+        sched = schedule_for(
+            diamond_dag, {0: (0, 1), 1: (2,), 2: (1, 3), 3: (0,)}
+        )
+        sim = ApplicationSimulator(platform, FixedModel(1.0))
+        fresh = [sim.run(diamond_dag, sched) for _ in range(2)]
+        calls = []
+        validate = Schedule.validate
+        monkeypatch.setattr(
+            Schedule,
+            "validate",
+            lambda *args: calls.append(args) or validate(*args),
+        )
+        lowering = ScheduleLowering(diamond_dag, sched)
+        shared = [
+            sim.run(diamond_dag, sched, lowering=lowering) for _ in range(2)
+        ]
+        assert len(calls) == 1
+        assert shared == fresh
+
+    def test_lowering_of_another_pair_rejected(self, platform, chain_dag):
+        sched = schedule_for(chain_dag, {0: (0,), 1: (0,), 2: (0,)})
+        other = schedule_for(chain_dag, {0: (1,), 1: (1,), 2: (1,)})
+        sim = ApplicationSimulator(platform, FixedModel())
+        with pytest.raises(ValueError):
+            sim.run(chain_dag, sched, lowering=ScheduleLowering(chain_dag, other))
+
+    def test_platform_too_small_for_a_built_lowering_rejected(
+        self, platform, chain_dag
+    ):
+        sched = schedule_for(chain_dag, {0: (0,), 1: (3,), 2: (1,)})
+        lowering = ScheduleLowering(chain_dag, sched)
+        ApplicationSimulator(platform, FixedModel()).run(
+            chain_dag, sched, lowering=lowering
+        )
+        small = ClusterPlatform(num_nodes=2, flops=1e9, link_bandwidth=1e9)
+        with pytest.raises(InvalidScheduleError):
+            ApplicationSimulator(small, FixedModel()).run(
+                chain_dag, sched, lowering=lowering
+            )
+
+    def test_topology_of_another_platform_rejected(self, platform):
+        other = ClusterPlatform(num_nodes=4, flops=1e9, link_bandwidth=1e9)
+        with pytest.raises(ValueError):
+            ApplicationSimulator(
+                platform, FixedModel(), topology=NetworkTopology(other)
+            )

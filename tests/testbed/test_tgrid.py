@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.cache import emulator_fingerprint
 from repro.dag.generator import DagParameters, generate_dag
 from repro.models.analytical import AnalyticalTaskModel
 from repro.platform.personalities import bayreuth_cluster
 from repro.scheduling.costs import SchedulingCosts
 from repro.scheduling.driver import schedule_dag
+from repro.simgrid.simulator import ApplicationSimulator, ScheduleLowering
+from repro.testbed import tgrid
 from repro.testbed.tgrid import TGridEmulator
 
 
@@ -80,6 +83,39 @@ class TestExecution:
             TGridEmulator(platform, bandwidth_efficiency=0.0)
         with pytest.raises(ValueError):
             TGridEmulator(platform, bandwidth_efficiency=1.5)
+
+
+class TestSharedState:
+    def test_one_topology_for_every_execution(self, setup, monkeypatch):
+        platform, graph, schedule = setup
+        built = []
+        topology = tgrid.NetworkTopology
+        monkeypatch.setattr(
+            tgrid,
+            "NetworkTopology",
+            lambda *args: built.append(args) or topology(*args),
+        )
+        emu = TGridEmulator(platform, seed=7)
+        before = (repr(emu), emulator_fingerprint(emu))
+        first = emu.execute(graph, schedule, run_label=0)
+        emu.execute(graph, schedule, run_label=1)
+        assert built == [(emu.effective_platform,)]
+        # Derived state: fields, equality, repr and cache key unchanged.
+        assert (repr(emu), emulator_fingerprint(emu)) == before
+        assert emu == TGridEmulator(platform, seed=7)
+        assert first == TGridEmulator(platform, seed=7).execute(graph, schedule)
+
+    def test_lowering_shared_with_the_simulator(self, setup):
+        platform, graph, schedule = setup
+        emu = TGridEmulator(platform, seed=7)
+        sim = ApplicationSimulator(platform, AnalyticalTaskModel(platform))
+        lowering = ScheduleLowering(graph, schedule)
+        assert sim.run(graph, schedule, lowering=lowering) == sim.run(
+            graph, schedule
+        )
+        assert emu.execute(graph, schedule, lowering=lowering) == emu.execute(
+            graph, schedule
+        )
 
 
 class TestMicrobenchmarks:
