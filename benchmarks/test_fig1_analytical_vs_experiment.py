@@ -8,11 +8,12 @@ analytical simulator "simply does not produce meaningful results".
 import pytest
 
 from repro.experiments.comparison import compare_algorithms
+from repro.experiments.figures import PAPER_WRONG
 from repro.experiments.reporting import render_comparison
 from repro.experiments.runner import run_study
 
 
-@pytest.mark.parametrize("n,paper_wrong", [(2000, 16), (3000, 7)])
+@pytest.mark.parametrize("n,paper_wrong", sorted(PAPER_WRONG["analytic"].items()))
 def test_fig1_analytical_vs_experiment(benchmark, ctx, emit, n, paper_wrong):
     dags = [(p, g) for p, g in ctx.dags if p.n == n]
 

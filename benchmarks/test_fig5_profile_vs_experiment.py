@@ -8,11 +8,12 @@ schedules than MCPA for n = 2000.
 import pytest
 
 from repro.experiments.comparison import compare_algorithms
+from repro.experiments.figures import PAPER_WRONG
 from repro.experiments.reporting import render_comparison
 from repro.experiments.runner import run_study
 
 
-@pytest.mark.parametrize("n,paper_wrong", [(2000, 2), (3000, 3)])
+@pytest.mark.parametrize("n,paper_wrong", sorted(PAPER_WRONG["profile"].items()))
 def test_fig5_profile_vs_experiment(benchmark, ctx, emit, n, paper_wrong):
     dags = [(p, g) for p, g in ctx.dags if p.n == n]
     suite = ctx.profile_suite  # calibration outside the timed region

@@ -8,11 +8,12 @@ regression is a poor fit to the outlier-laden reality.
 import pytest
 
 from repro.experiments.comparison import compare_algorithms
+from repro.experiments.figures import PAPER_WRONG
 from repro.experiments.reporting import render_comparison
 from repro.experiments.runner import run_study
 
 
-@pytest.mark.parametrize("n,paper_wrong", [(2000, 1), (3000, 6)])
+@pytest.mark.parametrize("n,paper_wrong", sorted(PAPER_WRONG["empirical"].items()))
 def test_fig7_empirical_vs_experiment(benchmark, ctx, emit, n, paper_wrong):
     dags = [(p, g) for p, g in ctx.dags if p.n == n]
     suite = ctx.empirical_suite

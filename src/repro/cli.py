@@ -426,9 +426,11 @@ def _cmd_figures(ctx: StudyContext, args: argparse.Namespace) -> int:
             builder, renderer = _FIGURES[name]
             blocks = [renderer(builder(ctx))]
         elif name in _COMPARISON_FIGURES:
-            _sim, builder = _COMPARISON_FIGURES[name]
+            sim, builder = _COMPARISON_FIGURES[name]
             blocks = [
-                reporting.render_comparison(builder(ctx, n=n))
+                reporting.render_comparison(
+                    builder(ctx, n=n), paper_wrong=fig_mod.PAPER_WRONG[sim][n]
+                )
                 for n in (2000, 3000)
             ]
         else:

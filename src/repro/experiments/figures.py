@@ -33,6 +33,7 @@ from repro.testbed.kernels_rt import CrayPdgemmGroundTruth
 from repro.util.stats import BoxStats
 
 __all__ = [
+    "PAPER_WRONG",
     "table1",
     "figure1",
     "figure2",
@@ -97,6 +98,15 @@ def table1(ctx: StudyContext) -> Table1:
 # ----------------------------------------------------------------------
 # Figures 1 / 5 / 7 — HCPA vs MCPA under the three simulators
 # ----------------------------------------------------------------------
+#: The paper's wrong HCPA-vs-MCPA comparisons (of 27 DAGs) per
+#: simulator and matrix size n, printed beside ours in Figs. 1, 5, 7.
+PAPER_WRONG = {
+    "analytic": {2000: 16, 3000: 7},
+    "profile": {2000: 2, 3000: 3},
+    "empirical": {2000: 1, 3000: 6},
+}
+
+
 def figure1(ctx: StudyContext, n: int = 2000) -> AlgorithmComparison:
     """Analytical simulator vs experiment (paper: 16/27 wrong at n=2000)."""
     study = ctx.study("analytic")

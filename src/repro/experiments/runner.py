@@ -55,7 +55,7 @@ walk:
    consecutive positions, so sink records and timeline lines land in
    grid order, and each worker timeline numbers its runs from 0, so
    the parent's running offset alone rebases them; counters, span
-   stats and profiles are sums.  Records, counters, timelines and
+   tables and kernel probes are sums.  Records, counters, timelines and
    profiles therefore come out exactly as if every cell ran in the
    parent.
 
@@ -248,9 +248,8 @@ def _run_cell(
     schedule: the first that runs lowers (and validates) it, and a cell
     whose two traces are both cached never lowers at all.
     """
-    with obs.span(
-        "study.schedule", algorithm=algorithm, simulator=suite.name
-    ):
+    cell = {"dag": graph.name, "algorithm": algorithm, "simulator": suite.name}
+    with obs.span("study.schedule", **cell):
         if cache is None:
             schedule = schedule_dag(graph, costs, algorithm)
         else:
@@ -260,9 +259,7 @@ def _run_cell(
                 lambda: schedule_dag(graph, costs, algorithm),
             )
     lowering = ScheduleLowering(graph, schedule)
-    with obs.span(
-        "study.simulate", algorithm=algorithm, simulator=suite.name
-    ):
+    with obs.span("study.simulate", **cell):
         if cache is None:
             sim_trace = simulator.run(graph, schedule, lowering=lowering)
         else:
@@ -272,9 +269,7 @@ def _run_cell(
                 sim_key,
                 lambda: simulator.run(graph, schedule, lowering=lowering),
             )
-    with obs.span(
-        "study.execute", algorithm=algorithm, simulator=suite.name
-    ):
+    with obs.span("study.execute", **cell):
         if cache is None:
             exp_trace = emulator.execute(graph, schedule, lowering=lowering)
         else:
@@ -464,9 +459,9 @@ def _pool_run_chunk(
     # A worker timeline numbers its runs from 0; the parent's
     # Timeline.absorb offsets them by its running total.
     tl = Timeline() if state["timeline_enabled"] else None
-    # Worker profiles merge by absolute span path with summed counts,
-    # so one chunk-wide profile absorbs to the same structure as the
-    # per-cell increments of cells run in the parent.
+    # Worker span tables merge by absolute span path with summed
+    # counts, so one chunk-wide table absorbs to the same structure as
+    # the per-cell increments of cells run in the parent.
     prof = Profiler() if state["profiler_enabled"] else None
     worker_obs = Recorder(MemorySink(), timeline=tl, profiler=prof)
     with recording(worker_obs):

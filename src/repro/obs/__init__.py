@@ -12,7 +12,9 @@ Pieces
 ------
 :class:`Recorder`
     Typed events (``event``), in-memory counters (``count``) and timed
-    ``span()`` blocks over a pluggable :class:`Sink`.
+    ``span()`` blocks over a pluggable :class:`Sink`; every ``span()``
+    and ``timing()`` lands in one table of :class:`SpanStats` keyed by
+    span path.
 :class:`NullSink` / :class:`MemorySink` / :class:`JsonlSink`
     Discard, buffer, or stream records as JSON lines.
 :class:`RunManifest`
@@ -21,8 +23,8 @@ Pieces
 :func:`report_file`
     Human-readable summary of a trace (the ``repro report`` command).
 :class:`Profiler`
-    Hierarchical wall-clock spans with dimension-tagged kernel probes
-    (``repro profile --what wall``).
+    The recorder's span table as a call-path tree, plus
+    dimension-tagged kernel probes (``repro profile --what wall``).
 :func:`collapsed_stacks` / :func:`chrome_profile_trace`
     Flamegraph text and a Chrome-trace wall-clock lane of a profile.
 

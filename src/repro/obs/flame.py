@@ -19,7 +19,8 @@ Two render targets for a :class:`~repro.obs.prof.Profiler`:
 
 from __future__ import annotations
 
-from repro.obs.prof import PATH_SEP, Profiler
+from repro.obs.prof import Profiler
+from repro.obs.recorder import PATH_SEP
 
 __all__ = [
     "chrome_profile_events",
@@ -37,7 +38,7 @@ PROFILE_PID = 2
 def _micros(profiler: Profiler) -> dict[tuple[str, ...], int]:
     """Explicit span totals in integer microseconds, path-keyed."""
     return {
-        path: int(round(stats[1] * 1e6))
+        path: int(round(stats.total * 1e6))
         for path, stats in profiler.spans.items()
     }
 
@@ -155,7 +156,7 @@ def chrome_profile_events(
                 "tid": tid,
                 "args": {
                     "path": PATH_SEP.join(path),
-                    "count": stats[0] if stats is not None else 0,
+                    "count": stats.count if stats is not None else 0,
                 },
             }
         )

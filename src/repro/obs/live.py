@@ -39,7 +39,7 @@ Straggler/stall detection (checked every drain tick):
   completed cell durations — once at least ``min_samples`` cells have
   finished — is flagged a *straggler* (once per cell);
 * a pool worker that has not been heard from (heartbeat cadence
-  ``heartbeat_s``, default 0.5 s) for ``stall_after_beats`` (default 6)
+  ``heartbeat_s``, default 0.5 s) for :data:`STALL_AFTER_BEATS` (6)
   cadences while a cell is in flight is flagged *stalled*.  Cells run
   in the parent (studies without a pool) send no heartbeats and are
   exempt.
@@ -74,6 +74,10 @@ __all__ = [
 
 #: JSON snapshot schema tag (bump on incompatible layout changes).
 SNAPSHOT_SCHEMA = "repro.live/1"
+
+#: Heartbeats a pool worker may miss, with a cell in flight, before
+#: :class:`LiveTelemetry` flags it stalled.
+STALL_AFTER_BEATS = 6
 
 
 class LiveStudyState:
@@ -333,10 +337,6 @@ class LiveTelemetry:
         self,
         *,
         heartbeat_s: float = 0.5,
-        straggler_factor: float = 4.0,
-        min_samples: int = 5,
-        window: int = 64,
-        stall_after_beats: float = 6.0,
         snapshot_path: str | Path | None = None,
     ) -> None:
         self.heartbeat_s = heartbeat_s
@@ -344,10 +344,7 @@ class LiveTelemetry:
             Path(snapshot_path) if snapshot_path is not None else None
         )
         self.state = LiveStudyState(
-            straggler_factor=straggler_factor,
-            min_samples=min_samples,
-            window=window,
-            stall_after_s=stall_after_beats * heartbeat_s,
+            stall_after_s=STALL_AFTER_BEATS * heartbeat_s
         )
         self._lock = threading.Lock()
         self._queue = None

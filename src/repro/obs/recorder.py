@@ -11,6 +11,10 @@ Design rules (the layer's contract, see ``docs/observability.md``):
   never touches the sink; the rollup travels in the manifest and via
   :meth:`Recorder.metrics`.  (Counters stay live even when the recorder
   is *enabled but span/event volume matters* — they are the cheap tier.)
+* **One span table.**  Every ``span()`` and ``timing()`` measurement
+  updates exactly one :class:`SpanStats` in :attr:`Recorder.span_paths`,
+  keyed by its span path.  The per-name rollup (:attr:`Recorder.spans`)
+  and an attached profiler's span tree are views of that table.
 * **Events and spans stream to the sink** as plain dicts with a
   ``type`` field (``"event"`` / ``"span"``), ready for JSONL.
 * **Determinism.**  Nothing here feeds back into simulation state; wall
@@ -34,9 +38,14 @@ __all__ = [
     "recording",
 ]
 
+#: Separator of the parts of a table key (span path frames, kernel and
+#: size bucket) in serialized tables and collapsed stacks.  Span names
+#: are dotted identifiers and must not contain it.
+PATH_SEP = ";"
+
 
 class SpanStats:
-    """Aggregated timings of one span name (count / total / min / max)."""
+    """Aggregated timings of one table key (count / total / min / max)."""
 
     __slots__ = ("count", "total", "min", "max")
 
@@ -53,6 +62,15 @@ class SpanStats:
             self.min = seconds
         if seconds > self.max:
             self.max = seconds
+
+    def merge(self, agg: dict) -> None:
+        """Fold in a :meth:`to_dict` payload; sums add, min/max widen."""
+        self.count += agg["count"]
+        self.total += agg["total_s"]
+        if agg["min_s"] < self.min:
+            self.min = agg["min_s"]
+        if agg["max_s"] > self.max:
+            self.max = agg["max_s"]
 
     @property
     def mean(self) -> float:
@@ -71,6 +89,14 @@ class SpanStats:
         }
 
 
+def table_state(table: dict[tuple, SpanStats]) -> dict[str, dict]:
+    """A stats table as plain dicts: ``PATH_SEP``-joined keys, sorted."""
+    return {
+        PATH_SEP.join(map(str, key)): stats.to_dict()
+        for key, stats in sorted(table.items())
+    }
+
+
 class _NullSpan:
     """Shared no-op context manager for disabled recorders."""
 
@@ -87,7 +113,11 @@ _NULL_SPAN = _NullSpan()
 
 
 class _Span:
-    """Times a ``with`` block; emits a span record and updates stats."""
+    """Times a ``with`` block; emits a span record and updates stats.
+
+    Entering pushes the name onto the recorder's path stack, so spans
+    and timings inside the block are keyed under it.
+    """
 
     __slots__ = ("_recorder", "_name", "_fields", "_t0")
 
@@ -98,9 +128,7 @@ class _Span:
         self._t0 = 0.0
 
     def __enter__(self) -> "_Span":
-        prof = self._recorder.profiler
-        if prof is not None:
-            prof.push(self._name)
+        self._recorder._stack.append(self._name)
         self._t0 = time.perf_counter()
         return self
 
@@ -126,13 +154,20 @@ class Recorder:
     recorder with a timeline is enabled even over a null sink (counters
     still accumulate; events are discarded).
 
+    Every :meth:`span` and :meth:`timing` measurement updates one
+    entry of :attr:`span_paths`, ``{span path: SpanStats}``.  A path is
+    the names of the enclosing :meth:`span` blocks followed by the
+    span's own name (or the timing's).  Spans are entered from one
+    thread, so the path stack is a plain list: the only threads in the
+    package (the live bus's drain, heartbeat and progress threads and
+    the metrics server's) never touch a recorder.
+
     ``profiler`` optionally attaches a wall-clock
-    :class:`~repro.obs.prof.Profiler`; every :meth:`span` then also
-    nests a profiler span (building the call-path tree) and
-    :meth:`timing` feeds profiler leaves.  Kernel probes reach it via
-    ``rec.profiler`` and guard with ``if prof is not None:``.  Like a
-    timeline, an attached profiler enables the recorder even over a
-    null sink.
+    :class:`~repro.obs.prof.Profiler`, whose ``spans`` becomes
+    :attr:`span_paths` itself (the call-path tree) and which adds the
+    kernel probes.  Probes reach it via ``rec.profiler`` and guard with
+    ``if prof is not None:``.  Like a timeline, an attached profiler
+    enables the recorder even over a null sink.
     """
 
     def __init__(
@@ -147,7 +182,11 @@ class Recorder:
             or profiler is not None
         )
         self.counters: dict[str, float] = {}
-        self.spans: dict[str, SpanStats] = {}
+        #: ``{span path: SpanStats}``: the one table of wall-clock spans.
+        self.span_paths: dict[tuple[str, ...], SpanStats] = {}
+        self._stack: list[str] = []
+        if profiler is not None:
+            profiler.spans = self.span_paths
 
     # -- construction helpers ------------------------------------------
     @classmethod
@@ -177,35 +216,31 @@ class Recorder:
         return _Span(self, name, fields)
 
     def timing(self, name: str, seconds: float) -> None:
-        """Fold one measured duration into the span aggregates only.
+        """Fold one measured duration into the span table only.
 
         The cheap tier for hot-path timings called thousands of times
-        per run (e.g. ``engine.solve``): it updates the same
-        :class:`SpanStats` that :meth:`span` feeds — so the totals show
-        up in :meth:`metrics`, manifests and ``repro report`` — but
-        writes *no* per-call record to the sink, whose dict-building
-        and I/O would otherwise dominate the very path being measured.
-        Callers should guard with ``if rec.enabled:`` and time with
+        per run (e.g. ``engine.solve``): it updates the table entry of
+        ``name`` under the open spans — so the totals show up in
+        :meth:`metrics`, manifests and ``repro report`` — but writes
+        *no* per-call record to the sink, whose dict-building and I/O
+        would otherwise dominate the very path being measured.  Callers
+        should guard with ``if rec.enabled:`` and time with
         ``time.perf_counter()`` themselves.
         """
         if not self.enabled:
             return
-        stats = self.spans.get(name)
+        self._add((*self._stack, name), seconds)
+
+    def _add(self, path: tuple[str, ...], seconds: float) -> None:
+        stats = self.span_paths.get(path)
         if stats is None:
-            stats = self.spans[name] = SpanStats()
+            stats = self.span_paths[path] = SpanStats()
         stats.add(seconds)
-        prof = self.profiler
-        if prof is not None:
-            prof.leaf(name, seconds)
 
     def _finish_span(self, name: str, seconds: float, fields: dict) -> None:
-        prof = self.profiler
-        if prof is not None:
-            prof.pop(seconds)
-        stats = self.spans.get(name)
-        if stats is None:
-            stats = self.spans[name] = SpanStats()
-        stats.add(seconds)
+        stack = self._stack
+        self._add(tuple(stack), seconds)
+        stack.pop()
         record = {"type": "span", "name": name, "dur_s": seconds}
         record.update(fields)
         self.sink.write(record)
@@ -216,31 +251,30 @@ class Recorder:
 
         Returns a plain-dict payload (picklable, JSON-able) holding the
         buffered sink records (memory sinks only — other sinks stream
-        and have nothing to export), the counters and the span
-        aggregates.  The parallel study runner ships one such payload
-        per chunk back to the parent, which folds each in whole with
+        and have nothing to export), the counters, the path-keyed span
+        table, the kernel probes of an attached profiler and the
+        timeline.  The parallel study runner ships one such payload per
+        chunk back to the parent, which folds each in whole with
         :meth:`absorb`.
         """
         state = {
             "records": list(getattr(self.sink, "records", ())),
             "counters": dict(self.counters),
-            "spans": {
-                name: stats.to_dict() for name, stats in self.spans.items()
-            },
+            "spans": table_state(self.span_paths),
         }
         if self.timeline is not None:
             state["timeline"] = self.timeline.export_state()
         if self.profiler is not None:
-            state["profile"] = self.profiler.export_state()
+            state["kernels"] = table_state(self.profiler.kernels)
         return state
 
     def absorb(self, state: dict) -> None:
         """Fold an :meth:`export_state` payload into this recorder.
 
         Records are replayed into the sink in payload order, counters
-        add up, and span aggregates merge (counts/totals sum, min/max
-        widen).  Callers control determinism by absorbing worker
-        payloads in a fixed order (the study runner uses grid
+        add up, and span paths merge by absolute path (counts/totals
+        sum, min/max widen).  Callers control determinism by absorbing
+        worker payloads in a fixed order (the study runner uses grid
         submission order, independent of completion order).
         """
         if not self.enabled:
@@ -250,28 +284,28 @@ class Recorder:
         counters = self.counters
         for name, value in state["counters"].items():
             counters[name] = counters.get(name, 0) + value
-        for name, agg in state["spans"].items():
-            if not agg["count"]:
-                continue
-            stats = self.spans.get(name)
-            if stats is None:
-                stats = self.spans[name] = SpanStats()
-            stats.count += agg["count"]
-            stats.total += agg["total_s"]
-            if agg["min_s"] < stats.min:
-                stats.min = agg["min_s"]
-            if agg["max_s"] > stats.max:
-                stats.max = agg["max_s"]
+        paths = self.span_paths
+        for key, agg in state["spans"].items():
+            if agg["count"]:  # zero-count entries have no minimum
+                path = tuple(key.split(PATH_SEP))
+                paths.setdefault(path, SpanStats()).merge(agg)
         timeline_state = state.get("timeline")
         if timeline_state is not None and self.timeline is not None:
             self.timeline.absorb(timeline_state)
-        profile_state = state.get("profile")
-        if profile_state is not None and self.profiler is not None:
-            self.profiler.absorb(profile_state)
+        if self.profiler is not None:
+            self.profiler.absorb(state)
 
     # -- rollups -------------------------------------------------------
+    @property
+    def spans(self) -> dict[str, SpanStats]:
+        """Per-name fold of :attr:`span_paths` (a new dict per read)."""
+        folded: dict[str, SpanStats] = {}
+        for path, stats in self.span_paths.items():
+            folded.setdefault(path[-1], SpanStats()).merge(stats.to_dict())
+        return folded
+
     def metrics(self) -> dict:
-        """Counter values plus per-span aggregate timings.
+        """Counter values plus per-span-name aggregate timings.
 
         With a timeline attached, its per-kind record counts join the
         counters as ``timeline.<kind>`` (plus ``timeline.runs``), so

@@ -37,10 +37,11 @@ this loop is compared against, bit for bit
 Observability: the loop emits ``sched.critical_path`` timings,
 ``critical_path_dp`` / ``alloc_grow`` profiler probes, the
 ``sched.alloc_grow_steps`` / ``sched.hcpa.cap_hits`` /
-``sched.mcpa.level_saturated`` counters, the ``sched.alloc_grow`` /
-``sched.alloc_done`` events and timeline ``alloc`` records.  With no
-recorder attached it takes a branch with the DP and the sweep inlined,
-which is what an untraced study runs.
+``sched.mcpa.level_saturated`` counters and the ``sched.alloc_done``
+event.  Each grow step is recorded once, as a timeline ``alloc``
+record, and the end of the phase as a timeline ``alloc_done`` record.
+With no recorder attached it takes a branch with the DP and the sweep
+inlined, which is what an untraced study runs.
 """
 
 from __future__ import annotations
@@ -499,14 +500,6 @@ def flat_allocation_loop(
         changed = chosen
         if enabled:
             obs.count("sched.alloc_grow_steps")
-            obs.event(
-                "sched.alloc_grow",
-                dag=graph.name,
-                task=tid,
-                p=p_new,
-                t_cp=t_cp,
-                t_a=t_a,
-            )
             if tl is not None:
                 tl.alloc(tid, p_new, t_cp, t_a, grows)
         if grows >= budget:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.dag.generator import generate_paper_dags
+from repro.experiments import runner as runner_mod
 from repro.experiments.runner import run_study
 from repro.obs.prof import Profiler
 from repro.obs.recorder import Recorder, recording
@@ -54,3 +55,23 @@ def test_worker_profiles_reach_the_parent_recorder(study_inputs):
     # inside pool workers and were merged back into the parent's
     # profiler.
     assert {"solve_rates", "critical_path_dp", "alloc_grow"} <= kernels
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_span_rollup_is_the_fold_of_the_tree(study_inputs, monkeypatch,
+                                              workers):
+    """Per-name span stats and the path tree come from one table."""
+    dags, suite, emulator = study_inputs
+    monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: 64)
+    rec = Recorder(MemorySink(), profiler=Profiler())
+    with recording(rec):
+        run_study(dags, [suite], emulator, workers=workers)
+    metrics = rec.metrics()
+    folded: dict[str, int] = {}
+    for path, agg in metrics["profile"]["spans"].items():
+        name = path.split(";")[-1]
+        folded[name] = folded.get(name, 0) + agg["count"]
+    assert folded
+    assert {
+        name: agg["count"] for name, agg in metrics["spans"].items()
+    } == folded

@@ -217,6 +217,26 @@ def test_workers_within_cpu_count_not_clamped(study_inputs, monkeypatch):
     assert "runner.workers_clamped" not in rec.counters
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_study_spans_name_their_cell(study_inputs, monkeypatch, workers):
+    """A trace ties each study span to its cell by field, not position."""
+    dags, suite, emulator = study_inputs
+    monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: 64)
+    sink = MemorySink()
+    with recording(Recorder(sink)):
+        result = run_study(dags, [suite], emulator, workers=workers)
+    spans = [
+        (r["name"], r["dag"], r["algorithm"], r["simulator"])
+        for r in sink.records
+        if r["type"] == "span" and r["name"].startswith("study.")
+    ]
+    assert spans == [
+        (phase, r.dag_label, r.algorithm, r.simulator)
+        for r in result.records
+        for phase in ("study.schedule", "study.simulate", "study.execute")
+    ]
+
+
 class TestAbsorbEmptyWorkerExport:
     """Absorbing an empty export is a no-op.
 

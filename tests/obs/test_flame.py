@@ -15,12 +15,14 @@ from repro.obs.flame import (
     paths_from_chrome,
 )
 from repro.obs.prof import Profiler
+from repro.obs.recorder import SpanStats
 
 
 def _profiler(paths: dict[tuple[str, ...], float]) -> Profiler:
     prof = Profiler()
     for path, seconds in paths.items():
-        prof.spans[path] = [1, seconds, seconds, seconds]
+        stats = prof.spans[path] = SpanStats()
+        stats.add(seconds)
     return prof
 
 

@@ -209,9 +209,10 @@ class TestLiveTelemetry:
             load_snapshot(path)
 
     def test_straggler_event_reaches_listeners(self):
-        telemetry = LiveTelemetry(
-            heartbeat_s=0.05, straggler_factor=0.1, min_samples=1
-        ).start()
+        telemetry = LiveTelemetry(heartbeat_s=0.05)
+        telemetry.state.straggler_factor = 0.1
+        telemetry.state.min_samples = 1
+        telemetry.start()
         seen: list[dict] = []
         telemetry.listeners.append(seen.append)
         try:

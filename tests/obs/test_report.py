@@ -213,7 +213,10 @@ class TestReportFromRealRun:
         lines = [json.loads(l) for l in path.read_text().splitlines()]
         names = {r.get("name") for r in lines}
         assert "engine.step" in names
-        assert "sched.alloc_grow" in names
+        # Grow steps are counted here and recorded once, in the
+        # timeline's alloc records, not as events.
+        assert "sched.alloc_grow" not in names
+        assert rec.counters["sched.alloc_grow_steps"] > 0
         assert "sched.alloc_done" in names
         assert "sim.run" in names
         spans = {r["name"] for r in lines if r["type"] == "span"}

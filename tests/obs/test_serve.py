@@ -125,10 +125,12 @@ def test_server_404_on_unknown_path(snapshot_path):
         with pytest.raises(urllib.error.HTTPError) as err:
             _get(server.url + "/nope")
         assert err.value.code == 404
+        err.value.close()
         # No state provider behind this server either.
         with pytest.raises(urllib.error.HTTPError) as err:
             _get(server.url + "/state")
         assert err.value.code == 404
+        err.value.close()
     finally:
         server.close()
 
@@ -142,6 +144,7 @@ def test_server_503_until_first_snapshot(tmp_path):
         with pytest.raises(urllib.error.HTTPError) as err:
             _get(server.metrics_url)
         assert err.value.code == 503
+        err.value.close()
         # The provider re-reads per scrape: once the study writes its
         # first snapshot, the same server turns 200 without restarting.
         telemetry = LiveTelemetry(snapshot_path=path)

@@ -227,18 +227,10 @@ def allocation_loop(
         areas[area_index[chosen]] = costs.work(chosen, p_new)
         grows += 1
         if obs.enabled:
-            # Per-decision record: which task grew, to what allocation,
-            # and the bounds that justified growing it.
             obs.count("sched.alloc_grow_steps")
-            obs.event(
-                "sched.alloc_grow",
-                dag=graph.name,
-                task=chosen,
-                p=p_new,
-                t_cp=t_cp,
-                t_a=t_a,
-            )
             if tl is not None:
+                # Per-decision record: which task grew, to what
+                # allocation, and the bounds that justified growing it.
                 tl.alloc(chosen, p_new, t_cp, t_a, grows)
         if grows >= budget:
             stop_reason = "iteration_budget"
