@@ -58,6 +58,18 @@ walk:
    tables and kernel probes are sums.  Records, counters, timelines and
    profiles therefore come out exactly as if every cell ran in the
    parent.
+4. **A frozen pre-fork heap.**  Once the layouts are lowered and
+   before the first chunk is submitted (with the ``fork`` start method,
+   that submit forks every worker), :func:`_fork_pool` freezes the
+   heap with the :mod:`gc` module's ``freeze()``; it calls
+   ``unfreeze()`` once the pool has shut down, after the walk has
+   absorbed every payload, on every exit.  The ``freeze()``
+   documentation advises this before a ``fork()`` without ``exec()``:
+   no collection in a worker walks, or copies on write, the objects
+   the parent held before the study, and the parent's own collections
+   while it absorbs skip them too.  A caller's own freeze is left as
+   it is, and a study without a pool forks nothing and freezes
+   nothing.
 
 Cache keys
 ----------
@@ -71,15 +83,16 @@ execution keys.  Without a cache nothing is built.
 
 from __future__ import annotations
 
+import gc
 import math
 import multiprocessing
 import os
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.cache.keys import CellKeys, StudyKeys
 from repro.cache.result_cache import ResultCache
@@ -573,13 +586,15 @@ def _walk_grid(
     return dispatch_wait
 
 
+@contextmanager
 def _fork_pool(
     runner: _CellRunner,
     pool_workers: int,
     obs: Recorder,
     telemetry: LiveTelemetry | None,
-) -> ProcessPoolExecutor:
-    """A process pool whose workers each hold a copy of ``runner``."""
+) -> Iterator[ProcessPoolExecutor]:
+    """A process pool whose workers each hold a copy of ``runner``,
+    forked from a frozen heap (see the module docstring)."""
     # Lower the DAG layouts once, parent-side, before the fork: every
     # worker then inherits the memoised GraphLayout copy-on-write
     # instead of re-lowering it per process.  (Lowering emits no
@@ -598,7 +613,7 @@ def _fork_pool(
         if telemetry is not None
         else None
     )
-    return ProcessPoolExecutor(
+    pool = ProcessPoolExecutor(
         max_workers=pool_workers,
         mp_context=ctx,
         initializer=_pool_init,
@@ -607,6 +622,17 @@ def _fork_pool(
             obs.profiler is not None, live,
         ),
     )
+    # The first submit forks the workers.  A caller's own freeze is
+    # left as it is.
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
+    try:
+        with pool:
+            yield pool
+    finally:
+        if freeze:
+            gc.unfreeze()
 
 
 def run_study(

@@ -249,13 +249,13 @@ class Recorder:
     def export_state(self) -> dict:
         """Portable snapshot of everything this recorder accumulated.
 
-        Returns a plain-dict payload (picklable, JSON-able) holding the
-        buffered sink records (memory sinks only — other sinks stream
-        and have nothing to export), the counters, the path-keyed span
-        table, the kernel probes of an attached profiler and the
-        timeline.  The parallel study runner ships one such payload per
-        chunk back to the parent, which folds each in whole with
-        :meth:`absorb`.
+        Returns a picklable plain-dict payload holding the buffered
+        sink records (memory sinks only — other sinks stream and have
+        nothing to export), the counters, the path-keyed span table, the
+        kernel probes of an attached profiler and the timeline (as
+        rows; see :mod:`repro.obs.timeline`).  The parallel study
+        runner ships one such payload per chunk back to the parent,
+        which folds each in whole with :meth:`absorb`.
         """
         state = {
             "records": list(getattr(self.sink, "records", ())),

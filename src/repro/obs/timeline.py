@@ -23,7 +23,28 @@ Record kinds (one JSON object per line in ``--timeline-out`` files)::
 Every record inside a run additionally carries the context fields the
 enclosing scopes pushed: ``run`` (sequential id), ``role`` (``"sim"``
 or ``"experiment"``), ``dag``, ``algorithm``, ``model``, and — inside a
-study — ``variant`` (suite name) and ``n``.
+study — ``variant`` (suite name) and ``n``.  A record's keys come in
+that order: ``kind``, the context fields, then its own fields.
+
+Storage
+-------
+A record of a fixed-field kind (``alloc``, ``alloc_done``, ``share``,
+``task``, ``xfer``) is stored as one *row* ``(kind, context, values)``:
+``context`` is the dict on top of the context stack — the same object
+for every record of its scope — and ``values`` the tuple of its own
+fields in the emitter's argument order (``hosts`` as a tuple).  The
+header, ``run`` summaries (free-form ``end_run`` fields) and dicts
+written to the sink directly stay dicts, in their place among the
+rows.
+
+* A timeline over a plain :class:`~repro.obs.sinks.MemorySink` keeps
+  its rows in ``sink.records``; :attr:`Timeline.records` builds the
+  JSON-shaped dicts when read (``hosts`` as a list).
+* Any other sink — a ``--timeline-out`` file — receives each record as
+  a dict when it is emitted or absorbed.
+* :meth:`Timeline.export_state` ships the rows as they are, so one
+  pickle carries each context once, and :meth:`Timeline.absorb` builds
+  one rebased context per worker run instead of one dict per record.
 
 Determinism contract
 --------------------
@@ -39,14 +60,36 @@ the ``engine`` field older ``run`` records have) load unchanged.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from pathlib import Path
 from typing import Iterator, Sequence, Union
 
 from repro.obs.sinks import JsonlSink, MemorySink, Sink
 
 __all__ = ["Timeline", "timeline_lines", "load_timeline"]
 
-from pathlib import Path
+#: Own field names of each row kind, in record order.
+_FIELDS: dict[str, tuple[str, ...]] = {
+    "alloc": ("task", "p", "t_cp", "t_a", "step"),
+    "alloc_done": ("reason", "total_alloc", "t_cp", "t_a", "steps"),
+    "share": ("t", "action", "rate"),
+    "task": ("task", "hosts", "start", "finish", "startup"),
+    "xfer": ("src", "dst", "start", "finish", "overhead", "volume"),
+}
+
+
+def _as_record(item: tuple | dict) -> dict:
+    """The JSON-shaped dict of a stored item: a row becomes ``kind``,
+    its context, then its own fields; a dict is returned as it is."""
+    if type(item) is not tuple:
+        return item
+    kind, context, values = item
+    record = {"kind": kind}
+    record.update(context)
+    record.update(zip(_FIELDS[kind], values))
+    if kind == "task":
+        record["hosts"] = list(record["hosts"])
+    return record
 
 
 class Timeline:
@@ -63,13 +106,20 @@ class Timeline:
 
     def __init__(self, sink: Sink | None = None) -> None:
         self.sink: Sink = sink if sink is not None else MemorySink()
-        # Context stack: the top dict is merged into every record.
+        # Context stack: the top dict is the context of every record
+        # emitted under it.  A pushed dict is never mutated, so rows
+        # may hold it by reference.
         self._stack: list[dict] = [{}]
         self._run_seq = 0
         self._header_written = False
         #: Per-kind record counts (surface in ``Recorder.metrics`` as
         #: ``timeline.<kind>`` counters).
         self.counts: dict[str, int] = {}
+        # A plain memory sink's list holds rows and dicts in emission
+        # order; any other sink gets every record as a dict.
+        self._rows: list | None = (
+            self.sink.records if type(self.sink) is MemorySink else None
+        )
 
     # -- construction helpers ------------------------------------------
     @classmethod
@@ -82,8 +132,15 @@ class Timeline:
 
     @property
     def records(self) -> list[dict] | None:
-        """The buffered records (memory sinks only; None for streams)."""
-        return getattr(self.sink, "records", None)
+        """The buffered records (memory sinks only; None for streams).
+
+        Rows become JSON-shaped dicts here, on every read, so a reader
+        pays for them once per read and a writer or counter never does.
+        """
+        rows = self._rows
+        if rows is None:
+            return getattr(self.sink, "records", None)
+        return [_as_record(item) for item in rows]
 
     @property
     def run_count(self) -> int:
@@ -107,6 +164,16 @@ class Timeline:
         self.counts[kind] = self.counts.get(kind, 0) + 1
         self.sink.write(record)
 
+    def _emit_row(self, kind: str, values: tuple) -> None:
+        if not self._header_written:
+            self._ensure_header()
+        self.counts[kind] = self.counts.get(kind, 0) + 1
+        row = (kind, self._stack[-1], values)
+        if self._rows is not None:
+            self._rows.append(row)
+        else:
+            self.sink.write(_as_record(row))
+
     @contextmanager
     def context(self, **fields: object) -> Iterator["Timeline"]:
         """Push tag fields onto every record emitted inside the block."""
@@ -117,6 +184,13 @@ class Timeline:
             yield self
         finally:
             self._stack.pop()
+
+    def context_defaults(self, **fields: object):
+        """:meth:`context` for the given fields the current context
+        lacks; a no-op context when it already has them all."""
+        top = self._stack[-1]
+        missing = {k: v for k, v in fields.items() if k not in top}
+        return self.context(**missing) if missing else nullcontext(self)
 
     def begin_run(self, **fields: object) -> int:
         """Open a run scope; returns its sequential id.
@@ -154,10 +228,7 @@ class Timeline:
         self, task: int, p: int, t_cp: float, t_a: float, step: int
     ) -> None:
         """One allocation-grow decision (CPA-family loop)."""
-        self._emit(
-            "alloc",
-            {"task": task, "p": p, "t_cp": t_cp, "t_a": t_a, "step": step},
-        )
+        self._emit_row("alloc", (task, p, t_cp, t_a, step))
 
     def alloc_done(
         self,
@@ -168,20 +239,11 @@ class Timeline:
         steps: int,
     ) -> None:
         """Allocation-phase summary (why the grow loop stopped)."""
-        self._emit(
-            "alloc_done",
-            {
-                "reason": reason,
-                "total_alloc": total_alloc,
-                "t_cp": t_cp,
-                "t_a": t_a,
-                "steps": steps,
-            },
-        )
+        self._emit_row("alloc_done", (reason, total_alloc, t_cp, t_a, steps))
 
     def share(self, t: float, action: str, rate: float) -> None:
         """One resource-share (rate) assignment at simulated time ``t``."""
-        self._emit("share", {"t": t, "action": action, "rate": rate})
+        self._emit_row("share", (t, action, rate))
 
     def task(
         self,
@@ -192,16 +254,7 @@ class Timeline:
         startup: float,
     ) -> None:
         """One completed task execution."""
-        self._emit(
-            "task",
-            {
-                "task": task,
-                "hosts": list(hosts),
-                "start": start,
-                "finish": finish,
-                "startup": startup,
-            },
-        )
+        self._emit_row("task", (task, tuple(hosts), start, finish, startup))
 
     def xfer(
         self,
@@ -213,21 +266,15 @@ class Timeline:
         volume: float,
     ) -> None:
         """One completed redistribution transfer."""
-        self._emit(
-            "xfer",
-            {
-                "src": src,
-                "dst": dst,
-                "start": start,
-                "finish": finish,
-                "overhead": overhead,
-                "volume": volume,
-            },
-        )
+        self._emit_row("xfer", (src, dst, start, finish, overhead, volume))
 
     # -- cross-process merge -------------------------------------------
     def export_state(self) -> dict:
-        """Portable snapshot (memory sinks only), for pool workers."""
+        """Portable snapshot (memory sinks only), for pool workers.
+
+        The rows ship as they are: every row of a scope refers to the
+        scope's one context dict, which pickles once.
+        """
         return {
             "records": list(getattr(self.sink, "records", ())),
             "runs": self._run_seq,
@@ -238,21 +285,40 @@ class Timeline:
 
         Worker run ids (numbered from 0 per worker) are offset by this
         timeline's running total, so absorbing worker payloads in grid
-        order reproduces the serial numbering exactly.  The worker's
-        ``meta`` header is dropped (the merged stream has one).
+        order reproduces the serial numbering exactly.  Rows of one
+        worker run share one rebased copy of the run's context, and a
+        dict record takes a rebased copy of itself; the payload is never
+        mutated.  The worker's ``meta`` header is dropped (the merged
+        stream has one).
         """
         offset = self._run_seq
         self._run_seq += int(state.get("runs", 0))
-        for record in state["records"]:
-            kind = record.get("kind")
-            if kind == "meta":
-                continue
-            self._ensure_header()
-            if offset and "run" in record:
-                record = dict(record)
-                record["run"] = record["run"] + offset
-            self.counts[kind] = self.counts.get(kind, 0) + 1
-            self.sink.write(record)
+        counts = self.counts
+        rows = self._rows
+        rebased: dict[int, dict] = {}
+        for row in state["records"]:
+            if type(row) is tuple:
+                kind, context, values = row
+                if offset and "run" in context:
+                    shifted = rebased.get(id(context))
+                    if shifted is None:
+                        shifted = rebased[id(context)] = dict(
+                            context, run=context["run"] + offset
+                        )
+                    row = (kind, shifted, values)
+            else:
+                kind = row.get("kind")
+                if kind == "meta":
+                    continue
+                if offset and "run" in row:
+                    row = dict(row, run=row["run"] + offset)
+            if not self._header_written:
+                self._ensure_header()
+            counts[kind] = counts.get(kind, 0) + 1
+            if rows is None:
+                self.sink.write(_as_record(row))
+            else:
+                rows.append(row)
 
     def close(self) -> None:
         self.sink.close()

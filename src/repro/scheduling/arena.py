@@ -39,7 +39,9 @@ Observability: the loop emits ``sched.critical_path`` timings,
 ``sched.alloc_grow_steps`` / ``sched.hcpa.cap_hits`` /
 ``sched.mcpa.level_saturated`` counters and the ``sched.alloc_done``
 event.  Each grow step is recorded once, as a timeline ``alloc``
-record, and the end of the phase as a timeline ``alloc_done`` record.
+record, and the end of the phase as a timeline ``alloc_done`` record;
+both carry the cell's ``dag`` and ``algorithm``, which the loop pushes
+itself when its caller's timeline context lacks them.
 With no recorder attached it takes a branch with the DP and the sweep
 inlined, which is what an untraced study runs.
 """
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import nullcontext
 from weakref import WeakKeyDictionary
 
 from repro.dag.graph import TaskGraph
@@ -309,6 +312,7 @@ def _grow_scalar(
 def flat_allocation_loop(
     graph: TaskGraph,
     costs: SchedulingCosts,
+    algorithm: str,
     *,
     stop_mult: float = 1.0,
     caps: list[int] | None = None,
@@ -331,7 +335,35 @@ def flat_allocation_loop(
     (``critical_path_capped``), when no candidate may or should grow
     (``no_beneficial_candidate``), or after ``tasks * P + 1`` grows
     (``iteration_budget``).
+
+    ``algorithm`` names the calling allocator.  Under a timeline whose
+    context lacks ``dag`` or ``algorithm`` (a direct allocator call;
+    :func:`~repro.scheduling.driver.schedule_dag` opens both), the loop
+    pushes the missing ones, so every ``alloc`` and ``alloc_done``
+    record names its cell.
     """
+    obs = get_recorder()
+    tl = obs.timeline if obs.enabled else None
+    cell_ctx = (
+        tl.context_defaults(dag=graph.name, algorithm=algorithm)
+        if tl is not None
+        else nullcontext()
+    )
+    with cell_ctx:
+        return _grow_allocations(
+            graph, costs, stop_mult, caps, level_of, level_sums
+        )
+
+
+def _grow_allocations(
+    graph: TaskGraph,
+    costs: SchedulingCosts,
+    stop_mult: float,
+    caps: list[int] | None,
+    level_of: list[int] | None,
+    level_sums: list[int] | None,
+) -> dict[int, int]:
+    """The body of :func:`flat_allocation_loop`."""
     layout = graph_layout(graph)
     n = layout.n
     if n == 0:

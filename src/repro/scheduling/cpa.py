@@ -52,4 +52,4 @@ def cpa_allocate(graph: TaskGraph, costs: SchedulingCosts) -> dict[int, int]:
     because no further improvement is possible.  The loop itself is
     :func:`~repro.scheduling.arena.flat_allocation_loop`.
     """
-    return flat_allocation_loop(graph, costs)
+    return flat_allocation_loop(graph, costs, "cpa")

@@ -111,4 +111,6 @@ def hcpa_allocate(
             max_cap=max(caps),
             widest_level=max(level_sizes),
         )
-    return flat_allocation_loop(graph, costs, stop_mult=beta, caps=caps)
+    return flat_allocation_loop(
+        graph, costs, "hcpa", stop_mult=beta, caps=caps
+    )

@@ -38,5 +38,5 @@ def mcpa_allocate(graph: TaskGraph, costs: SchedulingCosts) -> dict[int, int]:
         level_of = layout.levels
         level_sums = list(layout.level_sizes)
     return flat_allocation_loop(
-        graph, costs, level_of=level_of, level_sums=level_sums
+        graph, costs, "mcpa", level_of=level_of, level_sums=level_sums
     )

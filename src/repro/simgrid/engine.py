@@ -28,9 +28,11 @@ Fast-path invariants (cf. SimGrid's lazy action management):
   completed — the surviving actions' rates are provably unchanged.
 * **Sole users rated directly.**  A re-solve gives every working action
   whose resources no other pending action references its standalone
-  fair share, and hands only the rest to the sharing solver (none at
-  all when nothing is shared).  The max-min problem is separable, so
-  the rates are bit-identical to one solve over the whole working set.
+  fair share, and hands only the rest to the sharing solver: none at
+  all when nothing is shared, and none when one action is left, whose
+  co-users are all still in their latency phase (it gets its fair
+  share too).  The max-min problem is separable, so the rates are
+  bit-identical to one solve over the whole working set.
 * **O(1) completion handling.**  Pending actions live in an
   insertion-ordered dict used as a set, so removing the completed
   actions of a step costs O(completed) instead of the O(completed * n)
@@ -243,6 +245,17 @@ class SimulationEngine:
             # Resource-free work progresses at infinite rate, exactly as
             # the solver rates it.
             return math.inf
+        return self._fair_share(consumption)
+
+    def _fair_share(self, consumption: dict[Resource, float]) -> float | None:
+        """``min(capacity / weight)`` over an action's resources: its
+        max-min rate when no other working action uses them.
+
+        Computed with the exact expressions the solver uses, so the
+        rate is bit-identical.  None when every weight falls under the
+        solver's load epsilon (the solver would reject that instance;
+        let it).
+        """
         best = math.inf
         capacity = self._capacity
         for res, w in consumption.items():
@@ -281,7 +294,10 @@ class SimulationEngine:
         covers every pending action's resources by construction.  The
         problem is separable, so both parts are bit-identical to one
         solve over the whole working set, and the solver is not called
-        when no action shares a resource.
+        when no action shares a resource.  Nor is it called for a lone
+        action left over: its co-users are all still in their latency
+        phase, so its rate is its :meth:`_fair_share`, exactly the
+        solver's one-action result.
         """
         standalone_rate = self._standalone_rate
         shared: dict[Action, dict[Resource, float]] = {}
@@ -291,6 +307,12 @@ class SimulationEngine:
                 shared[action] = action.consumption
             else:
                 action.rate = rate
+        if len(shared) == 1:
+            ((action, consumption),) = shared.items()
+            rate = self._fair_share(consumption)
+            if rate is not None:
+                action.rate = rate
+                return
         if shared:
             rates = solve_rates(shared, self._capacity, validate=False)
             for action, rate in rates.items():

@@ -11,6 +11,9 @@ combination.
 
 from __future__ import annotations
 
+import gc
+import os
+
 import pytest
 
 from repro.cache import ResultCache
@@ -19,7 +22,7 @@ from repro.experiments import runner as runner_mod
 from repro.experiments.runner import run_study
 from repro.obs.live import LiveTelemetry
 from repro.obs.prof import Profiler
-from repro.obs.recorder import Recorder, recording
+from repro.obs.recorder import Recorder, get_recorder, recording
 from repro.obs.sinks import MemorySink
 from repro.obs.timeline import Timeline, timeline_lines
 from repro.platform.personalities import bayreuth_cluster
@@ -235,6 +238,69 @@ def test_study_spans_name_their_cell(study_inputs, monkeypatch, workers):
         for r in result.records
         for phase in ("study.schedule", "study.simulate", "study.execute")
     ]
+
+
+class TestFrozenHeap:
+    """A pooled study freezes the heap its workers fork from and gives
+    the caller back its own freeze count on every exit."""
+
+    @pytest.fixture(autouse=True)
+    def four_cpus(self, monkeypatch):
+        # Four CPUs keep a 1-CPU host forking a two-worker pool.
+        monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: 4)
+
+    def test_study_leaves_nothing_frozen(self, study_inputs):
+        dags, suite, emulator = study_inputs
+        assert gc.get_freeze_count() == 0
+        run_study(dags, [suite], emulator, workers=2)
+        assert gc.get_freeze_count() == 0
+
+    def test_failing_cell_leaves_nothing_frozen(self, study_inputs,
+                                                monkeypatch):
+        dags, suite, emulator = study_inputs
+        run = runner_mod._CellRunner.run
+
+        def failing(self, pos):
+            if pos == 3:
+                raise RuntimeError("cell 3 failed")
+            return run(self, pos)
+
+        monkeypatch.setattr(runner_mod._CellRunner, "run", failing)
+        with pytest.raises(RuntimeError, match="cell 3 failed"):
+            run_study(dags, [suite], emulator, workers=2)
+        assert gc.get_freeze_count() == 0
+
+    def test_callers_freeze_is_left_alone(self, study_inputs):
+        dags, suite, emulator = study_inputs
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert frozen > 0
+            run_study(dags, [suite], emulator, workers=2)
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+
+    def test_workers_run_in_a_frozen_heap(self, study_inputs, monkeypatch):
+        dags, suite, emulator = study_inputs
+        parent = os.getpid()
+        run = runner_mod._CellRunner.run
+
+        def probed(self, pos):
+            get_recorder().event(
+                "probe", pid=os.getpid(), frozen=gc.get_freeze_count()
+            )
+            return run(self, pos)
+
+        monkeypatch.setattr(runner_mod._CellRunner, "run", probed)
+        sink = MemorySink()
+        with recording(Recorder(sink)):
+            result = run_study(dags, [suite], emulator, workers=2)
+        probes = [r for r in sink.records if r.get("name") == "probe"]
+        assert len(probes) == len(result.records) == 6
+        assert all(p["pid"] != parent for p in probes)
+        assert all(p["frozen"] > 0 for p in probes)
+        assert gc.get_freeze_count() == 0
 
 
 class TestAbsorbEmptyWorkerExport:

@@ -1,5 +1,8 @@
 """Tests for the simulated-time Timeline: emission, context, merge."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.obs.recorder import Recorder
@@ -128,6 +131,133 @@ class TestMerge:
         rec = Recorder(timeline=Timeline())
         assert rec.enabled is True
         assert rec.timeline is not None
+
+
+def _merged(kind, context, **fields):
+    """A record as a dict-per-record timeline builds it: ``kind``, then
+    the context fields, then the record's own fields."""
+    record = {"kind": kind}
+    record.update(context)
+    record.update(fields)
+    return record
+
+
+def _emit_runs(tl, *dags):
+    for dag in dags:
+        with tl.context(variant="analytic", n=2000):
+            tl.begin_run(dag=dag, algorithm="hcpa", model="m")
+            tl.share(0.0, "t0", 1.5)
+            tl.task(0, (0, 1), 0.0, 1.0, 0.25)
+            tl.xfer(0, 1, 1.0, 1.5, 0.1, 1e6)
+            tl.end_run(makespan=1.5, tasks=1, xfers=1)
+    return tl
+
+
+def _worker_export(*dags):
+    return _emit_runs(Timeline(), *dags).export_state()
+
+
+class TestRows:
+    def test_records_equal_the_merged_dicts(self):
+        tl = Timeline()
+        cell = {"variant": "analytic", "n": 2000}
+        alloc = dict(cell, dag="d", algorithm="hcpa", step=99)
+        run = dict(cell, role="experiment", run=0, dag="d", model="m")
+        with tl.context(**cell):
+            with tl.context(dag="d", algorithm="hcpa", step=99):
+                tl.alloc(3, 2, 10.0, 5.0, 1)
+                tl.alloc_done("criterion", 7, 4.0, 5.0, 3)
+            with tl.context(role="experiment"):
+                tl.begin_run(dag="d", model="m")
+                tl.share(0.5, "t0", 1.5)
+                tl.task(0, (0, 1), 0.0, 2.5, 0.25)
+                tl.task(1, [2], 2.5, 3.0, 0.0)
+                tl.xfer(0, 1, 2.5, 3.0, 0.1, 1e6)
+                tl.end_run(makespan=3.0, tasks=2, xfers=1, engine="x")
+        expected = [
+            {"kind": "meta", "schema": 1, "source": "repro"},
+            # A context field the record also sets keeps its place and
+            # takes the record's value.
+            _merged("alloc", alloc, task=3, p=2, t_cp=10.0, t_a=5.0, step=1),
+            _merged("alloc_done", alloc, reason="criterion", total_alloc=7,
+                    t_cp=4.0, t_a=5.0, steps=3),
+            _merged("share", run, t=0.5, action="t0", rate=1.5),
+            _merged("task", run, task=0, hosts=[0, 1], start=0.0,
+                    finish=2.5, startup=0.25),
+            _merged("task", run, task=1, hosts=[2], start=2.5, finish=3.0,
+                    startup=0.0),
+            _merged("xfer", run, src=0, dst=1, start=2.5, finish=3.0,
+                    overhead=0.1, volume=1e6),
+            _merged("run", run, makespan=3.0, tasks=2, xfers=1, engine="x"),
+        ]
+        records = tl.records
+        assert [list(r.items()) for r in records] == [
+            list(r.items()) for r in expected
+        ]
+        assert [type(r["hosts"]) for r in records if r["kind"] == "task"] \
+            == [list, list]
+        assert timeline_lines(records) == timeline_lines(expected)
+
+    def test_raw_dicts_keep_their_place_among_rows(self):
+        tl = Timeline()
+        tl.share(0.0, "a", 1.0)
+        tl.sink.write({"kind": "note", "x": 1})
+        tl.share(1.0, "a", 2.0)
+        assert [r["kind"] for r in tl.records] == [
+            "meta", "share", "note", "share",
+        ]
+        assert tl.records[2] == {"kind": "note", "x": 1}
+        # A payload holding dicts absorbs them in place, rebased.
+        parent = Timeline()
+        parent.begin_run(dag="first")
+        parent.end_run()
+        state = _worker_export("d")
+        state["records"].insert(2, {"kind": "note", "run": 0})
+        parent.absorb(state)
+        kinds = [(r["kind"], r.get("run")) for r in parent.records]
+        assert kinds == [
+            ("meta", None), ("run", 0), ("share", 1), ("note", 1),
+            ("task", 1), ("xfer", 1), ("run", 1),
+        ]
+
+    def test_one_export_absorbs_alike_and_stays_unchanged(self):
+        state = _worker_export("a", "b")
+        snapshot = copy.deepcopy(state)
+        parents = []
+        for _ in range(2):
+            parent = Timeline()
+            parent.begin_run(dag="first")
+            parent.end_run()
+            parent.absorb(state)
+            parents.append(parent)
+        first, second = (timeline_lines(p.records) for p in parents)
+        assert first == second
+        assert [r["run"] for r in parents[0].records if "run" in r] == [
+            0, 1, 1, 1, 1, 2, 2, 2, 2,
+        ]
+        assert state == snapshot
+
+    def test_pickled_export_carries_one_context_per_run(self):
+        state = pickle.loads(pickle.dumps(_worker_export("a", "b")))
+        contexts: dict[int, set[int]] = {}
+        for row in state["records"]:
+            if type(row) is tuple:
+                _kind, context, _values = row
+                contexts.setdefault(context["run"], set()).add(id(context))
+        assert sorted(contexts) == [0, 1]
+        assert all(len(ids) == 1 for ids in contexts.values())
+
+    def test_file_timeline_writes_absorbed_rows_as_lines(self, tmp_path):
+        serial = _emit_runs(Timeline(), "a", "b")
+        path = tmp_path / "tl.jsonl"
+        merged = Timeline.to_file(path)
+        merged.absorb(_worker_export("a"))
+        merged.absorb(_worker_export("b"))
+        merged.close()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines == timeline_lines(serial.records)
+        assert merged.counts == serial.counts
+        assert merged.records is None
 
 
 class TestSerialization:

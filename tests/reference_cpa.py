@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import nullcontext
 from typing import Callable, Mapping
 
 from repro.dag.analysis import precedence_levels
@@ -254,6 +255,21 @@ def allocation_loop(
     return alloc
 
 
+def _cell_context(graph: TaskGraph, algorithm: str):
+    """The ``dag``/``algorithm`` timeline context an allocator pushes
+    when its caller opened none (``schedule_dag`` opens both)."""
+    obs = get_recorder()
+    if not obs.enabled or obs.timeline is None:
+        return nullcontext()
+    top = obs.timeline._stack[-1]
+    missing = {
+        key: value
+        for key, value in (("dag", graph.name), ("algorithm", algorithm))
+        if key not in top
+    }
+    return obs.timeline.context(**missing) if missing else nullcontext()
+
+
 def cpa_allocate(graph: TaskGraph, costs: SchedulingCosts) -> dict[int, int]:
     """The original CPA allocation: grow the best-gain critical-path task.
 
@@ -274,7 +290,8 @@ def cpa_allocate(graph: TaskGraph, costs: SchedulingCosts) -> dict[int, int]:
                 best_task = t
         return best_task
 
-    return allocation_loop(graph, costs, select=select)
+    with _cell_context(graph, "cpa"):
+        return allocation_loop(graph, costs, select=select)
 
 
 def hcpa_allocate(
@@ -329,7 +346,8 @@ def hcpa_allocate(
                 best_task = t
         return best_task
 
-    return allocation_loop(graph, costs, select=select, stop=stop)
+    with _cell_context(graph, "hcpa"):
+        return allocation_loop(graph, costs, select=select, stop=stop)
 
 
 def mcpa_allocate(graph: TaskGraph, costs: SchedulingCosts) -> dict[int, int]:
@@ -363,4 +381,5 @@ def mcpa_allocate(graph: TaskGraph, costs: SchedulingCosts) -> dict[int, int]:
                 best_task = t
         return best_task
 
-    return allocation_loop(graph, costs, select=select)
+    with _cell_context(graph, "mcpa"):
+        return allocation_loop(graph, costs, select=select)

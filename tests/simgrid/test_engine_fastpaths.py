@@ -23,7 +23,7 @@ from repro.scheduling.driver import schedule_dag
 from repro.simgrid import engine as engine_module
 from repro.simgrid.engine import Action, SimulationEngine
 from repro.simgrid.resources import Resource
-from repro.simgrid.sharing import solve_rates_reference
+from repro.simgrid.sharing import solve_rates, solve_rates_reference
 from repro.simgrid.simulator import ApplicationSimulator
 
 
@@ -126,6 +126,36 @@ class TestSolveSkipping:
         # "held" enters the working set alone at t=5 and runs 1 s.
         assert eng.run() == 6.0
         assert eng.solver_calls == 1
+
+
+    def test_lone_shared_action_skips_the_solver(self, monkeypatch):
+        calls = []
+
+        def counting_solver(consumption, capacity, **kwargs):
+            calls.append(len(consumption))
+            return solve_rates(consumption, capacity, **kwargs)
+
+        monkeypatch.setattr(engine_module, "solve_rates", counting_solver)
+        eng = SimulationEngine()
+        cpu = Resource("cpu", 100.0)
+        a = eng.add_action(Action("a", work=100.0, consumption={cpu: 2.0}))
+        eng.add_action(
+            Action("held", work=50.0, consumption={cpu: 1.0}, latency=5.0)
+        )
+        eng.add_action(Action("b", work=10.0, consumption={cpu: 1.0}))
+        # "a" and "b" share the cpu: one joint solve; "b" completes.
+        eng.step()
+        assert calls == [2]
+        assert eng._rates_dirty
+        # The re-solve's one working action, "a", shares the cpu only
+        # with "held", still in its latency phase.
+        eng.step()
+        assert eng.solver_calls == 2
+        assert calls == [2]
+        expected = solve_rates_reference({a: a.consumption}, eng._capacity)
+        assert a.rate == expected[a] == 50.0
+        eng.run()
+        assert eng._cap_refs == {}
 
 
 class _ReferenceCheckedEngine(SimulationEngine):

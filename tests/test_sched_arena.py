@@ -240,3 +240,50 @@ class TestLayout:
         second = graph_layout(g)
         assert second is not first
         assert second.num_edges == g.num_edges == 2
+
+
+# ----------------------------------------------------------------------
+# allocation records name their cell
+# ----------------------------------------------------------------------
+class TestAllocationContext:
+    """An allocator called directly, outside ``schedule_dag``, pushes
+    the ``dag`` and ``algorithm`` its caller's context lacks."""
+
+    @staticmethod
+    def _small_dag():
+        return generate_dag(
+            DagParameters(
+                num_input_matrices=2, add_ratio=0.5, n=2000, sample=0, seed=3
+            )
+        )
+
+    @staticmethod
+    def _alloc_records(allocator, graph, **context):
+        rec = Recorder(MemorySink(), timeline=Timeline())
+        with recording(rec), rec.timeline.context(**context):
+            allocator(graph, _costs(graph))
+        return [
+            r for r in rec.timeline.records
+            if r["kind"] in ("alloc", "alloc_done")
+        ]
+
+    def test_direct_hcpa_records_name_their_cell(self):
+        graph = self._small_dag()
+        records = self._alloc_records(hcpa_allocate, graph)
+        kinds = [r["kind"] for r in records]
+        assert kinds == ["alloc"] * 17 + ["alloc_done"]
+        for record in records:
+            assert record["dag"] == graph.name
+            assert record["algorithm"] == "hcpa"
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_only_missing_keys_are_pushed(self, algorithm):
+        graph = self._small_dag()
+        records = self._alloc_records(
+            PRODUCTION_ALLOCATORS[algorithm], graph, variant="v", dag="mine"
+        )
+        assert records[-1]["kind"] == "alloc_done"
+        for record in records:
+            assert list(record)[:4] == ["kind", "variant", "dag", "algorithm"]
+            assert record["dag"] == "mine"
+            assert record["algorithm"] == algorithm
