@@ -4,7 +4,9 @@ The study methodology is iterative: the same comparison grid is re-run
 across simulator variants, matrix sizes and calibration sweeps.  This
 package makes re-runs incremental — any grid cell whose inputs are
 unchanged is replayed bit-identically from disk instead of recomputed,
-and editing one parameter recomputes only the cells it reaches.
+and editing one parameter recomputes only the cells it reaches.  A
+study caches each cell as one entry, so a warm cell reads one file and
+a missed cell writes one.
 
 Pieces
 ------
@@ -14,7 +16,7 @@ Pieces
     DAGs, schedules, suites, cost models, simulators and the emulator,
     the layer key layouts, and :class:`~repro.cache.keys.StudyKeys`,
     which encodes a study's shared fingerprints once and splices them
-    into every cell's keys.
+    into every cell's key.
 :mod:`repro.cache.store`
     Atomic file-per-entry store (write-temp-then-rename, fork-pool
     safe) with corruption/version-skew detection.

@@ -29,16 +29,16 @@ need an explicit fingerprint here instead — :func:`dag_fingerprint` and
 :func:`schedule_fingerprint` exist precisely because :class:`TaskGraph`
 and :class:`Schedule` are such classes.
 
-Pre-encoded fragments: a study hashes three keys per cell, and they
+Pre-encoded fragments: a study hashes one key per cell, and the keys
 repeat the same large fingerprints — a calibrated suite's models are
 several KB of profile tables and fits.  :func:`encoded_fingerprint`
 encodes a fingerprint once into a :class:`Fragment`, which
 :func:`canonical_bytes` splices in verbatim, so a key holding fragments
 hashes exactly like the same key holding the plain fingerprints.
-:class:`StudyKeys` builds every key of one study that way; the layer
-key layouts (:func:`schedule_key`, :func:`simulation_key`,
-:func:`testbed_key`) are shared with the per-call paths, so both
-address the same entries.
+:class:`StudyKeys` builds every :func:`cell_key` of one study that way.
+The per-call paths key their own layers: :func:`schedule_key` for
+``schedule_dag(cache=)`` and :func:`simulation_key` for
+``ApplicationSimulator.run_cached``.
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ __all__ = [
     "StudyKeys",
     "canonical_bytes",
     "canonical_hash",
+    "cell_key",
     "dag_fingerprint",
     "encoded_fingerprint",
     "schedule_fingerprint",
@@ -68,7 +69,6 @@ __all__ = [
     "suite_fingerprint",
     "emulator_fingerprint",
     "costs_fingerprint",
-    "testbed_key",
 ]
 
 
@@ -286,8 +286,8 @@ def emulator_fingerprint(emulator) -> dict:
 # ----------------------------------------------------------------------
 # layer keys
 # ----------------------------------------------------------------------
-# The on-disk layout of the study's three layer keys.  Every part may be
-# a plain fingerprint or its Fragment: both encode to the same bytes.
+# The on-disk key layouts.  Every part may be a plain fingerprint or
+# its Fragment: both encode to the same bytes.
 def schedule_key(algorithm: str, dag: Any, costs: Any) -> dict:
     """``"schedule"`` layer key: one algorithm on one DAG and cost model."""
     return {"algorithm": algorithm, "dag": dag, "costs": costs}
@@ -303,17 +303,20 @@ def simulation_key(simulator: Any, dag: Any, schedule: Any) -> dict:
     }
 
 
-def testbed_key(emulator: Any, dag: Any, schedule: Any) -> dict:
-    """``"simulation"`` layer key of a schedule's emulated trace.
+def cell_key(algorithm: str, dag: Any, simulator: Any, emulator: Any) -> dict:
+    """``"cell"`` layer key: one study cell, scheduled, simulated and
+    emulated.
 
-    The study executes each schedule once, under the emulator's default
-    run label 0.
+    The simulator fingerprint holds the platform and the three models
+    the scheduling costs use, so the key needs no costs part.  The study
+    executes each schedule once, under the emulator's default run
+    label 0.
     """
     return {
-        "executor": "testbed",
-        "emulator": emulator,
+        "algorithm": algorithm,
         "dag": dag,
-        "schedule": schedule,
+        "simulator": simulator,
+        "emulator": emulator,
         "run_label": 0,
     }
 
@@ -346,29 +349,17 @@ class CellKeys:
 
     emulator: Fragment
     simulator: Fragment
-    costs: Fragment
     dag: Fragment
 
-    def schedule(self, algorithm: str) -> dict:
-        return schedule_key(algorithm, self.dag, self.costs)
-
-    def executions(self, schedule) -> tuple[dict, dict]:
-        """The simulated and the emulated trace keys of ``schedule``.
-
-        The schedule is encoded once for both.
-        """
-        encoded = encoded_fingerprint(schedule_fingerprint(schedule))
-        return (
-            simulation_key(self.simulator, self.dag, encoded),
-            testbed_key(self.emulator, self.dag, encoded),
-        )
+    def cell(self, algorithm: str) -> dict:
+        return cell_key(algorithm, self.dag, self.simulator, self.emulator)
 
 
 class StudyKeys:
     """Every cache key of one study, built from fragments encoded once.
 
-    The emulator, each suite's cost and simulator models and each DAG
-    are encoded when the study starts.  The fragments are snapshots of
+    The emulator, each suite's simulator models and each DAG are
+    encoded when the study starts.  The fragments are snapshots of
     those inputs: make a new object per study and drop it when the
     study returns, so an input changed between two studies is encoded
     afresh.
@@ -377,17 +368,13 @@ class StudyKeys:
     def __init__(self, emulator, suites: Sequence, graphs: Sequence) -> None:
         self.emulator = encoded_fingerprint(emulator_fingerprint(emulator))
         self.dags = [encoded_fingerprint(dag_fingerprint(g)) for g in graphs]
-        executors = [_suite_executor(emulator.platform, s) for s in suites]
-        self.costs = [
-            encoded_fingerprint(costs_fingerprint(e)) for e in executors
-        ]
         self.simulators = [
-            encoded_fingerprint(simulator_fingerprint(e)) for e in executors
+            encoded_fingerprint(
+                simulator_fingerprint(_suite_executor(emulator.platform, s))
+            )
+            for s in suites
         ]
 
     def cell(self, suite: int, dag: int) -> CellKeys:
         """The keys of the cells of suite ``suite`` on DAG ``dag``."""
-        return CellKeys(
-            self.emulator, self.simulators[suite], self.costs[suite],
-            self.dags[dag],
-        )
+        return CellKeys(self.emulator, self.simulators[suite], self.dags[dag])

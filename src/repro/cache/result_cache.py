@@ -1,19 +1,24 @@
 """The memoization facade the pipeline integrates against.
 
 A :class:`ResultCache` wraps one :class:`~repro.cache.store.CacheStore`
-and exposes :meth:`get_or_compute` over named *layers* — the study
-pipeline uses three:
+and exposes :meth:`get_or_compute` over named *layers*:
 
 ``calibration``
     Fitted simulator suites, keyed by the emulator's configuration and
     the measurement plan.  Shared across every study on the same
     environment.
+``cell``
+    One study cell: its simulated makespan, experimental makespan and
+    total allocation, keyed by the algorithm, the DAG, the suite's
+    simulator models and the emulator (see
+    :func:`~repro.cache.keys.cell_key`).  The study runner reads and
+    writes only this layer.
 ``schedule``
-    One :class:`Schedule` per (platform, DAG, cost models, algorithm).
+    One :class:`Schedule` per (platform, DAG, cost models, algorithm),
+    written by ``schedule_dag(cache=)``.
 ``simulation``
-    One :class:`SimulationTrace` per (schedule, executor) — the
-    executor being either a simulator suite or the testbed emulator
-    with its run label.
+    One simulated :class:`SimulationTrace` per (schedule, simulator),
+    written by ``ApplicationSimulator.run_cached``.
 
 Every key additionally includes the cache schema version (via the
 store's envelope), so a code-semantics bump invalidates everything at
@@ -38,10 +43,6 @@ from repro.obs.recorder import get_recorder
 __all__ = ["ResultCache"]
 
 T = TypeVar("T")
-
-#: The integrated pipeline layers (other namespaces are allowed; these
-#: are the ones the study runner and calibration use).
-LAYERS = ("calibration", "schedule", "simulation")
 
 
 class ResultCache:
@@ -89,17 +90,6 @@ class ResultCache:
         value = compute()
         self.store.put(layer, key_hash, value)
         return value
-
-    def peek(self, layer: str, key: Any) -> tuple[bool, Any]:
-        """Side-effect-free probe of ``(layer, key)``; ``(found, value)``.
-
-        Records no hit/miss counters and discards no stale files (see
-        :meth:`CacheStore.peek`): the study planner uses it to count the
-        cells a study still has to compute, and every value a study
-        actually consumes still flows through the counted
-        :meth:`get_or_compute` path afterwards.
-        """
-        return self.store.peek(layer, canonical_hash(key))
 
     def contains(self, layer: str, key: Any) -> bool:
         """Existence hint for ``(layer, key)`` without reading the entry.

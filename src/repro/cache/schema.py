@@ -7,8 +7,9 @@ semantics of any cached computation change — a scheduling algorithm
 tweak, a simulator fix, a calibration change, a serialization change —
 so old entries can never masquerade as fresh results.
 
-CI keys its persisted ``.repro-cache`` on a hash of this file, so a
-bump also invalidates the cache carried between workflow runs.
+CI keys its persisted ``.repro-cache`` on a hash of this file and of
+:mod:`repro.cache.keys`, so a bump or a new key layout also invalidates
+the cache carried between workflow runs.
 """
 
 from __future__ import annotations

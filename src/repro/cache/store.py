@@ -105,11 +105,9 @@ class CacheStore:
 
         Unlike :meth:`get`, a peek never disturbs the state the counted
         path owns: a hit is not counted (``cache.bytes_read``), and
-        stale or corrupt files are left in place — the counted read
-        that follows a real hit still discards and counts them.  The
-        study planner's batched cache front-end probes with this, so
-        probing leaves every counter exactly as if the probe had never
-        happened.
+        stale or corrupt files are left in place — a later counted
+        read still discards and counts them, so a peek leaves every
+        counter exactly as if it had never happened.
         """
         path = self._entry_path(namespace, key_hash)
         value, status, _nbytes = self._read_entry(path, namespace, key_hash)

@@ -73,12 +73,14 @@ walk:
 
 Cache keys
 ----------
-With a cache attached, the runner builds one
-:class:`~repro.cache.keys.StudyKeys` and every cell takes its keys from
-it, as does the planner's probe.  The shared fingerprints (emulator,
-each suite's cost and simulator models, each DAG) are encoded once per
-study, not per cell, and each cell's schedule once for its two
-execution keys.  Without a cache nothing is built.
+With a cache attached, each cell is one entry of the ``"cell"`` layer
+(:func:`~repro.cache.keys.cell_key`): a warm cell reads one file and
+runs none of its three phases, a missed cell writes one.  The runner
+builds one :class:`~repro.cache.keys.StudyKeys` and every cell takes
+its key from it, as does the planner's probe.  The shared fingerprints
+(emulator, each suite's simulator models, each DAG) are encoded once
+per study, not per cell, and no cell encodes its schedule.  Without a
+cache nothing is built.
 """
 
 from __future__ import annotations
@@ -249,56 +251,51 @@ def _run_cell(
 ) -> RunRecord:
     """One grid cell: schedule, simulate, execute, record.
 
-    With a ``cache`` (and this cell's ``keys``), all three phases are
-    memoised: the schedule under the ``"schedule"`` layer and the
-    simulated and emulated traces under the ``"simulation"`` layer.
-    Each phase is deterministic in exactly its key — the emulator
-    derives its RNG from its own configuration plus (dag, algorithm,
-    run label), never from shared sequential state — so cached replays
-    are bit-identical to fresh computation, in the parent or a worker.
+    With a ``cache`` (and this cell's ``keys``), the cell is one entry
+    of the ``"cell"`` layer holding the three numbers its record takes
+    from the computation: the simulated and experimental makespans and
+    the total allocation.  A hit runs none of the three phases; a miss
+    runs them and writes the entry.  The cell is deterministic in
+    exactly its key — the emulator derives its RNG from its own
+    configuration plus (dag, algorithm, run label), never from shared
+    sequential state — so cached replays are bit-identical to fresh
+    computation, in the parent or a worker.  The record's labels (DAG
+    name, n, algorithm, suite name) come from the live cell, so suites
+    with equal models share their entries.
 
     Both executions share one :class:`ScheduleLowering` of the final
-    schedule: the first that runs lowers (and validates) it, and a cell
-    whose two traces are both cached never lowers at all.
+    schedule: the first that runs lowers (and validates) it.
     """
     cell = {"dag": graph.name, "algorithm": algorithm, "simulator": suite.name}
-    with obs.span("study.schedule", **cell):
-        if cache is None:
+
+    def compute() -> tuple[float, float, int]:
+        with obs.span("study.schedule", **cell):
             schedule = schedule_dag(graph, costs, algorithm)
-        else:
-            schedule = cache.get_or_compute(
-                "schedule",
-                keys.schedule(algorithm),
-                lambda: schedule_dag(graph, costs, algorithm),
-            )
-    lowering = ScheduleLowering(graph, schedule)
-    with obs.span("study.simulate", **cell):
-        if cache is None:
+        lowering = ScheduleLowering(graph, schedule)
+        with obs.span("study.simulate", **cell):
             sim_trace = simulator.run(graph, schedule, lowering=lowering)
-        else:
-            sim_key, exp_key = keys.executions(schedule)
-            sim_trace = cache.get_or_compute(
-                "simulation",
-                sim_key,
-                lambda: simulator.run(graph, schedule, lowering=lowering),
-            )
-    with obs.span("study.execute", **cell):
-        if cache is None:
+        with obs.span("study.execute", **cell):
             exp_trace = emulator.execute(graph, schedule, lowering=lowering)
-        else:
-            exp_trace = cache.get_or_compute(
-                "simulation",
-                exp_key,
-                lambda: emulator.execute(graph, schedule, lowering=lowering),
-            )
+        return (
+            sim_trace.makespan,
+            exp_trace.makespan,
+            sum(schedule.allocations().values()),
+        )
+
+    if cache is None:
+        sim_makespan, exp_makespan, total_alloc = compute()
+    else:
+        sim_makespan, exp_makespan, total_alloc = cache.get_or_compute(
+            "cell", keys.cell(algorithm), compute
+        )
     record = RunRecord(
         dag_label=graph.name,
         n=params.n,
         algorithm=algorithm,
         simulator=suite.name,
-        sim_makespan=sim_trace.makespan,
-        exp_makespan=exp_trace.makespan,
-        total_alloc=sum(schedule.allocations().values()),
+        sim_makespan=sim_makespan,
+        exp_makespan=exp_makespan,
+        total_alloc=total_alloc,
     )
     if obs.enabled:
         obs.count("study.runs")
@@ -483,13 +480,11 @@ def _pool_run_chunk(
 
 
 def _plan_cache_hits(runner: _CellRunner) -> list[bool]:
-    """One-pass batched cache probe: which cells are fully cached?
+    """One-pass batched cache probe: which cells are cached?
 
-    Hashes every cell's schedule/simulation/testbed keys from the
-    study's pre-encoded fragments and probes the cache
-    *side-effect-free*
-    (:meth:`~repro.cache.result_cache.ResultCache.peek` /
-    :meth:`~repro.cache.result_cache.ResultCache.contains`), so the
+    Hashes every cell's key from the study's pre-encoded fragments and
+    asks the store whether its entry file exists
+    (:meth:`~repro.cache.result_cache.ResultCache.contains`), so the
     probe leaves hit/miss and byte counters exactly as if it never
     ran.  The misses decide whether a pool is worth forking, and each
     entry picks the live event its cell reports.  A True entry is
@@ -500,19 +495,10 @@ def _plan_cache_hits(runner: _CellRunner) -> list[bool]:
     cache, keys = runner.cache, runner.keys
     if cache is None:
         return [False] * len(runner.cells)
-    hits: list[bool] = []
-    for suite_idx, dag_idx, algorithm in runner.cells:
-        cell_keys = keys.cell(suite_idx, dag_idx)
-        found, schedule = cache.peek("schedule", cell_keys.schedule(algorithm))
-        if not found:
-            hits.append(False)
-            continue
-        sim_key, exp_key = cell_keys.executions(schedule)
-        hits.append(
-            cache.contains("simulation", sim_key)
-            and cache.contains("simulation", exp_key)
-        )
-    return hits
+    return [
+        cache.contains("cell", keys.cell(suite_idx, dag_idx).cell(algorithm))
+        for suite_idx, dag_idx, algorithm in runner.cells
+    ]
 
 
 def _walk_grid(
@@ -657,12 +643,12 @@ def run_study(
     ``runner.workers_clamped`` counter, never applied silently.  A pool
     is forked only when it would get at least two workers.
 
-    ``cache`` enables content-addressed memoization of every cell's
-    schedule, simulated trace and emulated trace: a warm re-run skips
-    any cell whose inputs are unchanged and returns bit-identical
-    records.  The cache is shared safely with pool workers (atomic
-    file-per-entry writes); per-layer hit/miss counters land in the
-    recorder either way.  With more than one worker, a batched
+    ``cache`` enables content-addressed memoization of every cell, one
+    entry each: a warm re-run skips any cell whose inputs are unchanged
+    and returns bit-identical records.  The cache is shared safely with
+    pool workers (atomic file-per-entry writes); per-layer hit/miss
+    counters land in the recorder either way.  With more than one
+    worker, a batched
     side-effect-free probe counts the cells that still need computing
     before the pool is forked; a warm grid (fewer than two misses)
     never forks one.  With a pool, cached cells replay in their

@@ -25,6 +25,7 @@ from repro.cache.keys import (
     emulator_fingerprint,
     encoded_fingerprint,
     schedule_fingerprint,
+    simulator_fingerprint,
     suite_fingerprint,
 )
 from repro.dag.graph import Task, TaskGraph
@@ -35,6 +36,7 @@ from repro.platform.personalities import bayreuth_cluster
 from repro.profiling.calibration import SimulatorSuite, build_analytical_suite
 from repro.scheduling.costs import SchedulingCosts
 from repro.scheduling.driver import schedule_dag
+from repro.simgrid.simulator import ApplicationSimulator
 from repro.testbed.tgrid import TGridEmulator
 
 # ----------------------------------------------------------------------
@@ -155,8 +157,9 @@ class TestFragments:
             fragment.data = b""
 
     def test_study_keys_default_missing_models_like_the_cell_path(self):
-        # A suite without overhead models schedules under zero models;
-        # its study key must hash like the SchedulingCosts key does.
+        # A suite without overhead models schedules and simulates under
+        # zero models; its study key must hash like the cell key built
+        # from the ApplicationSimulator the cell runs.
         platform = bayreuth_cluster(8)
         bare = SimulatorSuite(
             name="bare",
@@ -165,14 +168,17 @@ class TestFragments:
             redistribution_model=None,
         )
         graph = _diamond()
-        costs = SchedulingCosts(graph, platform, bare.task_model)
-        keys = StudyKeys(TGridEmulator(platform, seed=0), [bare], [graph])
-        assert canonical_hash(keys.cell(0, 0).schedule("hcpa")) == (
+        emulator = TGridEmulator(platform, seed=0)
+        simulator = ApplicationSimulator(platform, bare.task_model)
+        keys = StudyKeys(emulator, [bare], [graph])
+        assert canonical_hash(keys.cell(0, 0).cell("hcpa")) == (
             canonical_hash(
                 {
                     "algorithm": "hcpa",
                     "dag": dag_fingerprint(graph),
-                    "costs": costs_fingerprint(costs),
+                    "simulator": simulator_fingerprint(simulator),
+                    "emulator": emulator_fingerprint(emulator),
+                    "run_label": 0,
                 }
             )
         )

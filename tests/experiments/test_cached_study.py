@@ -8,9 +8,12 @@ under a worker pool — while the warm run does no recomputation.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.cache import (
+    CacheStore,
     ResultCache,
     canonical_hash,
     costs_fingerprint,
@@ -19,6 +22,7 @@ from repro.cache import (
     schedule_fingerprint,
 )
 from repro.dag.generator import generate_paper_dags
+from repro.experiments import runner as runner_mod
 from repro.experiments.runner import run_study
 from repro.obs.recorder import Recorder, recording
 from repro.platform.personalities import bayreuth_cluster
@@ -121,18 +125,78 @@ class TestStudyEquivalence:
         _, warm_counters = _run(study_inputs, cache=cache)
         dags, _suite, _emulator = study_inputs
         cells = len(dags) * 2  # two algorithms
-        assert warm_counters["cache.schedule.hits"] == cells
-        # Each cell caches one simulated and one emulated trace.
-        assert warm_counters["cache.simulation.hits"] == 2 * cells
+        # One entry per cell covers its schedule and both its runs.
+        assert warm_counters["cache.cell.hits"] == cells
+        assert warm_counters["cache.hits"] == cells
+        assert not [
+            name
+            for name in warm_counters
+            if name.startswith(("cache.schedule.", "cache.simulation."))
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_cell_reads_one_entry_and_a_miss_writes_one(
+        self, study_inputs, tmp_path, monkeypatch, workers
+    ):
+        # Four CPUs keep a small host from clamping the study to one
+        # worker, which would skip the planner's probe.
+        monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: 4)
+        calls = {"get": 0, "put": 0, "contains": 0}
+        for name in calls:
+            original = getattr(CacheStore, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(CacheStore, name, counted)
+        cache = ResultCache(tmp_path / "cache")
+        cold, _ = _run(study_inputs, cache=cache)
+        cells = len(cold.records)
+        assert calls == {"get": cells, "put": cells, "contains": 0}
+        calls.update(get=0, put=0)
+        # A warm grid forks no pool, so every lookup is counted here.
+        warm, _ = _run(study_inputs, cache=cache, workers=workers)
+        assert warm.records == cold.records
+        assert calls["get"] == cells
+        assert calls["put"] == 0
+        # The planner probes each cell once, and only when it plans.
+        assert calls["contains"] == (cells if workers > 1 else 0)
+
+    def test_suites_with_equal_models_share_cell_entries(
+        self, study_inputs, tmp_path
+    ):
+        dags, suite, emulator = study_inputs
+        twin = dataclasses.replace(suite, name="twin")
+        cache = ResultCache(tmp_path / "cache")
+        recorder = Recorder.to_memory()
+        with recording(recorder):
+            study = run_study(dags, [suite, twin], emulator, cache=cache)
+        counters = recorder.metrics()["counters"]
+        cells = len(dags) * 2  # per suite
+        # The twin's cells replay the entries the first suite wrote ...
+        assert counters["cache.cell.misses"] == cells
+        assert counters["cache.cell.hits"] == cells
+        assert cache.info().entries == cells
+        # ... yet every record carries its own cell's labels.
+        assert study.records == (
+            run_study(dags, [suite], emulator).records
+            + run_study(dags, [twin], emulator).records
+        )
+        assert [r.simulator for r in study.records] == (
+            [suite.name] * cells + ["twin"] * cells
+        )
+        assert [r.n for r in study.records] == 2 * [
+            params.n for params, _graph in dags for _algorithm in range(2)
+        ]
 
 
 class TestKeyCompatibility:
-    """Study keys address the entries the per-call paths write.
+    """The literal dicts below spell out today's on-disk key layouts.
 
-    The literal dicts below spell out today's on-disk key layout.  A
-    study that hashes its keys from pre-encoded fragments must find
-    every entry written under them, so caches filled before fragments
-    existed keep hitting without a schema bump.
+    A study hashes its cell keys from pre-encoded fragments; it must
+    write every cell under the layout of the plain fingerprints.  The
+    per-call paths keep their own layers and layouts.
     """
 
     @pytest.fixture(scope="class")
@@ -142,8 +206,56 @@ class TestKeyCompatibility:
         return ctx.dags[:4], suites, ctx.emulator
 
     @staticmethod
-    def _fill_per_call(cache, grid):
+    def _simulator_literal(platform, suite):
+        return {
+            "platform": platform,
+            "task_model": suite.task_model,
+            "startup_model": suite.startup_model,
+            "redistribution_model": suite.redistribution_model,
+            "contention": True,
+        }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_study_writes_each_cell_under_the_literal_layout(
+        self, grid, tmp_path, workers
+    ):
         dags, suites, emulator = grid
+        cache = ResultCache(tmp_path / "cache")
+        study = run_study(dags, suites, emulator, workers=workers, cache=cache)
+        records = iter(study.records)
+        for suite in suites:
+            for _params, graph in dags:
+                for algorithm in ("hcpa", "mcpa"):
+                    record = next(records)
+                    literal = {
+                        "algorithm": algorithm,
+                        "dag": dag_fingerprint(graph),
+                        "simulator": self._simulator_literal(
+                            emulator.platform, suite
+                        ),
+                        "emulator": emulator_fingerprint(emulator),
+                        "run_label": 0,
+                    }
+                    # The entry holds the three numbers the record
+                    # takes from the computation.
+                    entry = cache.store.get("cell", canonical_hash(literal))
+                    assert entry == (
+                        True,
+                        (
+                            record.sim_makespan,
+                            record.exp_makespan,
+                            record.total_alloc,
+                        ),
+                    )
+        info = cache.info()
+        assert list(info.namespaces) == ["cell"]
+        assert info.entries == len(study.records)
+
+    def test_per_call_paths_write_under_their_literal_layouts(
+        self, grid, tmp_path
+    ):
+        dags, suites, emulator = grid
+        cache = ResultCache(tmp_path / "cache")
         platform = emulator.platform
         for suite in suites:
             simulator = ApplicationSimulator(
@@ -152,13 +264,6 @@ class TestKeyCompatibility:
                 startup_model=suite.startup_model,
                 redistribution_model=suite.redistribution_model,
             )
-            simulator_literal = {
-                "platform": platform,
-                "task_model": suite.task_model,
-                "startup_model": suite.startup_model,
-                "redistribution_model": suite.redistribution_model,
-                "contention": True,
-            }
             for _params, graph in dags:
                 costs = SchedulingCosts(
                     graph,
@@ -170,19 +275,6 @@ class TestKeyCompatibility:
                 for algorithm in ("hcpa", "mcpa"):
                     schedule = schedule_dag(graph, costs, algorithm, cache=cache)
                     simulator.run_cached(graph, schedule, cache)
-                    testbed_literal = {
-                        "executor": "testbed",
-                        "emulator": emulator_fingerprint(emulator),
-                        "dag": dag_fingerprint(graph),
-                        "schedule": schedule_fingerprint(schedule),
-                        "run_label": 0,
-                    }
-                    cache.get_or_compute(
-                        "simulation",
-                        testbed_literal,
-                        lambda: emulator.execute(graph, schedule),
-                    )
-                    # The per-call paths wrote under the literal layout.
                     assert cache.contains(
                         "schedule",
                         {
@@ -195,29 +287,13 @@ class TestKeyCompatibility:
                         "simulation",
                         {
                             "executor": "simulator",
-                            "simulator": simulator_literal,
+                            "simulator": self._simulator_literal(
+                                platform, suite
+                            ),
                             "dag": dag_fingerprint(graph),
                             "schedule": schedule_fingerprint(schedule),
                         },
                     )
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_study_replays_per_call_entries(self, grid, tmp_path, workers):
-        cache = ResultCache(tmp_path / "cache")
-        self._fill_per_call(cache, grid)
-        dags, suites, emulator = grid
-        baseline = run_study(dags, suites, emulator)
-        recorder = Recorder.to_memory()
-        with recording(recorder):
-            study = run_study(
-                dags, suites, emulator, workers=workers,
-                cache=ResultCache(tmp_path / "cache"),
-            )
-        counters = recorder.metrics()["counters"]
-        assert study.records == baseline.records
-        assert counters.get("cache.misses", 0) == 0
-        assert counters.get("cache.bytes_written", 0) == 0
-        assert counters["cache.hits"] == 3 * len(baseline.records)
 
     def test_dag_changed_between_studies_is_encoded_afresh(self, tmp_path):
         platform = bayreuth_cluster(8)
@@ -240,8 +316,8 @@ class TestKeyCompatibility:
         with recording(recorder):
             rerun = run_study(dags, [suite], emulator, cache=cache)
         counters = recorder.metrics()["counters"]
-        # Only the changed DAG's two cells recompute, all three phases.
-        assert counters["cache.misses"] == 2 * 3
+        # Only the changed DAG's two cells recompute.
+        assert counters["cache.misses"] == 2
         assert rerun.records == run_study(dags, [suite], emulator).records
 
 
