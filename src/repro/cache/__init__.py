@@ -13,10 +13,9 @@ Pieces
 :mod:`repro.cache.keys`
     Canonical hashing: a deterministic type-tagged encoding (dict-order
     and float-formatting insensitive) plus domain fingerprints for
-    DAGs, schedules, suites, cost models, simulators and the emulator,
-    the layer key layouts, and :class:`~repro.cache.keys.StudyKeys`,
-    which encodes a study's shared fingerprints once and splices them
-    into every cell's key.
+    DAGs, simulators and the emulator, the cell key layout, and
+    :class:`~repro.cache.keys.StudyKeys`, which encodes a study's
+    shared fingerprints once and splices them into every cell's key.
 :mod:`repro.cache.store`
     Atomic file-per-entry store (write-temp-then-rename, fork-pool
     safe) with corruption/version-skew detection.
@@ -31,9 +30,9 @@ Usage
 -----
 >>> from repro.cache import ResultCache
 >>> cache = ResultCache(".repro-cache")
->>> cache.get_or_compute("simulation", {"answer": 42}, lambda: "slow")
+>>> cache.get_or_compute("cell", {"answer": 42}, lambda: "slow")
 'slow'
->>> cache.get_or_compute("simulation", {"answer": 42}, lambda: 1 / 0)
+>>> cache.get_or_compute("cell", {"answer": 42}, lambda: 1 / 0)
 'slow'
 """
 
@@ -41,11 +40,8 @@ from repro.cache.keys import (
     CacheKeyError,
     canonical_bytes,
     canonical_hash,
-    costs_fingerprint,
     dag_fingerprint,
     emulator_fingerprint,
-    schedule_fingerprint,
-    suite_fingerprint,
 )
 from repro.cache.result_cache import ResultCache
 from repro.cache.schema import CACHE_SCHEMA_VERSION
@@ -60,9 +56,6 @@ __all__ = [
     "ResultCache",
     "canonical_bytes",
     "canonical_hash",
-    "costs_fingerprint",
     "dag_fingerprint",
     "emulator_fingerprint",
-    "schedule_fingerprint",
-    "suite_fingerprint",
 ]

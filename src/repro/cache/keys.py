@@ -25,9 +25,8 @@ to guess rather than risk a wrong hit.
 
 Mutable-state caveat: the generic object rule hashes ``__dict__``, so
 classes carrying derived mutable state (memo tables, topo-order caches)
-need an explicit fingerprint here instead — :func:`dag_fingerprint` and
-:func:`schedule_fingerprint` exist precisely because :class:`TaskGraph`
-and :class:`Schedule` are such classes.
+need an explicit fingerprint here instead — :func:`dag_fingerprint`
+exists precisely because :class:`TaskGraph` is such a class.
 
 Pre-encoded fragments: a study hashes one key per cell, and the keys
 repeat the same large fingerprints — a calibrated suite's models are
@@ -36,9 +35,6 @@ encodes a fingerprint once into a :class:`Fragment`, which
 :func:`canonical_bytes` splices in verbatim, so a key holding fragments
 hashes exactly like the same key holding the plain fingerprints.
 :class:`StudyKeys` builds every :func:`cell_key` of one study that way.
-The per-call paths key their own layers: :func:`schedule_key` for
-``schedule_dag(cache=)`` and :func:`simulation_key` for
-``ApplicationSimulator.run_cached``.
 """
 
 from __future__ import annotations
@@ -61,14 +57,9 @@ __all__ = [
     "canonical_hash",
     "cell_key",
     "dag_fingerprint",
-    "encoded_fingerprint",
-    "schedule_fingerprint",
-    "schedule_key",
-    "simulation_key",
-    "simulator_fingerprint",
-    "suite_fingerprint",
     "emulator_fingerprint",
-    "costs_fingerprint",
+    "encoded_fingerprint",
+    "simulator_fingerprint",
 ]
 
 
@@ -209,47 +200,6 @@ def dag_fingerprint(graph) -> dict:
     }
 
 
-def schedule_fingerprint(schedule) -> dict:
-    """Semantic content of a :class:`~repro.scheduling.schedule.Schedule`."""
-    return {
-        "algorithm": schedule.algorithm,
-        "order": list(schedule.order),
-        "placements": {
-            task_id: (p.hosts, p.est_start, p.est_finish)
-            for task_id, p in schedule.placements.items()
-        },
-    }
-
-
-def suite_fingerprint(suite) -> dict:
-    """Semantic content of a calibrated simulator suite.
-
-    The three model objects encode via the generic rules (tables,
-    regression fits, platform parameters), so any change to any fitted
-    coefficient or measured entry changes the fingerprint.
-    """
-    return {
-        "name": suite.name,
-        "task_model": suite.task_model,
-        "startup_model": suite.startup_model,
-        "redistribution_model": suite.redistribution_model,
-    }
-
-
-def costs_fingerprint(costs) -> dict:
-    """Semantic content of a :class:`SchedulingCosts` estimate provider.
-
-    Built from its constituent models — never from the object itself,
-    whose memo tables are derived state.
-    """
-    return {
-        "platform": costs.platform,
-        "task_model": costs.task_model,
-        "startup_model": costs.startup_model,
-        "redistribution_model": costs.redistribution_model,
-    }
-
-
 def simulator_fingerprint(simulator) -> dict:
     """Semantic content of an :class:`ApplicationSimulator`.
 
@@ -284,25 +234,10 @@ def emulator_fingerprint(emulator) -> dict:
 
 
 # ----------------------------------------------------------------------
-# layer keys
+# the cell key
 # ----------------------------------------------------------------------
-# The on-disk key layouts.  Every part may be a plain fingerprint or
-# its Fragment: both encode to the same bytes.
-def schedule_key(algorithm: str, dag: Any, costs: Any) -> dict:
-    """``"schedule"`` layer key: one algorithm on one DAG and cost model."""
-    return {"algorithm": algorithm, "dag": dag, "costs": costs}
-
-
-def simulation_key(simulator: Any, dag: Any, schedule: Any) -> dict:
-    """``"simulation"`` layer key of a schedule's simulated trace."""
-    return {
-        "executor": "simulator",
-        "simulator": simulator,
-        "dag": dag,
-        "schedule": schedule,
-    }
-
-
+# The on-disk key layout.  Every part may be a plain fingerprint or its
+# Fragment: both encode to the same bytes.
 def cell_key(algorithm: str, dag: Any, simulator: Any, emulator: Any) -> dict:
     """``"cell"`` layer key: one study cell, scheduled, simulated and
     emulated.

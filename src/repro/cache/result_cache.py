@@ -13,16 +13,12 @@ and exposes :meth:`get_or_compute` over named *layers*:
     simulator models and the emulator (see
     :func:`~repro.cache.keys.cell_key`).  The study runner reads and
     writes only this layer.
-``schedule``
-    One :class:`Schedule` per (platform, DAG, cost models, algorithm),
-    written by ``schedule_dag(cache=)``.
-``simulation``
-    One simulated :class:`SimulationTrace` per (schedule, simulator),
-    written by ``ApplicationSimulator.run_cached``.
 
-Every key additionally includes the cache schema version (via the
-store's envelope), so a code-semantics bump invalidates everything at
-once.  Hit/miss tallies are recorded per layer through the global
+These are the only layers (:data:`~repro.cache.schema.CACHE_LAYERS`):
+the store reads an entry under any other layer as stale.  Every key
+additionally includes the cache schema version (via the store's
+envelope), so a code-semantics bump invalidates everything at once.
+Hit/miss tallies are recorded per layer through the global
 :class:`~repro.obs.recorder.Recorder` as ``cache.hits`` /
 ``cache.misses`` / ``cache.<layer>.hits`` / ``cache.<layer>.misses``
 counters, alongside the store's ``cache.bytes_read`` /
@@ -36,7 +32,6 @@ from pathlib import Path
 from typing import Any, Callable, TypeVar
 
 from repro.cache.keys import canonical_hash
-from repro.cache.schema import CACHE_SCHEMA_VERSION
 from repro.cache.store import CacheStore, CacheStoreInfo
 from repro.obs.recorder import get_recorder
 
@@ -53,20 +48,14 @@ class ResultCache:
     the disk.
     """
 
-    def __init__(
-        self, root: str | Path, *, schema: str = CACHE_SCHEMA_VERSION
-    ) -> None:
-        self.store = CacheStore(root, schema=schema)
+    def __init__(self, root: str | Path) -> None:
+        self.store = CacheStore(root)
 
     @property
     def root(self) -> Path:
         return self.store.root
 
     # -- the memoization primitive -------------------------------------
-    def key_hash(self, key: Any) -> str:
-        """Canonical content hash of a key structure."""
-        return canonical_hash(key)
-
     def get_or_compute(
         self, layer: str, key: Any, compute: Callable[[], T]
     ) -> T:
@@ -76,8 +65,8 @@ class ResultCache:
         :mod:`repro.cache.keys`); ``compute`` runs only on a miss and
         its result is persisted before being returned.
         """
-        key_hash = canonical_hash(key)
-        found, value = self.store.get(layer, key_hash)
+        digest = canonical_hash(key)
+        found, value = self.store.get(layer, digest)
         obs = get_recorder()
         if found:
             if obs.enabled:
@@ -88,7 +77,7 @@ class ResultCache:
             obs.count("cache.misses")
             obs.count(f"cache.{layer}.misses")
         value = compute()
-        self.store.put(layer, key_hash, value)
+        self.store.put(layer, digest, value)
         return value
 
     def contains(self, layer: str, key: Any) -> bool:

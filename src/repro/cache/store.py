@@ -4,9 +4,11 @@ Layout: ``<root>/<namespace>/<hash[:2]>/<hash>.pkl`` — one file per
 entry, fanned out over 256 subdirectories.  Each file holds a pickled
 envelope ``{"schema", "namespace", "key", "value"}``; the embedded
 schema version and key hash are verified on every read, so a stale
-(old-schema) or corrupted (truncated, bit-flipped, misplaced) entry is
-*detected, counted, deleted and reported as a miss* — it can never
-crash a study or smuggle wrong data into one.
+(old-schema, or under a layer outside
+:data:`~repro.cache.schema.CACHE_LAYERS`) or corrupted (truncated,
+bit-flipped, misplaced) entry is *detected, counted, deleted and
+reported as a miss* — it can never crash a study or smuggle wrong data
+into one.
 
 Writes are atomic: the envelope goes to a unique temporary file in the
 same directory and is published with :func:`os.replace`.  Concurrent
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.cache.schema import CACHE_SCHEMA_VERSION
+from repro.cache.schema import CACHE_LAYERS, CACHE_SCHEMA_VERSION
 from repro.obs.recorder import get_recorder
 
 __all__ = ["CacheEntryStatus", "CacheStoreInfo", "CacheStore"]
@@ -79,18 +81,18 @@ class CacheStore:
         self._tmp_counter = 0
 
     # -- paths ---------------------------------------------------------
-    def _entry_path(self, namespace: str, key_hash: str) -> Path:
-        return self.root / namespace / key_hash[:2] / (key_hash + _SUFFIX)
+    def _entry_path(self, namespace: str, digest: str) -> Path:
+        return self.root / namespace / digest[:2] / (digest + _SUFFIX)
 
     # -- read ----------------------------------------------------------
-    def get(self, namespace: str, key_hash: str) -> tuple[bool, Any]:
+    def get(self, namespace: str, digest: str) -> tuple[bool, Any]:
         """Look up an entry; returns ``(found, value)``.
 
-        A stale-schema or corrupt file counts as a miss: it is deleted,
+        A stale or corrupt file counts as a miss: it is deleted,
         a ``cache.discard`` event is recorded, and the caller recomputes.
         """
-        path = self._entry_path(namespace, key_hash)
-        value, status, nbytes = self._read_entry(path, namespace, key_hash)
+        path = self._entry_path(namespace, digest)
+        value, status, nbytes = self._read_entry(path, namespace, digest)
         if status == CacheEntryStatus.HIT:
             obs = get_recorder()
             if obs.enabled:
@@ -100,7 +102,7 @@ class CacheStore:
             self._discard(path, namespace, status)
         return False, None
 
-    def peek(self, namespace: str, key_hash: str) -> tuple[bool, Any]:
+    def peek(self, namespace: str, digest: str) -> tuple[bool, Any]:
         """Side-effect-free lookup; returns ``(found, value)``.
 
         Unlike :meth:`get`, a peek never disturbs the state the counted
@@ -109,13 +111,13 @@ class CacheStore:
         read still discards and counts them, so a peek leaves every
         counter exactly as if it had never happened.
         """
-        path = self._entry_path(namespace, key_hash)
-        value, status, _nbytes = self._read_entry(path, namespace, key_hash)
+        path = self._entry_path(namespace, digest)
+        value, status, _nbytes = self._read_entry(path, namespace, digest)
         if status == CacheEntryStatus.HIT:
             return True, value
         return False, None
 
-    def contains(self, namespace: str, key_hash: str) -> bool:
+    def contains(self, namespace: str, digest: str) -> bool:
         """Cheap existence hint: an entry file on disk.
 
         Purely advisory — the file is not read or validated, so a stale
@@ -123,10 +125,10 @@ class CacheStore:
         discovers the truth.  Callers must treat a wrong hint as "fall
         back to the normal path", never as data.
         """
-        return self._entry_path(namespace, key_hash).exists()
+        return self._entry_path(namespace, digest).exists()
 
     def _read_entry(
-        self, path: Path, namespace: str, key_hash: str
+        self, path: Path, namespace: str, digest: str
     ) -> tuple[Any, str, int]:
         try:
             blob = path.read_bytes()
@@ -139,11 +141,14 @@ class CacheStore:
             return None, CacheEntryStatus.CORRUPT, 0
         if not isinstance(envelope, dict) or "value" not in envelope:
             return None, CacheEntryStatus.CORRUPT, 0
-        if envelope.get("schema") != self.schema:
+        if (
+            envelope.get("schema") != self.schema
+            or namespace not in CACHE_LAYERS
+        ):
             return None, CacheEntryStatus.STALE, 0
         if (
             envelope.get("namespace") != namespace
-            or envelope.get("key") != key_hash
+            or envelope.get("key") != digest
         ):
             # A file placed under the wrong name can never be trusted.
             return None, CacheEntryStatus.CORRUPT, 0
@@ -165,20 +170,20 @@ class CacheStore:
             )
 
     # -- write ---------------------------------------------------------
-    def put(self, namespace: str, key_hash: str, value: Any) -> int:
+    def put(self, namespace: str, digest: str, value: Any) -> int:
         """Atomically persist an entry; returns the bytes written."""
         envelope = {
             "schema": self.schema,
             "namespace": namespace,
-            "key": key_hash,
+            "key": digest,
             "value": value,
         }
         blob = pickle.dumps(envelope, protocol=_PICKLE_PROTOCOL)
-        path = self._entry_path(namespace, key_hash)
+        path = self._entry_path(namespace, digest)
         path.parent.mkdir(parents=True, exist_ok=True)
         self._tmp_counter += 1
         tmp = path.parent / (
-            f".{key_hash}.{os.getpid()}.{self._tmp_counter}.tmp"
+            f".{digest}.{os.getpid()}.{self._tmp_counter}.tmp"
         )
         try:
             tmp.write_bytes(blob)
@@ -208,11 +213,11 @@ class CacheStore:
             _value, status, _nbytes = self._read_entry(
                 path, namespace, path.stem
             )
-            size = path.stat().st_size
-            ns = info.namespaces.setdefault(
-                namespace, {"entries": 0, "bytes": 0}
-            )
             if status == CacheEntryStatus.HIT:
+                size = path.stat().st_size
+                ns = info.namespaces.setdefault(
+                    namespace, {"entries": 0, "bytes": 0}
+                )
                 info.entries += 1
                 info.bytes += size
                 ns["entries"] += 1
@@ -224,7 +229,7 @@ class CacheStore:
         return info
 
     def prune(self) -> int:
-        """Delete stale-schema and corrupt entries; returns the count."""
+        """Delete stale and corrupt entries; returns the count."""
         removed = 0
         for namespace, path in self._iter_entry_paths():
             _value, status, _nbytes = self._read_entry(

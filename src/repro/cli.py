@@ -54,9 +54,9 @@ atomically rewrites a live telemetry snapshot JSON every heartbeat —
 the file ``repro top`` and ``repro serve-metrics`` watch.
 
 Caching: ``--cache-dir PATH`` (global, or after ``study``/``figures``/
-``simulate``) memoises calibrations, schedules and traces on disk so
-warm re-runs replay unchanged cells bit-identically — see
-``docs/performance.md``.
+``simulate``) memoises calibrations and study cells on disk so warm
+re-runs replay unchanged cells bit-identically; ``simulate`` caches
+only the calibration — see ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -406,7 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
         "action",
         choices=("info", "clear", "prune"),
         help="info: entry counts and sizes; clear: delete everything; "
-        "prune: delete stale-schema and corrupt entries only",
+        "prune: delete stale (old schema or unread layer) and corrupt "
+        "entries only",
     )
     add_cache_dir(p_cache)
     return parser
@@ -490,14 +491,14 @@ def _cmd_simulate(ctx: StudyContext, args: argparse.Namespace) -> int:
         startup_model=suite.startup_model,
         redistribution_model=suite.redistribution_model,
     )
-    schedule = schedule_dag(graph, costs, args.algorithm, cache=ctx.cache)
+    schedule = schedule_dag(graph, costs, args.algorithm)
     simulator = ApplicationSimulator(
         ctx.platform,
         suite.task_model,
         startup_model=suite.startup_model,
         redistribution_model=suite.redistribution_model,
     )
-    sim_trace = simulator.run_cached(graph, schedule, ctx.cache)
+    sim_trace = simulator.run(graph, schedule)
     exp_trace = ctx.emulator.execute(graph, schedule)
     print(f"dag: {graph.name}  algorithm: {args.algorithm}  "
           f"simulator: {args.simulator}")

@@ -48,7 +48,7 @@ class StudyContext:
         results — see :func:`repro.experiments.runner.run_study`.
     cache_dir:
         Optional directory of the persistent content-addressed result
-        cache.  When set, calibrated suites, schedules and traces are
+        cache.  When set, calibrated suites and study cells are
         memoised on disk and warm study re-runs replay unchanged cells
         bit-identically — see :mod:`repro.cache`.
     telemetry:

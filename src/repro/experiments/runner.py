@@ -36,9 +36,9 @@ walk:
 2. **The plan.**  With one worker (after the clamp to the core count)
    there is no plan: no cache probe, no pool, no pickle, and every
    cell emits straight into the parent's recorder.  With more, a cache
-   is probed *side-effect-free* (:func:`_plan_cache_hits`) to count
-   the cells that still need computing.  A pool is forked only if it
-   gets at least two workers; otherwise every cell runs in the parent.
+   is probed *side-effect-free* (:func:`_count_misses`) to count the
+   cells that still need computing.  A pool is forked only if it gets
+   at least two workers; otherwise every cell runs in the parent.
    With a pool, the whole grid is cut into chunks of consecutive
    positions, cached cells included — about four per worker, so the
    pool's shared queue rebalances stragglers work-stealing-style.
@@ -100,7 +100,7 @@ from repro.cache.keys import CellKeys, StudyKeys
 from repro.cache.result_cache import ResultCache
 from repro.dag.generator import DagParameters
 from repro.dag.graph import TaskGraph
-from repro.obs.live import LiveTelemetry, WorkerEmitter
+from repro.obs.live import CellEmitter, LiveTelemetry, WorkerEmitter
 from repro.obs.manifest import RunManifest
 from repro.obs.prof import Profiler
 from repro.obs.recorder import Recorder, get_recorder, recording
@@ -248,8 +248,10 @@ def _run_cell(
     simulator: ApplicationSimulator,
     cache: ResultCache | None,
     keys: CellKeys | None,
-) -> RunRecord:
+) -> tuple[RunRecord, bool]:
     """One grid cell: schedule, simulate, execute, record.
+
+    Returns the record and whether it came from the cache.
 
     With a ``cache`` (and this cell's ``keys``), the cell is one entry
     of the ``"cell"`` layer holding the three numbers its record takes
@@ -267,8 +269,11 @@ def _run_cell(
     schedule: the first that runs lowers (and validates) it.
     """
     cell = {"dag": graph.name, "algorithm": algorithm, "simulator": suite.name}
+    hit = True
 
     def compute() -> tuple[float, float, int]:
+        nonlocal hit
+        hit = False
         with obs.span("study.schedule", **cell):
             schedule = schedule_dag(graph, costs, algorithm)
         lowering = ScheduleLowering(graph, schedule)
@@ -310,7 +315,7 @@ def _run_cell(
             error_pct=record.error_pct,
             total_alloc=record.total_alloc,
         )
-    return record
+    return record, hit
 
 
 class _CellRunner:
@@ -323,7 +328,8 @@ class _CellRunner:
     entry carries the memoised task times across the pair's
     algorithms.  (Cost evaluation emits no observability, so the memo
     cannot change any counter.)  :meth:`run` is the only way a cell
-    runs, in the parent or in a pool worker.
+    runs, in the parent or in a pool worker, and the one place a cell's
+    live events are emitted.
     """
 
     def __init__(
@@ -361,15 +367,18 @@ class _CellRunner:
         self._pair: tuple[int, int] | None = None
         self._costs: SchedulingCosts | None = None
         self._cell_keys: CellKeys | None = None
-
-    def label(self, pos: int) -> str:
-        """Human-readable cell name for live telemetry: suite:dag/algorithm."""
-        suite_idx, dag_idx, algorithm = self.cells[pos]
-        graph = self.dags[dag_idx][1]
-        return f"{self.suites[suite_idx].name}:{graph.name}/{algorithm}"
+        #: Where the cells' live events go: the parent's emitter in a
+        #: study without a pool, each worker's own in a pool, None
+        #: without telemetry.
+        self.emitter: CellEmitter | None = None
 
     def run(self, pos: int) -> RunRecord:
-        """Run the cell at grid position ``pos`` into the active recorder."""
+        """Run the cell at grid position ``pos`` into the active recorder.
+
+        With an emitter, the cell sends a live ``start``, then a
+        ``hit`` if it came from the cache or a ``finish`` if it was
+        computed.
+        """
         suite_idx, dag_idx, algorithm = self.cells[pos]
         suite = self.suites[suite_idx]
         params, graph = self.dags[dag_idx]
@@ -387,6 +396,10 @@ class _CellRunner:
                 if self.keys is not None
                 else None
             )
+        emitter = self.emitter
+        if emitter is not None:
+            label = f"{suite.name}:{graph.name}/{algorithm}"
+            emitter.cell_started(pos, label)
         obs = get_recorder()
         tl = obs.timeline if obs.enabled else None
         cell_ctx = (
@@ -395,11 +408,14 @@ class _CellRunner:
             else nullcontext()
         )
         with cell_ctx:
-            return _run_cell(
+            record, hit = _run_cell(
                 suite, params, graph, algorithm, self.emulator, obs,
                 self._costs, self.simulators[suite_idx], self.cache,
                 self._cell_keys,
             )
+        if emitter is not None:
+            emitter.cell_finished(pos, label, hit)
+        return record
 
 
 #: Per-worker study state, installed once by the pool initializer so
@@ -423,49 +439,26 @@ def _pool_init(
     # is strictly observational — it feeds the progress display, never
     # the Recorder — so results and merged metrics are identical with
     # or without it.
-    _POOL_STATE["live"] = (
-        WorkerEmitter(live[0], heartbeat_s=live[1])
-        if live is not None
-        else None
-    )
+    if live is not None:
+        runner.emitter = WorkerEmitter(live[0], heartbeat_s=live[1])
 
 
-def _pool_run_chunk(
-    positions: range, hits: Sequence[bool]
-) -> tuple[list[RunRecord], dict | None]:
+def _pool_run_chunk(positions: range) -> tuple[list[RunRecord], dict | None]:
     """Run one chunk of consecutive grid positions in a worker.
 
-    ``hits`` is the planner's verdict for each position; it only picks
-    the live event a cell reports (a cache hit, or a start and a
-    finish).  Returns ``(records, obs payload)`` — one compact payload
-    for the whole chunk instead of one pickle per cell.  When the
-    parent's recorder is enabled the worker records every cell into a
-    single private in-memory recorder (never into any sink inherited
-    across the fork, which the parent process owns), whose export the
-    parent absorbs whole.
+    Returns ``(records, obs payload)`` — one compact payload for the
+    whole chunk instead of one pickle per cell.  When the parent's
+    recorder is enabled the worker records every cell into a single
+    private in-memory recorder (never into any sink inherited across
+    the fork, which the parent process owns), whose export the parent
+    absorbs whole.
     """
     state = _POOL_STATE
     runner = state["runner"]
-    emitter = state["live"]
-
-    def _traced_cell(pos: int, hit: bool) -> RunRecord:
-        if emitter is None:
-            return runner.run(pos)
-        label = runner.label(pos)
-        if hit:
-            record = runner.run(pos)
-            emitter.cache_hit(pos, label)
-            return record
-        emitter.cell_started(pos, label)
-        record = runner.run(pos)
-        emitter.cell_finished(pos, label)
-        return record
-
-    if emitter is not None:
-        emitter.chunk_claimed(len(positions))
-    cells = zip(positions, hits)
+    if runner.emitter is not None:
+        runner.emitter.chunk_claimed(len(positions))
     if not state["obs_enabled"]:
-        return [_traced_cell(pos, hit) for pos, hit in cells], None
+        return [runner.run(pos) for pos in positions], None
     # A worker timeline numbers its runs from 0; the parent's
     # Timeline.absorb offsets them by its running total.
     tl = Timeline() if state["timeline_enabled"] else None
@@ -475,30 +468,31 @@ def _pool_run_chunk(
     prof = Profiler() if state["profiler_enabled"] else None
     worker_obs = Recorder(MemorySink(), timeline=tl, profiler=prof)
     with recording(worker_obs):
-        records = [_traced_cell(pos, hit) for pos, hit in cells]
+        records = [runner.run(pos) for pos in positions]
     return records, worker_obs.export_state()
 
 
-def _plan_cache_hits(runner: _CellRunner) -> list[bool]:
-    """One-pass batched cache probe: which cells are cached?
+def _count_misses(runner: _CellRunner) -> int:
+    """One-pass batched cache probe: how many cells are not cached?
 
     Hashes every cell's key from the study's pre-encoded fragments and
     asks the store whether its entry file exists
     (:meth:`~repro.cache.result_cache.ResultCache.contains`), so the
     probe leaves hit/miss and byte counters exactly as if it never
-    ran.  The misses decide whether a pool is worth forking, and each
-    entry picks the live event its cell reports.  A True entry is
-    advisory: the cell still runs through the normal counted path,
-    which detects (and counts) a stale or corrupt entry — a wrong hint
-    never changes what a cell produces.
+    ran.  The count only decides whether a pool is worth forking.  A
+    hit is advisory: the cell still runs through the normal counted
+    path, which detects (and counts) a stale or corrupt entry — a
+    wrong hint never changes what a cell produces.
     """
     cache, keys = runner.cache, runner.keys
     if cache is None:
-        return [False] * len(runner.cells)
-    return [
-        cache.contains("cell", keys.cell(suite_idx, dag_idx).cell(algorithm))
+        return len(runner.cells)
+    return sum(
+        not cache.contains(
+            "cell", keys.cell(suite_idx, dag_idx).cell(algorithm)
+        )
         for suite_idx, dag_idx, algorithm in runner.cells
-    ]
+    )
 
 
 def _walk_grid(
@@ -522,8 +516,7 @@ def _walk_grid(
     total = len(runner.cells)
     if not total:
         return 0.0
-    hits = _plan_cache_hits(runner) if workers > 1 else [False] * total
-    pool_workers = min(workers, hits.count(False))
+    pool_workers = min(workers, _count_misses(runner)) if workers > 1 else 0
     if pool_workers < 2:
         # A one-worker pool would do the in-process work plus the
         # fork, pickling and merge: every cell runs in the parent.
@@ -531,18 +524,9 @@ def _walk_grid(
     if telemetry is not None:
         telemetry.begin_study(total, pool_workers)
     if not pool_workers:
-        for pos in range(total):
-            if telemetry is None:
-                result.records.append(runner.run(pos))
-            elif hits[pos]:
-                result.records.append(runner.run(pos))
-                telemetry.cache_hit(pos, runner.label(pos))
-            else:
-                label = runner.label(pos)
-                telemetry.cell_started(pos, label)
-                cell_t0 = time.monotonic()
-                result.records.append(runner.run(pos))
-                telemetry.cell_finished(pos, label, time.monotonic() - cell_t0)
+        if telemetry is not None:
+            runner.emitter = telemetry.emitter()
+        result.records.extend(map(runner.run, range(total)))
         return 0.0
     size = chunk or math.ceil(total / (pool_workers * _CHUNKS_PER_WORKER))
     dispatch_wait = 0.0
@@ -554,11 +538,7 @@ def _walk_grid(
         # keeps no future it has consumed, so each payload is freed
         # once absorbed instead of living until the pool closes.
         futures = deque(
-            pool.submit(
-                _pool_run_chunk,
-                range(lo, min(lo + size, total)),
-                hits[lo : lo + size],
-            )
+            pool.submit(_pool_run_chunk, range(lo, min(lo + size, total)))
             for lo in range(0, total, size)
         )
         while futures:

@@ -5,10 +5,13 @@ their recorder state once per chunk and the parent merges it after the
 study returns, so a long campaign is a black box while it runs.  This
 module adds the *live* side — a :class:`LiveTelemetry` bus whose pool
 workers emit compact progress events (chunk claimed, cell started /
-finished, periodic heartbeats) over a dedicated ``multiprocessing``
-queue, folded by a parent drain thread into a :class:`LiveStudyState`:
-cells done/total, per-worker in-flight cell and age, a cells/sec EWMA,
-an ETA, and straggler/stall flags.
+finished / replayed from the cache, periodic heartbeats) over a
+dedicated ``multiprocessing`` queue, folded by a parent drain thread
+into a :class:`LiveStudyState`: cells done/total, per-worker in-flight
+cell and age, a cells/sec EWMA, an ETA, and straggler/stall flags.
+Every cell emits through one :class:`CellEmitter` interface: a pool
+worker's :class:`WorkerEmitter` feeds the queue, and the parent's
+(:meth:`LiveTelemetry.emitter`) folds straight into the state.
 
 The channel is strictly observational.  It never touches results,
 caching, or the deterministic Recorder/Timeline merge: live counters
@@ -23,21 +26,24 @@ Event schema (tuples, cheap to pickle through the queue)::
 
     ("chunk",  pid, t, cells)               worker claimed a chunk
     ("start",  pid, t, pos, label)          cell started
-    ("finish", pid, t, pos, label, dur_s)   cell finished
+    ("finish", pid, t, pos, label, dur_s)   cell computed
     ("hit",    pid, t, pos, label)          cell replayed from the cache
     ("hb",     pid, t, pos, age_s)          worker heartbeat
 
+Every cell sends ``start`` and then either ``finish`` or ``hit``.
 ``t`` is ``time.monotonic()`` — on the platforms the pool supports,
 the monotonic clock is system-wide, so worker timestamps and parent
-ages share a base.  ``pos`` is the cell's grid submission index,
-``label`` is ``suite:dag/algorithm``.
+ages share a base.  ``pid`` is 0 for cells run in the parent, ``pos``
+is the cell's grid submission index, ``label`` is
+``suite:dag/algorithm``.
 
 Straggler/stall detection (checked every drain tick):
 
-* a worker whose in-flight cell's age exceeds ``straggler_factor``
-  (default 4.0) times the rolling median of the last ``window``
-  completed cell durations — once at least ``min_samples`` cells have
-  finished — is flagged a *straggler* (once per cell);
+* a worker whose in-flight cell's age exceeds
+  :data:`STRAGGLER_FACTOR` (4.0) times the rolling median of the last
+  :data:`WINDOW` (64) computed cell durations — once at least
+  :data:`MIN_SAMPLES` (5) cells have been computed — is flagged a
+  *straggler* (once per cell);
 * a pool worker that has not been heard from (heartbeat cadence
   ``heartbeat_s``, default 0.5 s) for :data:`STALL_AFTER_BEATS` (6)
   cadences while a cell is in flight is flagged *stalled*.  Cells run
@@ -62,6 +68,7 @@ from pathlib import Path
 from typing import Callable
 
 __all__ = [
+    "CellEmitter",
     "LiveStudyState",
     "LiveTelemetry",
     "ProgressPrinter",
@@ -79,25 +86,23 @@ SNAPSHOT_SCHEMA = "repro.live/1"
 #: :class:`LiveTelemetry` flags it stalled.
 STALL_AFTER_BEATS = 6
 
+#: A cell in flight for longer than STRAGGLER_FACTOR times the median
+#: duration of the last WINDOW computed cells is a straggler, once at
+#: least MIN_SAMPLES cells have been computed.
+STRAGGLER_FACTOR = 4.0
+MIN_SAMPLES = 5
+WINDOW = 64
+
 
 class LiveStudyState:
     """The parent-side fold of the live event stream.
 
-    Mutated only by the telemetry drain thread (and parent-local
-    emitters) under the owning :class:`LiveTelemetry`'s lock; read via
+    Mutated only by the telemetry drain thread (and the parent's
+    emitter) under the owning :class:`LiveTelemetry`'s lock; read via
     :meth:`snapshot`, which returns a detached plain dict.
     """
 
-    def __init__(
-        self,
-        *,
-        straggler_factor: float = 4.0,
-        min_samples: int = 5,
-        window: int = 64,
-        stall_after_s: float = 3.0,
-    ) -> None:
-        self.straggler_factor = straggler_factor
-        self.min_samples = min_samples
+    def __init__(self, *, stall_after_s: float = 3.0) -> None:
         self.stall_after_s = stall_after_s
         self.total = 0
         self.done = 0
@@ -109,7 +114,7 @@ class LiveStudyState:
         #: per-worker view: pid -> {cell, pos, since, last_seen, done,
         #: local, straggler, stalled}
         self.workers: dict[int, dict] = {}
-        self.durations: deque[float] = deque(maxlen=window)
+        self.durations: deque[float] = deque(maxlen=WINDOW)
         self.ewma_rate: float | None = None
         self._last_finish: float | None = None
         #: live counters — kept OUT of the Recorder on purpose (they
@@ -153,7 +158,7 @@ class LiveStudyState:
             entry["since"] = t
             entry["straggler"] = False
             entry["stalled"] = False
-        elif kind == "finish":
+        elif kind in ("finish", "hit"):
             entry = self._worker(pid, t, local=local)
             entry["cell"] = None
             entry["pos"] = None
@@ -161,13 +166,10 @@ class LiveStudyState:
             entry["stalled"] = False
             entry["done"] += 1
             self.done += 1
-            self.durations.append(float(event[5]))
-            self._tick_rate(t)
-        elif kind == "hit":
-            entry = self._worker(pid, t, local=local)
-            entry["done"] += 1
-            self.done += 1
-            self.cache_hits += 1
+            if kind == "hit":
+                self.cache_hits += 1
+            else:
+                self.durations.append(float(event[5]))
             self._tick_rate(t)
         elif kind == "chunk":
             self._worker(pid, t, local=local)
@@ -194,7 +196,7 @@ class LiveStudyState:
 
     # -- health -------------------------------------------------------
     def median_duration(self) -> float | None:
-        if len(self.durations) < self.min_samples:
+        if len(self.durations) < MIN_SAMPLES:
             return None
         ordered = sorted(self.durations)
         mid = len(ordered) // 2
@@ -206,7 +208,7 @@ class LiveStudyState:
         """Flag stragglers and stalls; returns newly raised live events.
 
         A straggler is an in-flight cell older than
-        ``straggler_factor`` x the rolling median cell duration; a
+        :data:`STRAGGLER_FACTOR` x the rolling median cell duration; a
         stall is a *pool* worker silent past ``stall_after_s`` with a
         cell in flight.  Each (worker, cell) pair is flagged at most
         once per condition.
@@ -220,7 +222,7 @@ class LiveStudyState:
             if (
                 med is not None
                 and not entry["straggler"]
-                and age > self.straggler_factor * med
+                and age > STRAGGLER_FACTOR * med
             ):
                 entry["straggler"] = True
                 self.counters["runner.stragglers"] = (
@@ -328,9 +330,9 @@ class LiveTelemetry:
     check every tick, and — with ``snapshot_path`` set — atomically
     rewrites the JSON snapshot file.
 
-    Parent-local emissions (cells run in a study without a pool)
-    bypass the queue and fold directly under the lock, so such a study
-    gets the same state without any IPC.
+    Cells run in the parent (a study without a pool) emit through
+    :meth:`emitter`, which bypasses the queue and folds directly under
+    the lock, so such a study gets the same state without any IPC.
     """
 
     def __init__(
@@ -392,19 +394,13 @@ class LiveTelemetry:
         with self._lock:
             self.state.begin_study(cells, workers)
 
-    def cell_started(self, pos: int, label: str) -> None:
-        with self._lock:
-            self.state.fold(("start", 0, time.monotonic(), pos, label))
+    def emitter(self) -> CellEmitter:
+        """The emitter of cells run in the parent: pid 0, no heartbeat."""
+        return CellEmitter(self._fold, 0)
 
-    def cell_finished(self, pos: int, label: str, dur_s: float) -> None:
+    def _fold(self, event: tuple) -> None:
         with self._lock:
-            self.state.fold(
-                ("finish", 0, time.monotonic(), pos, label, dur_s)
-            )
-
-    def cache_hit(self, pos: int, label: str) -> None:
-        with self._lock:
-            self.state.fold(("hit", 0, time.monotonic(), pos, label))
+            self.state.fold(event)
 
     # -- reading ------------------------------------------------------
     def snapshot(self) -> dict:
@@ -432,8 +428,7 @@ class LiveTelemetry:
                     # the periodic work.
                     drained = False
                 if drained:
-                    with self._lock:
-                        self.state.fold(event)
+                    self._fold(event)
                     # Opportunistically drain the backlog so a burst of
                     # events does not serialize one tick apiece.
                     for _ in range(512):
@@ -441,8 +436,7 @@ class LiveTelemetry:
                             event = queue.get_nowait()
                         except Exception:
                             break
-                        with self._lock:
-                            self.state.fold(event)
+                        self._fold(event)
             else:
                 self._stop.wait(tick)
             now = time.monotonic()
@@ -481,7 +475,44 @@ class LiveTelemetry:
                 pass
 
 
-class WorkerEmitter:
+class CellEmitter:
+    """Emits the events of the cells one process runs.
+
+    ``put`` delivers an event tuple (see the module docstring schema)
+    and ``pid`` names the process, 0 for the parent.  The emitter keeps
+    the cell in flight, so a ``finish`` carries the cell's duration.
+    """
+
+    def __init__(self, put: Callable[[tuple], None], pid: int) -> None:
+        self._put = put
+        self.pid = pid
+        self._lock = threading.Lock()
+        self._current: tuple[int, str, float] | None = None
+
+    def chunk_claimed(self, cells: int) -> None:
+        self._put(("chunk", self.pid, time.monotonic(), cells))
+
+    def cell_started(self, pos: int, label: str) -> None:
+        t = time.monotonic()
+        with self._lock:
+            self._current = (pos, label, t)
+        self._put(("start", self.pid, t, pos, label))
+
+    def cell_finished(self, pos: int, label: str, hit: bool = False) -> None:
+        """End the cell in flight: a ``hit`` if it came from the cache,
+        else a ``finish`` with its duration."""
+        t = time.monotonic()
+        with self._lock:
+            current = self._current
+            self._current = None
+        if hit:
+            self._put(("hit", self.pid, t, pos, label))
+        else:
+            dur = t - current[2] if current is not None else 0.0
+            self._put(("finish", self.pid, t, pos, label, dur))
+
+
+class WorkerEmitter(CellEmitter):
     """The worker half: emits events and heartbeats into the queue.
 
     Built once per pool worker by the pool initializer.  ``put`` never
@@ -493,10 +524,13 @@ class WorkerEmitter:
     """
 
     def __init__(self, queue, heartbeat_s: float = 0.5) -> None:
-        self._queue = queue
-        self.pid = os.getpid()
-        self._lock = threading.Lock()
-        self._current: tuple[int, str, float] | None = None
+        def put(event: tuple) -> None:
+            try:
+                queue.put_nowait(event)
+            except Exception:
+                pass
+
+        super().__init__(put, os.getpid())
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._beat,
@@ -505,32 +539,6 @@ class WorkerEmitter:
             daemon=True,
         )
         self._thread.start()
-
-    def _put(self, event: tuple) -> None:
-        try:
-            self._queue.put_nowait(event)
-        except Exception:
-            pass
-
-    def chunk_claimed(self, cells: int) -> None:
-        self._put(("chunk", self.pid, time.monotonic(), cells))
-
-    def cell_started(self, pos: int, label: str) -> None:
-        t = time.monotonic()
-        with self._lock:
-            self._current = (pos, label, t)
-        self._put(("start", self.pid, t, pos, label))
-
-    def cell_finished(self, pos: int, label: str) -> None:
-        t = time.monotonic()
-        with self._lock:
-            current = self._current
-            self._current = None
-        dur = t - current[2] if current is not None else 0.0
-        self._put(("finish", self.pid, t, pos, label, dur))
-
-    def cache_hit(self, pos: int, label: str) -> None:
-        self._put(("hit", self.pid, time.monotonic(), pos, label))
 
     def _beat(self, heartbeat_s: float) -> None:
         while not self._stop.wait(heartbeat_s):

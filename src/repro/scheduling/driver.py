@@ -5,8 +5,6 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import Callable
 
-from repro.cache.keys import costs_fingerprint, dag_fingerprint, schedule_key
-from repro.cache.result_cache import ResultCache
 from repro.dag.graph import TaskGraph
 from repro.obs.recorder import get_recorder
 from repro.scheduling.baselines import full_parallel_allocate, sequential_allocate
@@ -42,8 +40,6 @@ def schedule_dag(
     graph: TaskGraph,
     costs: SchedulingCosts,
     algorithm: str,
-    *,
-    cache: ResultCache | None = None,
 ) -> Schedule:
     """Run the named two-phase algorithm and return a validated schedule.
 
@@ -56,30 +52,7 @@ def schedule_dag(
     algorithm:
         One of :data:`ALGORITHMS` (``"cpa"``, ``"hcpa"``, ``"mcpa"``,
         ``"seq"``, ``"maxpar"``).
-    cache:
-        Optional result cache; when given, the schedule is memoised
-        under the ``"schedule"`` layer keyed by the DAG's content, the
-        cost models and the algorithm.  Scheduling is deterministic in
-        exactly those inputs, so a replayed schedule is bit-identical
-        to a recomputed one.
     """
-    if cache is not None:
-        key = schedule_key(
-            algorithm, dag_fingerprint(graph), costs_fingerprint(costs)
-        )
-        return cache.get_or_compute(
-            "schedule",
-            key,
-            lambda: _schedule_dag_uncached(graph, costs, algorithm),
-        )
-    return _schedule_dag_uncached(graph, costs, algorithm)
-
-
-def _schedule_dag_uncached(
-    graph: TaskGraph,
-    costs: SchedulingCosts,
-    algorithm: str,
-) -> Schedule:
     graph.validate()
     obs = get_recorder()
     if algorithm in ONE_PHASE_ALGORITHMS:

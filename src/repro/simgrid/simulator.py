@@ -204,8 +204,8 @@ class ScheduleLowering:
     A study cell executes one schedule twice, in the simulator and on
     the testbed, and both runs need the same validated layout of the
     pair (:class:`_Layout`).  Hand both runs one ``ScheduleLowering``
-    and the first run that needs the layout builds it; a cell whose two
-    traces both come from a cache never lowers at all.  Make it where
+    and the first run that needs the layout builds it; a cell replayed
+    from the result cache never lowers at all.  Make it where
     the schedule is final: the layout is not rebuilt if the schedule
     changes afterwards.
     """
@@ -317,36 +317,6 @@ class ApplicationSimulator:
         # accounting lives in each run's engine, so sharing it across
         # runs changes no simulated value.
         self._shared_topology = topology
-
-    # ------------------------------------------------------------------
-    def run_cached(
-        self, graph: TaskGraph, schedule: Schedule, cache
-    ) -> SimulationTrace:
-        """Memoised :meth:`run` under the cache's ``"simulation"`` layer.
-
-        The simulation is deterministic in (models, platform, graph,
-        schedule), so a replayed trace is bit-identical to a fresh one.
-        Only meaningful for simulators whose models are pure data
-        (suite models); the testbed's ground-truth models draw from an
-        RNG stream and are cached at the study-cell level instead.
-        """
-        from repro.cache.keys import (
-            dag_fingerprint,
-            schedule_fingerprint,
-            simulation_key,
-            simulator_fingerprint,
-        )
-
-        if cache is None:
-            return self.run(graph, schedule)
-        key = simulation_key(
-            simulator_fingerprint(self),
-            dag_fingerprint(graph),
-            schedule_fingerprint(schedule),
-        )
-        return cache.get_or_compute(
-            "simulation", key, lambda: self.run(graph, schedule)
-        )
 
     # ------------------------------------------------------------------
     def _build_engine(

@@ -2,8 +2,8 @@
 
 The cache is only correct if the key hash is *stable* under
 representation details (dict insertion order, float formatting) and
-*sensitive* to every semantically meaningful change (a DAG edge, an
-allocation, a fitted model coefficient).
+*sensitive* to every semantically meaningful change (a DAG edge, a
+platform, a fitted model coefficient).
 """
 
 from __future__ import annotations
@@ -20,13 +20,10 @@ from repro.cache.keys import (
     StudyKeys,
     canonical_bytes,
     canonical_hash,
-    costs_fingerprint,
     dag_fingerprint,
     emulator_fingerprint,
     encoded_fingerprint,
-    schedule_fingerprint,
     simulator_fingerprint,
-    suite_fingerprint,
 )
 from repro.dag.graph import Task, TaskGraph
 from repro.dag.kernels import MATADD, MATMUL
@@ -34,8 +31,6 @@ from repro.models.analytical import AnalyticalTaskModel
 from repro.models.profiles import ProfileTaskModel
 from repro.platform.personalities import bayreuth_cluster
 from repro.profiling.calibration import SimulatorSuite, build_analytical_suite
-from repro.scheduling.costs import SchedulingCosts
-from repro.scheduling.driver import schedule_dag
 from repro.simgrid.simulator import ApplicationSimulator
 from repro.testbed.tgrid import TGridEmulator
 
@@ -217,44 +212,31 @@ class TestDomainFingerprints:
             dag_fingerprint(cold)
         )
 
-    def test_schedule_fingerprint_changes_with_allocation(self):
-        platform = bayreuth_cluster(8)
-        graph = _diamond()
-        costs = SchedulingCosts(
-            graph, platform, AnalyticalTaskModel(platform)
-        )
-        by_alg = {
-            alg: canonical_hash(
-                schedule_fingerprint(schedule_dag(graph, costs, alg))
+    def test_simulator_fingerprint_changes_with_platform(self):
+        small, large = bayreuth_cluster(16), bayreuth_cluster(32)
+
+        def fingerprint(platform, suite):
+            simulator = ApplicationSimulator(
+                platform,
+                suite.task_model,
+                startup_model=suite.startup_model,
+                redistribution_model=suite.redistribution_model,
             )
-            for alg in ("seq", "maxpar")
-        }
-        # seq allocates every node to each task in turn; maxpar splits
-        # the cluster — different placements, different fingerprints.
-        assert by_alg["seq"] != by_alg["maxpar"]
+            return canonical_hash(simulator_fingerprint(simulator))
 
-    def test_suite_fingerprint_changes_with_platform(self):
-        a = suite_fingerprint(build_analytical_suite(bayreuth_cluster(32)))
-        b = suite_fingerprint(build_analytical_suite(bayreuth_cluster(16)))
-        assert canonical_hash(a) != canonical_hash(b)
+        base = fingerprint(large, build_analytical_suite(large))
+        # The platform the simulator runs on ...
+        assert fingerprint(small, build_analytical_suite(large)) != base
+        # ... and the one its suite's models were built for.
+        assert fingerprint(large, build_analytical_suite(small)) != base
 
-    def test_suite_fingerprint_changes_with_one_table_entry(self):
+    def test_task_model_changes_with_one_table_entry(self):
         table = {("matmul", 2000, 4): 1.25, ("matadd", 2000, 4): 0.5}
         bumped = dict(table)
         bumped[("matmul", 2000, 4)] += 1e-9
         assert canonical_hash(ProfileTaskModel(table)) != canonical_hash(
             ProfileTaskModel(bumped)
         )
-
-    def test_costs_fingerprint_ignores_memo_tables(self):
-        platform = bayreuth_cluster(8)
-        graph = _diamond()
-        costs = SchedulingCosts(
-            graph, platform, AnalyticalTaskModel(platform)
-        )
-        before = canonical_hash(costs_fingerprint(costs))
-        schedule_dag(graph, costs, "hcpa")  # populates internal memos
-        assert canonical_hash(costs_fingerprint(costs)) == before
 
     def test_emulator_fingerprint_tracks_seed_and_noise(self):
         platform = bayreuth_cluster(8)

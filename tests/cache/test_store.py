@@ -2,7 +2,8 @@
 
 A damaged cache must never crash a study or serve wrong data — every
 bad entry is detected, logged through the Recorder, deleted, and the
-value transparently recomputed.
+value transparently recomputed.  The tests use the two layers the code
+reads, ``cell`` and ``calibration``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import shutil
 
 import pytest
 
+from repro.cache.keys import canonical_hash
 from repro.cache.result_cache import ResultCache
 from repro.cache.schema import CACHE_SCHEMA_VERSION
 from repro.cache.store import CacheEntryStatus, CacheStore
@@ -33,35 +35,35 @@ KEY = "ab" + "0" * 62  # hash-shaped: fans out into the "ab" subdirectory
 class TestRoundTrip:
     def test_put_get(self, root):
         store = CacheStore(root)
-        store.put("schedule", KEY, {"makespan": 12.5})
-        assert store.get("schedule", KEY) == (True, {"makespan": 12.5})
+        store.put("cell", KEY, {"makespan": 12.5})
+        assert store.get("cell", KEY) == (True, {"makespan": 12.5})
 
     def test_cached_none_is_a_hit(self, root):
         store = CacheStore(root)
-        store.put("schedule", KEY, None)
-        assert store.get("schedule", KEY) == (True, None)
+        store.put("cell", KEY, None)
+        assert store.get("cell", KEY) == (True, None)
 
     def test_miss(self, root):
-        assert CacheStore(root).get("schedule", KEY) == (False, None)
+        assert CacheStore(root).get("cell", KEY) == (False, None)
 
     def test_get_reads_the_disk(self, root):
         store = CacheStore(root)
-        store.put("schedule", KEY, "value")
+        store.put("cell", KEY, "value")
         shutil.rmtree(root)  # rip the disk out from under the store
-        assert store.get("schedule", KEY) == (False, None)
+        assert store.get("cell", KEY) == (False, None)
 
 
 class TestCorruptionAndSkew:
     def _assert_discarded(self, root, status, mutate):
         """Write an entry, damage it with ``mutate``, then re-read."""
         writer = CacheStore(root)
-        writer.put("schedule", KEY, "good value")
-        mutate(_entry_file(writer, "schedule", KEY))
+        writer.put("cell", KEY, "good value")
+        mutate(_entry_file(writer, "cell", KEY))
 
         recorder = Recorder.to_memory()
         reader = CacheStore(root)  # a second store over the same files
         with recording(recorder):
-            found, value = reader.get("schedule", KEY)
+            found, value = reader.get("cell", KEY)
         assert (found, value) == (False, None)
         # ... detected and counted ...
         counters = recorder.metrics()["counters"]
@@ -72,7 +74,7 @@ class TestCorruptionAndSkew:
         ]
         assert len(events) == 1 and events[0]["reason"] == status
         # ... and deleted, so the next read is a clean miss.
-        assert not _entry_file(reader, "schedule", KEY).exists()
+        assert not _entry_file(reader, "cell", KEY).exists()
 
     def test_truncated_entry_is_discarded(self, root):
         self._assert_discarded(
@@ -105,6 +107,18 @@ class TestCorruptionAndSkew:
             root, CacheEntryStatus.STALE, rewrite_with_old_schema
         )
 
+    def test_entry_under_an_unread_layer_is_discarded(self, root):
+        # Only the calibration and cell layers are ever looked up; an
+        # entry under any other layer is stale, like an old schema's.
+        CacheStore(root).put("schedule", KEY, "good value")
+        recorder = Recorder.to_memory()
+        with recording(recorder):
+            found, value = CacheStore(root).get("schedule", KEY)
+        assert (found, value) == (False, None)
+        counters = recorder.metrics()["counters"]
+        assert counters["cache.discarded.stale"] == 1
+        assert not _entry_file(CacheStore(root), "schedule", KEY).exists()
+
     def test_misplaced_entry_is_discarded(self, root):
         def misfile(path):
             # A valid envelope for a *different* key under this name:
@@ -118,33 +132,33 @@ class TestCorruptionAndSkew:
     def test_damaged_entry_is_transparently_recomputed(self, root):
         cache = ResultCache(root)
         key = {"dag": "diamond", "algorithm": "hcpa"}
-        assert cache.get_or_compute("schedule", key, lambda: 41) == 41
-        _entry_file(cache.store, "schedule", cache.key_hash(key)).write_bytes(
+        assert cache.get_or_compute("cell", key, lambda: 41) == 41
+        _entry_file(cache.store, "cell", canonical_hash(key)).write_bytes(
             b"\x00 bit rot \x00"
         )
 
         recorder = Recorder.to_memory()
         fresh = ResultCache(root)
         with recording(recorder):
-            value = fresh.get_or_compute("schedule", key, lambda: 42)
+            value = fresh.get_or_compute("cell", key, lambda: 42)
         assert value == 42  # recomputed, never crashed
         counters = recorder.metrics()["counters"]
         assert counters["cache.misses"] == 1
         assert counters["cache.discarded.corrupt"] == 1
         # The recomputed value was re-persisted.
         assert ResultCache(root).get_or_compute(
-            "schedule", key, lambda: 43
+            "cell", key, lambda: 43
         ) == 42
 
 
 class TestMaintenance:
     def _populate(self, root):
         store = CacheStore(root)
-        store.put("schedule", KEY, "a")
-        store.put("simulation", KEY, "b")
+        store.put("cell", KEY, "a")
+        store.put("calibration", KEY, "b")
         old = CacheStore(root, schema="repro-cache-0")
-        old.put("schedule", "cd" + "1" * 62, "stale")
-        bad = _entry_file(store, "simulation", "ef" + "2" * 62)
+        old.put("cell", "cd" + "1" * 62, "stale")
+        bad = _entry_file(store, "calibration", "ef" + "2" * 62)
         bad.parent.mkdir(parents=True, exist_ok=True)
         bad.write_bytes(b"garbage")
         return store
@@ -156,8 +170,8 @@ class TestMaintenance:
         assert info.stale_entries == 1
         assert info.corrupt_entries == 1
         assert info.bytes > 0
-        assert info.namespaces["schedule"]["entries"] == 1
-        assert info.namespaces["simulation"]["entries"] == 1
+        assert info.namespaces["cell"]["entries"] == 1
+        assert info.namespaces["calibration"]["entries"] == 1
         assert set(info.to_dict()) >= {"root", "entries", "namespaces"}
 
     def test_prune_removes_only_bad_entries(self, root):

@@ -16,10 +16,8 @@ from repro.cache import (
     CacheStore,
     ResultCache,
     canonical_hash,
-    costs_fingerprint,
     dag_fingerprint,
     emulator_fingerprint,
-    schedule_fingerprint,
 )
 from repro.dag.generator import generate_paper_dags
 from repro.experiments import runner as runner_mod
@@ -31,10 +29,8 @@ from repro.profiling.calibration import (
     build_empirical_suite,
     build_profile_suite,
 )
-from repro.scheduling.costs import SchedulingCosts
-from repro.scheduling.driver import schedule_dag
 from repro.scheduling.schedule import Schedule
-from repro.simgrid.simulator import ApplicationSimulator, ScheduleLowering
+from repro.simgrid.simulator import ScheduleLowering
 from repro.testbed.tgrid import TGridEmulator
 
 
@@ -192,11 +188,10 @@ class TestStudyEquivalence:
 
 
 class TestKeyCompatibility:
-    """The literal dicts below spell out today's on-disk key layouts.
+    """The literal dict below spells out today's on-disk cell key layout.
 
     A study hashes its cell keys from pre-encoded fragments; it must
-    write every cell under the layout of the plain fingerprints.  The
-    per-call paths keep their own layers and layouts.
+    write every cell under the layout of the plain fingerprints.
     """
 
     @pytest.fixture(scope="class")
@@ -251,50 +246,6 @@ class TestKeyCompatibility:
         assert list(info.namespaces) == ["cell"]
         assert info.entries == len(study.records)
 
-    def test_per_call_paths_write_under_their_literal_layouts(
-        self, grid, tmp_path
-    ):
-        dags, suites, emulator = grid
-        cache = ResultCache(tmp_path / "cache")
-        platform = emulator.platform
-        for suite in suites:
-            simulator = ApplicationSimulator(
-                platform,
-                suite.task_model,
-                startup_model=suite.startup_model,
-                redistribution_model=suite.redistribution_model,
-            )
-            for _params, graph in dags:
-                costs = SchedulingCosts(
-                    graph,
-                    platform,
-                    suite.task_model,
-                    startup_model=suite.startup_model,
-                    redistribution_model=suite.redistribution_model,
-                )
-                for algorithm in ("hcpa", "mcpa"):
-                    schedule = schedule_dag(graph, costs, algorithm, cache=cache)
-                    simulator.run_cached(graph, schedule, cache)
-                    assert cache.contains(
-                        "schedule",
-                        {
-                            "algorithm": algorithm,
-                            "dag": dag_fingerprint(graph),
-                            "costs": costs_fingerprint(costs),
-                        },
-                    )
-                    assert cache.contains(
-                        "simulation",
-                        {
-                            "executor": "simulator",
-                            "simulator": self._simulator_literal(
-                                platform, suite
-                            ),
-                            "dag": dag_fingerprint(graph),
-                            "schedule": schedule_fingerprint(schedule),
-                        },
-                    )
-
     def test_dag_changed_between_studies_is_encoded_afresh(self, tmp_path):
         platform = bayreuth_cluster(8)
         emulator = TGridEmulator(platform, seed=0)
@@ -319,56 +270,6 @@ class TestKeyCompatibility:
         # Only the changed DAG's two cells recompute.
         assert counters["cache.misses"] == 2
         assert rerun.records == run_study(dags, [suite], emulator).records
-
-
-class TestPhaseLevelReplay:
-    def test_schedule_replay_is_bit_identical(self, study_inputs, tmp_path):
-        dags, suite, emulator = study_inputs
-        _params, graph = dags[0]
-        platform = emulator.platform
-        costs = SchedulingCosts(
-            graph,
-            platform,
-            suite.task_model,
-            startup_model=suite.startup_model,
-            redistribution_model=suite.redistribution_model,
-        )
-        fresh = schedule_dag(graph, costs, "hcpa")
-        cache = ResultCache(tmp_path / "cache")
-        cold = schedule_dag(graph, costs, "hcpa", cache=cache)
-        warm = schedule_dag(graph, costs, "hcpa", cache=cache)
-        for replay in (cold, warm):
-            assert canonical_hash(
-                schedule_fingerprint(replay)
-            ) == canonical_hash(schedule_fingerprint(fresh))
-            assert replay.makespan_estimate == fresh.makespan_estimate
-
-    def test_simulation_replay_is_bit_identical(self, study_inputs, tmp_path):
-        dags, suite, emulator = study_inputs
-        _params, graph = dags[0]
-        platform = emulator.platform
-        costs = SchedulingCosts(
-            graph,
-            platform,
-            suite.task_model,
-            startup_model=suite.startup_model,
-            redistribution_model=suite.redistribution_model,
-        )
-        schedule = schedule_dag(graph, costs, "mcpa")
-        simulator = ApplicationSimulator(
-            platform,
-            suite.task_model,
-            startup_model=suite.startup_model,
-            redistribution_model=suite.redistribution_model,
-        )
-        fresh = simulator.run(graph, schedule)
-        cache = ResultCache(tmp_path / "cache")
-        cold = simulator.run_cached(graph, schedule, cache)
-        warm = simulator.run_cached(graph, schedule, cache)
-        # SimulationTrace is a dataclass of frozen per-task/per-edge
-        # records: == compares the full trace, not just the makespan.
-        assert cold == fresh
-        assert warm == fresh
 
 
 class TestCalibrationLayer:

@@ -441,6 +441,41 @@ def test_live_telemetry_counts_cache_hits(study_inputs, tmp_path,
     assert not [w for w in snap["workers"] if w["local"]], snap["workers"]
 
 
+def test_live_telemetry_counts_cache_hits_in_the_parent(study_inputs,
+                                                        tmp_path):
+    """A study whose cells run in the parent reports what each did."""
+    dags, suite, emulator = study_inputs
+
+    def live_study(cache):
+        telemetry = LiveTelemetry(heartbeat_s=0.1).start()
+        try:
+            run_study(
+                dags, [suite], emulator, workers=1, cache=cache,
+                telemetry=telemetry,
+            )
+        finally:
+            telemetry.close()
+        return telemetry
+
+    cache = ResultCache(tmp_path / "cache")
+    run_study(dags, [suite], emulator, cache=cache)  # populate
+    snap = live_study(cache).snapshot()
+    assert snap["study"]["done"] == 6
+    assert snap["study"]["cache_hits"] == 6
+    assert snap["study"]["in_flight"] == 0
+    assert [w["local"] for w in snap["workers"]] == [True]
+
+    # Partly warm (middle DAG cached): two hits and four computed
+    # cells, whose durations alone feed the straggler median.
+    partial = ResultCache(tmp_path / "partial")
+    run_study(dags[1:2], [suite], emulator, cache=partial)
+    telemetry = live_study(partial)
+    snap = telemetry.snapshot()
+    assert snap["study"]["done"] == 6
+    assert snap["study"]["cache_hits"] == 2
+    assert len(telemetry.state.durations) == 4
+
+
 def test_negative_chunk_raises(study_inputs):
     dags, suite, emulator = study_inputs
     for workers in (1, 2):

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.obs import live
 from repro.obs.export import validate_openmetrics
 from repro.obs.live import (
     SNAPSHOT_SCHEMA,
@@ -72,6 +73,17 @@ class TestLiveStudyState:
         assert state.cache_hits == 1
         assert state.phase == "done"
 
+    def test_cache_hit_ends_its_cell(self):
+        state = LiveStudyState()
+        state.begin_study(2, 0)
+        state.fold(("start", 0, 100.0, 0, "analytic:mm/hcpa"))
+        state.fold(("hit", 0, 100.1, 0, "analytic:mm/hcpa"))
+        assert state.workers[0]["cell"] is None
+        assert state.workers[0]["pos"] is None
+        assert state.snapshot()["study"]["in_flight"] == 0
+        # A replayed cell is no sample of a computed cell's duration.
+        assert list(state.durations) == []
+
     def test_chunk_claims_accumulate(self):
         state = LiveStudyState()
         state.fold(("chunk", 7, 100.0, 4))
@@ -87,18 +99,18 @@ class TestLiveStudyState:
             state.fold(("finish", 1, 100.0 + k, k, "c", 0.5))
         assert state.ewma_rate == pytest.approx(1.0)
 
-    def test_median_duration_needs_min_samples(self):
-        state = LiveStudyState(min_samples=3)
+    def test_median_duration_needs_min_samples(self, monkeypatch):
+        monkeypatch.setattr(live, "MIN_SAMPLES", 3)
+        state = LiveStudyState()
         for k, dur in enumerate((1.0, 9.0)):
             state.fold(("finish", 1, 100.0 + k, k, "c", dur))
         assert state.median_duration() is None
         state.fold(("finish", 1, 103.0, 2, "c", 2.0))
         assert state.median_duration() == pytest.approx(2.0)
 
-    def test_straggler_flagged_once_per_cell(self):
-        state = LiveStudyState(
-            straggler_factor=4.0, min_samples=2, stall_after_s=1e9
-        )
+    def test_straggler_flagged_once_per_cell(self, monkeypatch):
+        monkeypatch.setattr(live, "MIN_SAMPLES", 2)
+        state = LiveStudyState(stall_after_s=1e9)
         state.begin_study(10, 2)
         for k in range(2):
             state.fold(("finish", 1, 100.0 + k, k, "fast", 1.0))
@@ -145,17 +157,23 @@ class TestLiveStudyState:
 # ----------------------------------------------------------------------
 class TestLiveTelemetry:
     def test_parent_local_emission_without_start(self):
-        # The parent-side emitters fold directly; no drain thread is
+        # The parent's emitter folds directly; no drain thread is
         # required for a serial study.
         telemetry = LiveTelemetry()
         telemetry.begin_study(2, 0)
-        telemetry.cell_started(0, "a")
-        telemetry.cell_finished(0, "a", 0.5)
-        telemetry.cache_hit(1, "b")
+        emitter = telemetry.emitter()
+        emitter.cell_started(0, "a")
+        emitter.cell_finished(0, "a")
+        emitter.cell_started(1, "b")
+        emitter.cell_finished(1, "b", hit=True)
         snap = telemetry.snapshot()
         assert snap["study"]["done"] == 2
         assert snap["study"]["cache_hits"] == 1
         assert snap["phase"] == "done"
+        # Both cells ran in the parent, and neither is still in flight.
+        assert [
+            (w["worker"], w["local"], w["cell"]) for w in snap["workers"]
+        ] == [(0, True, None)]
 
     def test_queue_events_reach_the_fold(self):
         telemetry = LiveTelemetry(heartbeat_s=0.05).start()
@@ -192,8 +210,9 @@ class TestLiveTelemetry:
             heartbeat_s=0.05, snapshot_path=path
         ).start()
         telemetry.begin_study(1, 0)
-        telemetry.cell_started(0, "a")
-        telemetry.cell_finished(0, "a", 0.1)
+        emitter = telemetry.emitter()
+        emitter.cell_started(0, "a")
+        emitter.cell_finished(0, "a")
         telemetry.close()
         snap = load_snapshot(path)
         assert snap["schema"] == SNAPSHOT_SCHEMA
@@ -208,19 +227,19 @@ class TestLiveTelemetry:
         with pytest.raises(ValueError, match="not a live telemetry"):
             load_snapshot(path)
 
-    def test_straggler_event_reaches_listeners(self):
-        telemetry = LiveTelemetry(heartbeat_s=0.05)
-        telemetry.state.straggler_factor = 0.1
-        telemetry.state.min_samples = 1
-        telemetry.start()
+    def test_straggler_event_reaches_listeners(self, monkeypatch):
+        monkeypatch.setattr(live, "STRAGGLER_FACTOR", 0.1)
+        monkeypatch.setattr(live, "MIN_SAMPLES", 1)
+        telemetry = LiveTelemetry(heartbeat_s=0.05).start()
         seen: list[dict] = []
         telemetry.listeners.append(seen.append)
         try:
             telemetry.begin_study(2, 1)
-            telemetry.cell_started(0, "fast")
-            telemetry.cell_finished(0, "fast", 0.01)
-            # In-flight cell immediately older than 0.1 x 0.01 s median.
-            telemetry.cell_started(1, "slow")
+            emitter = telemetry.emitter()
+            emitter.cell_started(0, "fast")
+            emitter.cell_finished(0, "fast")
+            # In-flight cell soon older than 0.1 x the fast cell's time.
+            emitter.cell_started(1, "slow")
             assert _wait_until(
                 lambda: any(e["kind"] == "straggler" for e in seen)
             )
@@ -283,8 +302,9 @@ def test_progress_printer_writes_final_line():
     )
     try:
         telemetry.begin_study(1, 0)
-        telemetry.cell_started(0, "a")
-        telemetry.cell_finished(0, "a", 0.1)
+        emitter = telemetry.emitter()
+        emitter.cell_started(0, "a")
+        emitter.cell_finished(0, "a")
     finally:
         printer.close()
         telemetry.close()

@@ -24,9 +24,11 @@ def snapshot_path(tmp_path):
     path = tmp_path / "live.json"
     telemetry = LiveTelemetry(heartbeat_s=0.05, snapshot_path=path).start()
     telemetry.begin_study(2, 1)
-    telemetry.cell_started(0, "analytic:mm/hcpa")
-    telemetry.cell_finished(0, "analytic:mm/hcpa", 0.2)
-    telemetry.cache_hit(1, "analytic:mm/mcpa")
+    emitter = telemetry.emitter()
+    emitter.cell_started(0, "analytic:mm/hcpa")
+    emitter.cell_finished(0, "analytic:mm/hcpa")
+    emitter.cell_started(1, "analytic:mm/mcpa")
+    emitter.cell_finished(1, "analytic:mm/mcpa", hit=True)
     telemetry.close()
     return path
 

@@ -376,3 +376,77 @@ class TestAttributionCommand:
         assert "startup overhead" in out
         assert "redistribution" in out
         assert "residual" in out
+
+
+class TestCacheCommand:
+    @staticmethod
+    def _fill(root):
+        """One calibration, one cell and one ``schedule`` entry.
+
+        The ``schedule`` entry is keyed and laid out as ``repro
+        simulate`` once wrote them: no code reads that layer now.
+        """
+        from repro.cache import CacheStore, canonical_hash, dag_fingerprint
+        from repro.dag.generator import DagParameters, generate_dag
+        from repro.models.analytical import AnalyticalTaskModel
+        from repro.platform.personalities import bayreuth_cluster
+        from repro.scheduling.costs import SchedulingCosts
+        from repro.scheduling.driver import schedule_dag
+
+        platform = bayreuth_cluster(8)
+        model = AnalyticalTaskModel(platform)
+        graph = generate_dag(DagParameters(num_input_matrices=2))
+        costs = SchedulingCosts(graph, platform, model)
+        store = CacheStore(root)
+        store.put("calibration", canonical_hash({"suite": "profile"}), model)
+        store.put("cell", canonical_hash({"algorithm": "hcpa"}), (1.0, 2.0, 8))
+        key = {
+            "algorithm": "hcpa",
+            "dag": dag_fingerprint(graph),
+            "costs": {
+                "platform": platform,
+                "task_model": model,
+                "startup_model": costs.startup_model,
+                "redistribution_model": costs.redistribution_model,
+            },
+        }
+        store.put(
+            "schedule", canonical_hash(key), schedule_dag(graph, costs, "hcpa")
+        )
+
+    @staticmethod
+    def _layers(out):
+        return [
+            line.split()[0]
+            for line in out.splitlines()
+            if line.split()[:1] in (["calibration"], ["cell"], ["schedule"])
+        ]
+
+    def test_prune_removes_only_unread_layers(self, capsys, tmp_path):
+        root = tmp_path / "cache"
+        self._fill(root)
+        assert main(["--cache-dir", str(root), "cache", "info"]) == 0
+        out = capsys.readouterr().out
+        assert "entries: 2 " in out
+        assert "stale: 1  corrupt: 0" in out
+        assert self._layers(out) == ["calibration", "cell"]
+
+        assert main(["--cache-dir", str(root), "cache", "prune"]) == 0
+        assert "pruned 1 stale/corrupt entries" in capsys.readouterr().out
+        assert sorted(p.parts[-3] for p in root.rglob("*.pkl")) == [
+            "calibration", "cell"
+        ]
+
+        assert main(["--cache-dir", str(root), "cache", "info"]) == 0
+        out = capsys.readouterr().out
+        assert "entries: 2 " in out
+        assert "stale:" not in out
+        assert self._layers(out) == ["calibration", "cell"]
+
+        assert main(["--cache-dir", str(root), "cache", "clear"]) == 0
+        assert "cleared 2 entries" in capsys.readouterr().out
+        assert not root.exists()
+
+    def test_without_a_directory_is_an_error(self, capsys):
+        assert main(["cache", "info"]) == 2
+        assert "no cache directory" in capsys.readouterr().err
