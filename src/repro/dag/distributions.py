@@ -155,7 +155,7 @@ def redistribution_matrix_rows(
 ) -> list[list[float]]:
     """:func:`redistribution_matrix` as cached plain-float row lists.
 
-    The simulator's fused ptask builder iterates the matrix in Python;
+    The simulator's per-link totals iterate the matrix in Python;
     ``tolist`` once per cache entry beats boxing an ndarray scalar per
     element per call.  The nested lists are shared between callers —
     **read-only** by convention (same contract as the read-only array).

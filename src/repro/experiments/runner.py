@@ -428,19 +428,19 @@ def _pool_init(
     obs_enabled: bool,
     timeline_enabled: bool,
     profiler_enabled: bool,
-    live: tuple | None,
+    live_queue: object | None,
 ) -> None:
     _POOL_STATE["runner"] = runner
     _POOL_STATE["obs_enabled"] = obs_enabled
     _POOL_STATE["timeline_enabled"] = timeline_enabled
     _POOL_STATE["profiler_enabled"] = profiler_enabled
-    # Live telemetry side-channel: ``live`` is (queue, heartbeat_s)
-    # when the parent runs with a LiveTelemetry attached.  The emitter
-    # is strictly observational — it feeds the progress display, never
+    # Live telemetry side-channel: ``live_queue`` is the queue of the
+    # parent's LiveTelemetry, if one is attached.  The emitter is
+    # strictly observational — it feeds the progress display, never
     # the Recorder — so results and merged metrics are identical with
     # or without it.
-    if live is not None:
-        runner.emitter = WorkerEmitter(live[0], heartbeat_s=live[1])
+    if live_queue is not None:
+        runner.emitter = WorkerEmitter(live_queue)
 
 
 def _pool_run_chunk(positions: range) -> tuple[list[RunRecord], dict | None]:
@@ -574,18 +574,14 @@ def _fork_pool(
     # The live side-channel queue must come from the pool's own
     # multiprocessing context so it rides through the initializer args
     # (queues are inherited, not pickled).
-    live = (
-        (telemetry.connect(ctx), telemetry.heartbeat_s)
-        if telemetry is not None
-        else None
-    )
+    live_queue = telemetry.connect(ctx) if telemetry is not None else None
     pool = ProcessPoolExecutor(
         max_workers=pool_workers,
         mp_context=ctx,
         initializer=_pool_init,
         initargs=(
             runner, obs.enabled, obs.timeline is not None,
-            obs.profiler is not None, live,
+            obs.profiler is not None, live_queue,
         ),
     )
     # The first submit forks the workers.  A caller's own freeze is

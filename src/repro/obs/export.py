@@ -190,31 +190,37 @@ def _om_escape(value: object) -> str:
     )
 
 
-def _om_name(name: str) -> str:
-    """A counter/span name as a metric label (dots are fine in labels)."""
-    return _om_escape(name)
+def _om_count(value: float) -> str:
+    """A count as a sample value with every digit (``:g`` alone would
+    round a count of 10^6 or more to six significant digits)."""
+    return str(int(value)) if float(value).is_integer() else f"{value:g}"
+
+
+def _om_counter_family(counters: dict) -> list[str]:
+    """The ``repro_counter`` family of a counter table, sorted by name
+    (none when the table is empty)."""
+    if not counters:
+        return []
+    return ["# TYPE repro_counter counter"] + [
+        f'repro_counter_total{{name="{_om_escape(name)}"}} {_om_count(value)}'
+        for name, value in sorted(counters.items())
+    ]
 
 
 def _openmetrics_from_metrics(metrics: dict) -> list[str]:
     """Counter/span rollup (a manifest's ``metrics``) as OpenMetrics."""
-    lines: list[str] = []
-    counters = metrics.get("counters", {})
-    if counters:
-        lines.append("# TYPE repro_counter counter")
-        for name, value in sorted(counters.items()):
-            lines.append(
-                f'repro_counter_total{{name="{_om_name(name)}"}} {value:g}'
-            )
+    lines = _om_counter_family(metrics.get("counters", {}))
     spans = metrics.get("spans", {})
     if spans:
         lines.append("# TYPE repro_span_seconds counter")
         for name, agg in sorted(spans.items()):
-            label = f'name="{_om_name(name)}"'
+            label = f'name="{_om_escape(name)}"'
             lines.append(
                 f"repro_span_seconds_total{{{label}}} {agg['total_s']:.9g}"
             )
             lines.append(
-                f"repro_span_seconds_count{{{label}}} {agg['count']:g}"
+                f"repro_span_seconds_count{{{label}}} "
+                f"{_om_count(agg['count'])}"
             )
     return lines
 

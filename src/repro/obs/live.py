@@ -45,7 +45,7 @@ Straggler/stall detection (checked every drain tick):
   :data:`MIN_SAMPLES` (5) cells have been computed — is flagged a
   *straggler* (once per cell);
 * a pool worker that has not been heard from (heartbeat cadence
-  ``heartbeat_s``, default 0.5 s) for :data:`STALL_AFTER_BEATS` (6)
+  :data:`HEARTBEAT_S`, 0.5 s) for :data:`STALL_AFTER_BEATS` (6)
   cadences while a cell is in flight is flagged *stalled*.  Cells run
   in the parent (studies without a pool) send no heartbeats and are
   exempt.
@@ -82,9 +82,17 @@ __all__ = [
 #: JSON snapshot schema tag (bump on incompatible layout changes).
 SNAPSHOT_SCHEMA = "repro.live/1"
 
+#: Seconds between a pool worker's heartbeats, and between two ticks
+#: of the parent's drain thread (health check, snapshot rewrite).
+HEARTBEAT_S = 0.5
+
 #: Heartbeats a pool worker may miss, with a cell in flight, before
 #: :class:`LiveTelemetry` flags it stalled.
 STALL_AFTER_BEATS = 6
+
+#: Seconds between two ``--progress`` lines on a TTY; off a TTY (a CI
+#: log) a full line is printed at most every 2 s.
+PROGRESS_INTERVAL_S = 0.5
 
 #: A cell in flight for longer than STRAGGLER_FACTOR times the median
 #: duration of the last WINDOW computed cells is a straggler, once at
@@ -102,8 +110,7 @@ class LiveStudyState:
     :meth:`snapshot`, which returns a detached plain dict.
     """
 
-    def __init__(self, *, stall_after_s: float = 3.0) -> None:
-        self.stall_after_s = stall_after_s
+    def __init__(self) -> None:
         self.total = 0
         self.done = 0
         self.cache_hits = 0
@@ -209,12 +216,13 @@ class LiveStudyState:
 
         A straggler is an in-flight cell older than
         :data:`STRAGGLER_FACTOR` x the rolling median cell duration; a
-        stall is a *pool* worker silent past ``stall_after_s`` with a
-        cell in flight.  Each (worker, cell) pair is flagged at most
-        once per condition.
+        stall is a *pool* worker silent for :data:`STALL_AFTER_BEATS`
+        heartbeats with a cell in flight.  Each (worker, cell) pair is
+        flagged at most once per condition.
         """
         raised: list[dict] = []
         med = self.median_duration()
+        stall_after_s = STALL_AFTER_BEATS * HEARTBEAT_S
         for pid, entry in self.workers.items():
             if entry["cell"] is None:
                 continue
@@ -240,7 +248,7 @@ class LiveStudyState:
             if (
                 not entry["local"]
                 and not entry["stalled"]
-                and now - entry["last_seen"] > self.stall_after_s
+                and now - entry["last_seen"] > stall_after_s
             ):
                 entry["stalled"] = True
                 self.counters["runner.stalls"] = (
@@ -335,19 +343,11 @@ class LiveTelemetry:
     the lock, so such a study gets the same state without any IPC.
     """
 
-    def __init__(
-        self,
-        *,
-        heartbeat_s: float = 0.5,
-        snapshot_path: str | Path | None = None,
-    ) -> None:
-        self.heartbeat_s = heartbeat_s
+    def __init__(self, *, snapshot_path: str | Path | None = None) -> None:
         self.snapshot_path = (
             Path(snapshot_path) if snapshot_path is not None else None
         )
-        self.state = LiveStudyState(
-            stall_after_s=STALL_AFTER_BEATS * heartbeat_s
-        )
+        self.state = LiveStudyState()
         self._lock = threading.Lock()
         self._queue = None
         self._stop = threading.Event()
@@ -407,12 +407,9 @@ class LiveTelemetry:
         with self._lock:
             return self.state.snapshot()
 
-    def openmetrics(self) -> str:
-        return "\n".join(live_openmetrics_lines(self.snapshot())) + "\n"
-
     # -- drain thread -------------------------------------------------
     def _drain(self) -> None:
-        tick = self.heartbeat_s
+        tick = HEARTBEAT_S
         next_snap = time.monotonic()
         while True:
             stopping = self._stop.is_set()
@@ -519,11 +516,11 @@ class WorkerEmitter(CellEmitter):
     blocks and never raises into the study — a full or broken queue
     drops the event (the channel is observational; losing an event
     loses a progress update, nothing else).  A daemon heartbeat thread
-    reports the in-flight cell every ``heartbeat_s`` so the parent can
-    tell a long cell (straggler) from a dead worker (stall).
+    reports the in-flight cell every :data:`HEARTBEAT_S` so the parent
+    can tell a long cell (straggler) from a dead worker (stall).
     """
 
-    def __init__(self, queue, heartbeat_s: float = 0.5) -> None:
+    def __init__(self, queue) -> None:
         def put(event: tuple) -> None:
             try:
                 queue.put_nowait(event)
@@ -534,14 +531,13 @@ class WorkerEmitter(CellEmitter):
         self._stop = threading.Event()
         self._thread = threading.Thread(
             target=self._beat,
-            args=(heartbeat_s,),
             name="repro-live-heartbeat",
             daemon=True,
         )
         self._thread.start()
 
-    def _beat(self, heartbeat_s: float) -> None:
-        while not self._stop.wait(heartbeat_s):
+    def _beat(self) -> None:
+        while not self._stop.wait(HEARTBEAT_S):
             with self._lock:
                 current = self._current
             t = time.monotonic()
@@ -577,7 +573,7 @@ def live_openmetrics_lines(snap: dict) -> list[str]:
     escaping, same ``# EOF`` terminator, same validator) with gauges
     that move while the study runs.
     """
-    from repro.obs.export import _om_escape
+    from repro.obs.export import _om_counter_family, _om_escape
 
     study = snap.get("study", {})
     rates = snap.get("rates", {})
@@ -637,14 +633,7 @@ def live_openmetrics_lines(snap: dict) -> list[str]:
                     f'{{worker="{w["worker"]}",flag="{flag}"}} '
                     f"{1 if w.get(flag) else 0}"
                 )
-    counters = snap.get("counters", {})
-    if counters:
-        lines.append("# TYPE repro_counter counter")
-        for name, value in sorted(counters.items()):
-            lines.append(
-                f'repro_counter_total{{name="{_om_escape(name)}"}} '
-                f"{value:g}"
-            )
+    lines += _om_counter_family(snap.get("counters", {}))
     lines.append("# EOF")
     return lines
 
@@ -747,22 +736,16 @@ def render_top(snap: dict) -> str:
 class ProgressPrinter:
     """Streams the progress line to stderr while a study runs.
 
-    On a TTY the line redraws in place (carriage return); otherwise —
-    CI logs — a full line is printed once per ``interval_s`` so the log
-    still shows motion.  Straggler/stall events always get their own
-    line.  :meth:`close` prints the final state and a newline.
+    On a TTY the line redraws in place (carriage return) every
+    :data:`PROGRESS_INTERVAL_S`; otherwise — CI logs — a full line is
+    printed at most every 2 s so the log still shows motion.
+    Straggler/stall events always get their own line.  :meth:`close`
+    prints the final state and a newline.
     """
 
-    def __init__(
-        self,
-        telemetry: LiveTelemetry,
-        *,
-        stream=None,
-        interval_s: float = 0.5,
-    ) -> None:
+    def __init__(self, telemetry: LiveTelemetry, *, stream=None) -> None:
         self.telemetry = telemetry
         self.stream = stream if stream is not None else sys.stderr
-        self.interval_s = interval_s
         self._tty = bool(getattr(self.stream, "isatty", lambda: False)())
         self._stop = threading.Event()
         self._last_len = 0
@@ -806,8 +789,10 @@ class ProgressPrinter:
             pass
 
     def _loop(self) -> None:
-        interval = self.interval_s if self._tty else max(
-            self.interval_s, 2.0
+        interval = (
+            PROGRESS_INTERVAL_S
+            if self._tty
+            else max(PROGRESS_INTERVAL_S, 2.0)
         )
         while not self._stop.wait(interval):
             snap = self.telemetry.snapshot()

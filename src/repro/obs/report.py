@@ -91,8 +91,9 @@ def _span_rollup(records: list[dict]) -> dict[str, dict]:
     return rollup
 
 
-def _cache_rows(counters: dict) -> list[list[object]]:
-    """Per-layer hit/miss/hit-rate rows from ``cache.*`` counters.
+def _cache_rows(counters: dict) -> list[tuple[str, float, float, float]]:
+    """Per-layer ``(layer, hits, misses, hit rate %)`` from ``cache.*``
+    counters, as numbers; the text report formats them.
 
     Layers are discovered from ``cache.<layer>.hits`` /
     ``cache.<layer>.misses`` counter names; the aggregate
@@ -105,13 +106,13 @@ def _cache_rows(counters: dict) -> list[list[object]]:
             continue
         layer = ".".join(parts[1:-1]) or "total"
         layers.setdefault(layer, {})[parts[-1]] = value
-    rows: list[list[object]] = []
+    rows = []
     for layer in sorted(layers, key=lambda k: (k == "total", k)):
         hits = layers[layer].get("hits", 0)
         misses = layers[layer].get("misses", 0)
         lookups = hits + misses
         rate = 100.0 * hits / lookups if lookups else 0.0
-        rows.append([layer, f"{hits:g}", f"{misses:g}", f"{rate:.1f}"])
+        rows.append((layer, hits, misses, rate))
     return rows
 
 
@@ -217,7 +218,7 @@ def report_json(
         cache[layer] = {
             "hits": float(hits),
             "misses": float(misses),
-            "hit_rate_pct": float(rate),
+            "hit_rate_pct": rate,
         }
 
     spans = (
@@ -319,7 +320,11 @@ def render_report(
         lines.append("result cache (per layer):")
         lines.append(
             format_table(
-                ["layer", "hits", "misses", "hit rate %"], cache_rows
+                ["layer", "hits", "misses", "hit rate %"],
+                [
+                    [layer, f"{hits:g}", f"{misses:g}", f"{rate:.1f}"]
+                    for layer, hits, misses, rate in cache_rows
+                ],
             )
         )
         for name in ("cache.bytes_read", "cache.bytes_written"):

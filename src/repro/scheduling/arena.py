@@ -41,9 +41,11 @@ Observability: the loop emits ``sched.critical_path`` timings,
 event.  Each grow step is recorded once, as a timeline ``alloc``
 record, and the end of the phase as a timeline ``alloc_done`` record;
 both carry the cell's ``dag`` and ``algorithm``, which the loop pushes
-itself when its caller's timeline context lacks them.
-With no recorder attached it takes a branch with the DP and the sweep
-inlined, which is what an untraced study runs.
+itself when its caller's timeline context lacks them.  The loop has one
+body whatever is attached: the timings and probes are taken around its
+DP pass and gain sweep under ``if enabled:`` / ``if prof is not None:``,
+so a traced or profiled study runs the DP and the sweep an untraced one
+runs.
 """
 
 from __future__ import annotations
@@ -187,125 +189,6 @@ def _base_vectors(
     return base
 
 
-# -- DP kernels ---------------------------------------------------------
-
-
-def _bl_full_scalar(
-    layout: GraphLayout,
-    cost: list[float],
-    bl: list[float],
-    bestsucc: list[int],
-) -> None:
-    """Full bottom-level pass, fused with best-successor tracking.
-
-    ``bestsucc[i]`` is the successor with the largest bottom level,
-    ties to the smallest task id — the critical-path walk's choice at
-    every step, precomputed so path reconstruction is
-    pointer-following.
-    """
-    tids = layout.tids
-    succ = layout.succ
-    for i in layout.rev_order:
-        ss = succ[i]
-        if not ss:
-            bestsucc[i] = -1
-            bl[i] = cost[i] + 0.0
-            continue
-        bn = ss[0]
-        best = bl[bn]
-        for s in ss[1:]:
-            b = bl[s]
-            if b > best or (b == best and tids[s] < tids[bn]):
-                best = b
-                bn = s
-        bestsucc[i] = bn
-        bl[i] = cost[i] + (best if best > 0.0 else 0.0)
-
-
-def _bl_prefix_update(
-    layout: GraphLayout,
-    cost: list[float],
-    bl: list[float],
-    bestsucc: list[int],
-    changed: int,
-) -> None:
-    """Incremental DP after one cost change.
-
-    Only ancestors of the changed task (and the task itself) can see a
-    new bottom level; all of them sit at topological positions at or
-    before the changed task's, so one re-pass over that prefix of the
-    reverse order restores the DP — nodes outside it keep bit-identical
-    values by construction.
-    """
-    tids = layout.tids
-    succ = layout.succ
-    rev_order = layout.rev_order
-    for i in rev_order[layout.n - 1 - layout.order_pos[changed]:]:
-        ss = succ[i]
-        if not ss:
-            bestsucc[i] = -1
-            bl[i] = cost[i] + 0.0
-            continue
-        bn = ss[0]
-        best = bl[bn]
-        for s in ss[1:]:
-            b = bl[s]
-            if b > best or (b == best and tids[s] < tids[bn]):
-                best = b
-                bn = s
-        bestsucc[i] = bn
-        bl[i] = cost[i] + (best if best > 0.0 else 0.0)
-
-
-# -- grow-sweep kernels -------------------------------------------------
-
-
-def _grow_scalar(
-    growable: list[int],
-    gains: list[float],
-    alloc: list[int],
-    caps: list[int] | None,
-    level_of: list[int] | None,
-    level_sums: list[int] | None,
-    P: int,
-) -> tuple[int, int]:
-    """Scalar gain sweep; returns ``(chosen index or -1, blocked count)``.
-
-    Strictly-greater gain wins (first occurrence on ties), HCPA skips
-    capped tasks, MCPA skips tasks whose precedence level saturates the
-    machine; skipped candidates are tallied for the ``cap_hits`` /
-    ``level_saturated`` counters.
-    """
-    best = 0.0
-    chosen = -1
-    hits = 0
-    if caps is not None:
-        for i in growable:
-            if alloc[i] >= caps[i]:
-                hits += 1
-                continue
-            g = gains[i]
-            if g > best:
-                best = g
-                chosen = i
-    elif level_of is not None:
-        for i in growable:
-            if level_sums[level_of[i]] >= P:
-                hits += 1
-                continue
-            g = gains[i]
-            if g > best:
-                best = g
-                chosen = i
-    else:
-        for i in growable:
-            g = gains[i]
-            if g > best:
-                best = g
-                chosen = i
-    return chosen, hits
-
-
 # -- the allocation loop ------------------------------------------------
 
 
@@ -403,39 +286,36 @@ def _grow_allocations(
     t_cp = t_a = math.nan
     budget = n * P + 1
     grows = 0
-    changed = -1
+    # Where the bottom-level pass starts in the reverse topological
+    # order: at its head on the first step, at the grown task after.
+    start = 0
     while True:
         if enabled:
             t0 = perf()
-            if changed < 0:
-                _bl_full_scalar(layout, cost, bl, bestsucc)
-            else:
-                _bl_prefix_update(layout, cost, bl, bestsucc, changed)
+        # Bottom levels fused with best-successor tracking.  Only the
+        # grown task and its ancestors can see a new bottom level, and
+        # all of them come at or after it in the reverse order; every
+        # node before it keeps its value.
+        for i in rev_order[start:]:
+            ss = succ[i]
+            if not ss:
+                bestsucc[i] = -1
+                bl[i] = cost[i] + 0.0
+                continue
+            bn = ss[0]
+            best = bl[bn]
+            for s in ss[1:]:
+                b = bl[s]
+                if b > best or (b == best and tids[s] < tids[bn]):
+                    best = b
+                    bn = s
+            bestsucc[i] = bn
+            bl[i] = cost[i] + (best if best > 0.0 else 0.0)
+        if enabled:
             seconds = perf() - t0
             obs.timing("sched.critical_path", seconds)
             if prof is not None:
                 prof.probe("critical_path_dp", n, seconds)
-        elif changed < 0:
-            _bl_full_scalar(layout, cost, bl, bestsucc)
-        else:
-            # Inlined _bl_prefix_update — this branch runs once per grow
-            # step, and the call overhead alone is measurable on the
-            # study's graph sizes.  Same arithmetic, same tie-breaks.
-            for i in rev_order[n - 1 - order_pos[changed] :]:
-                ss = succ[i]
-                if not ss:
-                    bestsucc[i] = -1
-                    bl[i] = cost[i] + 0.0
-                    continue
-                bn = ss[0]
-                best = bl[bn]
-                for s in ss[1:]:
-                    b = bl[s]
-                    if b > best or (b == best and tids[s] < tids[bn]):
-                        best = b
-                        bn = s
-                bestsucc[i] = bn
-                bl[i] = cost[i] + (best if best > 0.0 else 0.0)
         if sources:
             src = sources[0]
             best = bl[src]
@@ -465,40 +345,38 @@ def _grow_allocations(
             break
         if prof is not None:
             t0 = perf()
-            chosen, hits = _grow_scalar(
-                growable, gains, alloc, caps, level_of, level_sums, P
-            )
-            prof.probe("alloc_grow", len(growable), perf() - t0)
+        # The gain sweep: strictly greater gain wins (first occurrence on
+        # ties); HCPA skips capped tasks and MCPA tasks whose precedence
+        # level saturates the machine, and ``hits`` tallies the skipped.
+        best = 0.0
+        chosen = -1
+        hits = 0
+        if caps is not None:
+            for i in growable:
+                if alloc[i] >= caps[i]:
+                    hits += 1
+                    continue
+                g = gains[i]
+                if g > best:
+                    best = g
+                    chosen = i
+        elif level_of is not None:
+            for i in growable:
+                if level_sums[level_of[i]] >= P:
+                    hits += 1
+                    continue
+                g = gains[i]
+                if g > best:
+                    best = g
+                    chosen = i
         else:
-            # Inlined _grow_scalar — the per-step sweep is short enough
-            # that the call itself costs as much as the loop body.
-            best = 0.0
-            chosen = -1
-            hits = 0
-            if caps is not None:
-                for i in growable:
-                    if alloc[i] >= caps[i]:
-                        hits += 1
-                        continue
-                    g = gains[i]
-                    if g > best:
-                        best = g
-                        chosen = i
-            elif level_of is not None:
-                for i in growable:
-                    if level_sums[level_of[i]] >= P:
-                        hits += 1
-                        continue
-                    g = gains[i]
-                    if g > best:
-                        best = g
-                        chosen = i
-            else:
-                for i in growable:
-                    g = gains[i]
-                    if g > best:
-                        best = g
-                        chosen = i
+            for i in growable:
+                g = gains[i]
+                if g > best:
+                    best = g
+                    chosen = i
+        if prof is not None:
+            prof.probe("alloc_grow", len(growable), perf() - t0)
         if hits and enabled:
             obs.count(hit_counter, hits)
         if chosen < 0:
@@ -529,7 +407,7 @@ def _grow_allocations(
         if level_sums is not None:
             level_sums[level_of[chosen]] += 1
         grows += 1
-        changed = chosen
+        start = n - 1 - order_pos[chosen]
         if enabled:
             obs.count("sched.alloc_grow_steps")
             if tl is not None:

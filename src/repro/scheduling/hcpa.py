@@ -26,48 +26,22 @@ over-allocation fix through a reference-cluster construction and a
 modified average-area criterion; the published description leaves the
 homogeneous specialisation under-determined.  The cap above is our
 faithful-in-intent rendering; it reduces to plain CPA for chains
-(|level| = 1) and enforces even sharing for wide DAGs.
-:class:`ReferenceCluster` documents where heterogeneous speeds would
-enter.
+(|level| = 1) and enforces even sharing for wide DAGs.  On the
+homogeneous clusters of this study the reference cluster is the target
+machine itself, so its translation (a speed ratio of 1) is the identity
+and no step of the code spells it out.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from repro.dag.graph import TaskGraph
 from repro.obs.recorder import get_recorder
 from repro.scheduling.arena import flat_allocation_loop, graph_layout
 from repro.scheduling.costs import SchedulingCosts
 
-__all__ = ["hcpa_allocate", "ReferenceCluster"]
-
-
-@dataclass(frozen=True)
-class ReferenceCluster:
-    """Reference-cluster translation hook.
-
-    For a heterogeneous platform, HCPA computes allocations on a virtual
-    homogeneous cluster whose node speed is a reference speed, then
-    converts each task's allocation to target processors by speed ratio.
-    On the homogeneous clusters of this study the ratio is 1 and the
-    translation is the identity; the hook is kept so the implementation
-    matches the published algorithm's structure.
-    """
-
-    reference_flops: float
-    target_flops: float
-
-    def __post_init__(self) -> None:
-        if self.reference_flops <= 0 or self.target_flops <= 0:
-            raise ValueError("speeds must be positive")
-
-    def translate(self, p_reference: int) -> int:
-        if p_reference < 1:
-            raise ValueError("reference allocation must be >= 1")
-        ratio = self.reference_flops / self.target_flops
-        return max(1, math.ceil(p_reference * ratio))
+__all__ = ["hcpa_allocate"]
 
 
 #: Damping of HCPA's stop criterion: allocation growth stops when

@@ -18,12 +18,15 @@ This package re-implements the parts of SimGrid the paper relies on:
   (:mod:`repro.simgrid.simulator`) that executes a mixed-parallel
   application according to a schedule and a pluggable task-time model,
   producing a trace and a makespan.
+
+Each of these has one implementation here.  The unoptimised oracles the
+solver and the ptask builder are tested against (the textbook max-min
+loop and the flow-list ptask path) live in ``tests/reference_simgrid.py``.
 """
 
 from repro.simgrid.engine import Action, SimulationEngine
 from repro.simgrid.resources import Resource, NetworkTopology
 from repro.simgrid.sharing import solve_rates
-from repro.simgrid.ptask import ParallelTaskSpec, build_ptask_action
 from repro.simgrid.simulator import ApplicationSimulator, SimulationTrace, TaskRecord
 
 __all__ = [
@@ -32,8 +35,6 @@ __all__ = [
     "Resource",
     "NetworkTopology",
     "solve_rates",
-    "ParallelTaskSpec",
-    "build_ptask_action",
     "ApplicationSimulator",
     "SimulationTrace",
     "TaskRecord",

@@ -10,127 +10,25 @@ the minimum over its resources of the fair share it obtains there — the
 slowest processor or the most contended link bounds the whole task,
 exactly like a tightly-coupled data-parallel kernel.
 
-This module converts task specifications (computation per host + a list
-of flows) into engine :class:`~repro.simgrid.engine.Action` objects whose
-*work* is normalised to 1.0.
+This module builds those actions on the star topology in two steps:
+:func:`matrix_network_totals` reduces a byte matrix to per-link totals,
+and :func:`build_totals_ptask` turns the totals plus the per-host
+computation into an engine :class:`~repro.simgrid.engine.Action` whose
+*work* is normalised to 1.0.  The flow-list path both are checked
+against, bit for bit, lives in ``tests/reference_simgrid.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
-
-import numpy as np
 
 from repro.simgrid.engine import Action, SimulationEngine
 from repro.simgrid.resources import NetworkTopology, Resource
-from repro.util.errors import SimulationError
 
-__all__ = [
-    "ParallelTaskSpec",
-    "build_ptask_action",
-    "build_matrix_ptask",
-    "build_totals_ptask",
-    "comm_matrix_to_flows",
-    "matrix_network_totals",
-    "redistribution_flows",
-]
+__all__ = ["build_totals_ptask", "matrix_network_totals"]
 
-Flow = tuple[int, int, float]  # (src_host, dst_host, bytes)
 #: ``(up_items, down_items, backbone_total)`` of :func:`matrix_network_totals`.
 NetworkTotals = tuple[list[tuple[int, float]], list[tuple[int, float]], float]
-
-
-@dataclass
-class ParallelTaskSpec:
-    """A parallel task in the L07 style.
-
-    Attributes
-    ----------
-    name:
-        Debug label.
-    comp:
-        ``{host: flops}`` — computation executed on each physical host.
-    flows:
-        ``(src_host, dst_host, bytes)`` triples; intra-host flows are
-        allowed and cost nothing.
-    extra_latency:
-        Additional fixed delay folded into the action's latency phase
-        (used for measured startup / redistribution overheads).
-    """
-
-    name: str
-    comp: dict[int, float] = field(default_factory=dict)
-    flows: list[Flow] = field(default_factory=list)
-    extra_latency: float = 0.0
-
-    def validate(self) -> None:
-        for host, flops in self.comp.items():
-            if flops < 0:
-                raise SimulationError(
-                    f"ptask {self.name!r}: negative computation on host {host}"
-                )
-        for src, dst, nbytes in self.flows:
-            if nbytes < 0:
-                raise SimulationError(
-                    f"ptask {self.name!r}: negative flow {src}->{dst}"
-                )
-        if self.extra_latency < 0:
-            raise SimulationError(f"ptask {self.name!r}: negative latency")
-
-    @property
-    def is_empty(self) -> bool:
-        """True when the task has no computation and no inter-host data."""
-        return (
-            all(f <= 0 for f in self.comp.values())
-            and all(b <= 0 or s == d for s, d, b in self.flows)
-        )
-
-
-def comm_matrix_to_flows(B: np.ndarray, hosts: Sequence[int]) -> list[Flow]:
-    """Map a local-rank byte matrix onto physical hosts.
-
-    ``B[i, j]`` bytes between local ranks become a flow between
-    ``hosts[i]`` and ``hosts[j]``.  Zero entries and intra-host pairs are
-    skipped (intra-host copies are free at this modelling level).
-    """
-    B = np.asarray(B, dtype=float)
-    p = len(hosts)
-    if B.shape != (p, p):
-        raise ValueError(f"comm matrix shape {B.shape} != ({p}, {p})")
-    flows: list[Flow] = []
-    # ``tolist`` converts to plain floats once; per-element ndarray
-    # indexing costs a boxed scalar per read and dominates this loop.
-    rows = B.tolist()
-    for i in range(p):
-        src = hosts[i]
-        row = rows[i]
-        for j in range(p):
-            b = row[j]
-            if b > 0 and src != hosts[j]:
-                flows.append((src, hosts[j], b))
-    return flows
-
-
-def redistribution_flows(
-    M: np.ndarray, src_hosts: Sequence[int], dst_hosts: Sequence[int]
-) -> list[Flow]:
-    """Map a redistribution byte matrix (src rank x dst rank) onto hosts."""
-    M = np.asarray(M, dtype=float)
-    if M.shape != (len(src_hosts), len(dst_hosts)):
-        raise ValueError(
-            f"redistribution matrix shape {M.shape} != "
-            f"({len(src_hosts)}, {len(dst_hosts)})"
-        )
-    flows: list[Flow] = []
-    rows = M.tolist()
-    for i, src in enumerate(src_hosts):
-        row = rows[i]
-        for j, dst in enumerate(dst_hosts):
-            b = row[j]
-            if b > 0 and src != dst:
-                flows.append((src, dst, b))
-    return flows
 
 
 def matrix_network_totals(
@@ -146,8 +44,11 @@ def matrix_network_totals(
     crossing the backbone.  Accumulation order is load-bearing: an
     uplink total adds its row left-to-right, a downlink total adds its
     column top-to-bottom, and the backbone total adds row-major —
-    exactly the order the per-flow path visits them, so the sums are
-    floating-point identical to it.
+    exactly the order a per-flow accumulation visits them, so the sums
+    are floating-point identical to adding the matrix's flows one by
+    one.  Inputs are trusted: the matrix must be non-negative and shaped
+    ``(len(src_hosts), len(dst_hosts))``, as the distribution and model
+    helpers guarantee by construction.
 
     ``down_items`` is empty whenever ``backbone_total`` is zero (no
     off-node traffic means no downlink entries either).
@@ -176,43 +77,6 @@ def matrix_network_totals(
     return up_items, down_items, backbone_total
 
 
-def build_matrix_ptask(
-    topology: NetworkTopology,
-    name: str,
-    comp: dict[int, float],
-    matrix_rows: Sequence[Sequence[float]],
-    src_hosts: Sequence[int],
-    dst_hosts: Sequence[int],
-    extra_latency: float = 0.0,
-    on_complete: Optional[Callable[[SimulationEngine, Action], None]] = None,
-    payload: object = None,
-) -> Action:
-    """Fused byte-matrix-to-action builder for trusted callers.
-
-    Semantically ``build_ptask_action`` applied to the flows of
-    ``matrix_rows`` (``matrix_rows[i][j]`` bytes from ``src_hosts[i]``
-    to ``dst_hosts[j]``), but in a single row-major pass that
-    accumulates per-link totals directly instead of materialising a
-    flow list and hammering the consumption dict per flow.  The sums
-    are floating-point identical to the flow-list path: an uplink total
-    adds its row left-to-right, a downlink total adds its column
-    top-to-bottom, and the backbone total adds row-major — exactly the
-    order the per-flow accumulation visits them in a star topology.
-
-    Inputs are trusted (no spec validation): the byte matrix must be
-    non-negative and shaped ``(len(src_hosts), len(dst_hosts))``, as
-    the distribution/model helpers guarantee by construction.
-    """
-    totals = (
-        matrix_network_totals(matrix_rows, src_hosts, dst_hosts)
-        if matrix_rows
-        else None
-    )
-    return build_totals_ptask(
-        topology, name, comp, totals, extra_latency, on_complete, payload
-    )
-
-
 def build_totals_ptask(
     topology: NetworkTopology,
     name: str,
@@ -222,12 +86,17 @@ def build_totals_ptask(
     on_complete: Optional[Callable[[SimulationEngine, Action], None]] = None,
     payload: object = None,
 ) -> Action:
-    """The action of :func:`build_matrix_ptask` from precomputed totals.
+    """The engine action of a parallel task.
 
-    ``totals`` is :func:`matrix_network_totals` of the byte matrix, or
-    None for a task without one, so a caller that runs the same
-    matrix on the same hosts more than once computes its totals once.
-    The totals are only read.
+    ``comp`` is ``{host: flops}``; ``totals`` is
+    :func:`matrix_network_totals` of the task's byte matrix, or None
+    for a task without one, so a caller that runs the same matrix on
+    the same hosts more than once computes its totals once.  The totals
+    are only read.  The action's work is normalised to 1.0 and its
+    consumption weights are the total flops per CPU and total bytes per
+    link, so its standalone duration is ``max(max_i a_i / power,
+    max_l bytes_l / bw_l) + latency`` and contention arises from the
+    shared solver.
     """
     consumption: dict[Resource, float] = {}
     get = consumption.get
@@ -259,42 +128,3 @@ def build_totals_ptask(
         payload=payload,
     )
 
-
-def build_ptask_action(
-    topology: NetworkTopology,
-    spec: ParallelTaskSpec,
-    on_complete: Optional[Callable[[SimulationEngine, Action], None]] = None,
-    payload: object = None,
-) -> Action:
-    """Build the engine action realising a parallel-task specification.
-
-    The action's work is normalised to 1.0; consumption weights are the
-    total flops per CPU and total bytes per link, so the action's
-    standalone duration is ``max(max_i a_i / power, max_l bytes_l / bw_l)
-    + latency`` and contention arises naturally from the shared solver.
-    """
-    spec.validate()
-    consumption: dict[Resource, float] = {}
-    get = consumption.get
-    for host, flops in spec.comp.items():
-        if flops > 0:
-            cpu = topology.cpu(host)
-            consumption[cpu] = get(cpu, 0.0) + flops
-    max_route_latency = 0.0
-    for src, dst, nbytes in spec.flows:
-        if nbytes <= 0 or src == dst:
-            continue
-        for link in topology.route(src, dst):
-            consumption[link] = get(link, 0.0) + nbytes
-        lat = topology.route_latency(src, dst)
-        if lat > max_route_latency:
-            max_route_latency = lat
-    work = 0.0 if not consumption else 1.0
-    return Action(
-        name=spec.name,
-        work=work,
-        consumption=consumption,
-        latency=spec.extra_latency + max_route_latency,
-        on_complete=on_complete,
-        payload=payload,
-    )

@@ -18,24 +18,20 @@ iterate.  Weighted max-min: an action's rate on a bottleneck resource is
 throughput on the resource is proportional to its weight — this matches
 SimGrid's treatment of parallel tasks in ``ptask_L07``.
 
-Two implementations live here:
+:func:`solve_rates` keeps a per-resource weight dict from which frozen
+actions are *deleted*, and re-sums a resource's remaining load only
+when one of its actions froze since the last round (the resource is
+"dirty").  The textbook algorithm re-sums every resource's load over
+*all* actions in every round — ``O(rounds * R * A)``; the
+dirty-resource scheme does the ``O(E)`` total deletion work once (``E``
+= weight entries) plus ``O(rounds * R)`` for the bottleneck scan, and
+only re-sums loads that actually changed.
 
-* :func:`solve_rates` — the production solver.  It keeps a
-  per-resource weight dict from which frozen actions are *deleted*, and
-  re-sums a resource's remaining load only when one of its actions froze
-  since the last round (the resource is "dirty").  The naive algorithm
-  re-sums every resource's load over *all* actions in every round —
-  ``O(rounds * R * A)``; the dirty-resource scheme does the ``O(E)``
-  total deletion work once (``E`` = weight entries) plus
-  ``O(rounds * R)`` for the bottleneck scan, and only re-sums loads that
-  actually changed.
-* :func:`solve_rates_reference` — the original textbook loop, kept as
-  the oracle for the equivalence property tests.
-
-Both are *floating-point identical*, not merely approximately equal:
-deleting frozen actions from the per-resource dicts preserves the
+The textbook loop lives in ``tests/reference_simgrid.py`` as the oracle,
+and the two are *floating-point identical*, not merely approximately
+equal: deleting frozen actions from the per-resource dicts preserves the
 insertion order of the surviving entries, so the re-summed load adds the
-same floats in the same order as the reference's filtered sum, and the
+same floats in the same order as the textbook's filtered sum, and the
 capacity deductions execute in the same sequence.  Bottleneck *ties* are
 broken deterministically: resources are scanned in first-touch order
 (the order the consumption mapping first references them).
@@ -47,7 +43,7 @@ from __future__ import annotations
 
 from typing import Hashable, Mapping
 
-__all__ = ["solve_rates", "solve_rates_reference"]
+__all__ = ["solve_rates"]
 
 _EPS = 1e-12
 
@@ -215,61 +211,3 @@ def solve_rates(
                     dirty_add(res)
     return rates
 
-
-def solve_rates_reference(
-    consumption: Mapping[Hashable, Mapping[object, float]],
-    capacity: Mapping[object, float],
-) -> dict[Hashable, float]:
-    """The original bottleneck loop, kept as the equivalence oracle.
-
-    Functionally and floating-point identical to :func:`solve_rates`,
-    but re-sums every active resource's load over all actions in every
-    round (``O(rounds * R * A)``).  Used by the property-based
-    equivalence tests; not called from production code.
-    """
-    rates: dict[Hashable, float] = {}
-    usage: dict[object, dict[Hashable, float]] = {}
-    unfixed: set[Hashable] = set()
-    for action, weights in consumption.items():
-        if not weights:
-            rates[action] = float("inf")
-            continue
-        unfixed.add(action)
-        for res, w in weights.items():
-            if w <= 0:
-                raise ValueError(
-                    f"consumption weight of {action!r} on {res!r} must be positive"
-                )
-            if res not in capacity:
-                raise ValueError(f"resource {res!r} has no declared capacity")
-            usage.setdefault(res, {})[action] = w
-    remaining_cap = {}
-    for res in usage:
-        cap = capacity[res]
-        if cap <= 0:
-            raise ValueError(f"capacity of {res!r} must be positive")
-        remaining_cap[res] = float(cap)
-
-    # First-touch order, matching :func:`solve_rates` (tie-breaks).
-    active_res = dict.fromkeys(usage)
-    while unfixed:
-        best_share = None
-        best_res = None
-        for res in active_res:
-            load = sum(w for a, w in usage[res].items() if a in unfixed)
-            if load <= _EPS:
-                continue
-            share = remaining_cap[res] / load
-            if best_share is None or share < best_share:
-                best_share = share
-                best_res = res
-        if best_res is None:
-            raise AssertionError("max-min solver lost its remaining actions")
-        frozen = [a for a in usage[best_res] if a in unfixed]
-        for action in frozen:
-            rates[action] = best_share
-            unfixed.discard(action)
-            for res, w in consumption[action].items():
-                remaining_cap[res] = max(0.0, remaining_cap[res] - w * best_share)
-        del active_res[best_res]
-    return rates

@@ -51,7 +51,6 @@ from repro.scheduling.schedule import Schedule
 from repro.simgrid.engine import SimulationEngine
 from repro.simgrid.ptask import (
     NetworkTotals,
-    build_matrix_ptask,
     build_totals_ptask,
     matrix_network_totals,
 )
@@ -349,7 +348,7 @@ class ApplicationSimulator:
                     raise SimulationError(
                         f"comm matrix shape {B.shape} != ({p}, {p})"
                     )
-                rows = B.tolist()
+                totals = matrix_network_totals(B.tolist(), hosts, hosts)
             else:
                 duration = self.task_model.duration(task, p)
                 if duration < 0:
@@ -357,19 +356,18 @@ class ApplicationSimulator:
                         f"model predicted negative duration for task {task_id}"
                     )
                 comp = {h: duration * self.platform.flops for h in hosts}
-                rows = []
-            action = build_matrix_ptask(
-                topology_for_action(),
-                f"task{task_id}",
-                comp,
-                rows,
-                hosts,
-                hosts,
-                extra_latency=startup,
-                on_complete=on_task_complete,
-                payload=(task_id, startup),
+                totals = None
+            eng.add_action(
+                build_totals_ptask(
+                    topology_for_action(),
+                    f"task{task_id}",
+                    comp,
+                    totals,
+                    extra_latency=startup,
+                    on_complete=on_task_complete,
+                    payload=(task_id, startup),
+                )
             )
-            eng.add_action(action)
 
         edge_totals = layout.edge_totals
 

@@ -9,6 +9,7 @@ from repro.dag.graph import Task, TaskGraph
 from repro.dag.kernels import MATADD, MATMUL
 from repro.experiments.context import StudyContext
 from repro.models.analytical import AnalyticalTaskModel
+from repro.obs import live
 from repro.platform.personalities import bayreuth_cluster
 from repro.scheduling.costs import SchedulingCosts
 from repro.testbed.tgrid import TGridEmulator
@@ -71,3 +72,10 @@ def chain_dag():
 def analytical_costs(small_dag, platform):
     """Analytical scheduling costs for the small DAG."""
     return SchedulingCosts(small_dag, platform, AnalyticalTaskModel(platform))
+
+
+@pytest.fixture
+def fast_heartbeat(monkeypatch):
+    """Live telemetry beating every 0.05 s, so a drain thread ticks and
+    closes promptly; pool workers forked under it inherit the beat."""
+    monkeypatch.setattr(live, "HEARTBEAT_S", 0.05)

@@ -141,7 +141,7 @@ def _forbid(what):
 
 
 def test_warm_study_never_touches_the_pool(study_inputs, tmp_path,
-                                           monkeypatch):
+                                           monkeypatch, fast_heartbeat):
     dags, suite, emulator = study_inputs
     cache = ResultCache(tmp_path / "cache")
     cold = run_study(dags, [suite], emulator, workers=2, cache=cache)
@@ -162,7 +162,7 @@ def test_warm_study_never_touches_the_pool(study_inputs, tmp_path,
             cache=ResultCache(tmp_path / "serial"),
         )
         assert result.records == cold.records
-    telemetry = LiveTelemetry(heartbeat_s=0.1).start()
+    telemetry = LiveTelemetry().start()
     try:
         observed = _observed_study(
             study_inputs, workers=1, telemetry=telemetry
@@ -373,7 +373,8 @@ class TestAbsorbEmptyWorkerExport:
         assert runs == [0]
 
 
-def test_live_telemetry_does_not_perturb_study(study_inputs):
+def test_live_telemetry_does_not_perturb_study(study_inputs,
+                                               fast_heartbeat):
     """Bit-identity with the live bus attached, serial and pooled.
 
     The telemetry channel is strictly observational; every comparable
@@ -385,7 +386,7 @@ def test_live_telemetry_does_not_perturb_study(study_inputs):
         for workers in (1, 2)
     }
     for workers in (1, 2):
-        telemetry = LiveTelemetry(heartbeat_s=0.1).start()
+        telemetry = LiveTelemetry().start()
         try:
             attached = _observed_study(
                 study_inputs, workers=workers, telemetry=telemetry
@@ -404,11 +405,11 @@ def test_live_telemetry_does_not_perturb_study(study_inputs):
 
 
 def test_live_telemetry_counts_cache_hits(study_inputs, tmp_path,
-                                          monkeypatch):
+                                          monkeypatch, fast_heartbeat):
     dags, suite, emulator = study_inputs
     cache = ResultCache(tmp_path / "cache")
     run_study(dags, [suite], emulator, cache=cache)  # populate
-    telemetry = LiveTelemetry(heartbeat_s=0.1).start()
+    telemetry = LiveTelemetry().start()
     try:
         warm = run_study(
             dags, [suite], emulator, workers=2, cache=cache,
@@ -427,7 +428,7 @@ def test_live_telemetry_counts_cache_hits(study_inputs, tmp_path,
     monkeypatch.setattr(runner_mod.os, "cpu_count", lambda: 4)
     partial = ResultCache(tmp_path / "partial")
     run_study(dags[1:2], [suite], emulator, cache=partial)
-    telemetry = LiveTelemetry(heartbeat_s=0.1).start()
+    telemetry = LiveTelemetry().start()
     try:
         run_study(
             dags, [suite], emulator, workers=2, cache=partial,
@@ -442,12 +443,13 @@ def test_live_telemetry_counts_cache_hits(study_inputs, tmp_path,
 
 
 def test_live_telemetry_counts_cache_hits_in_the_parent(study_inputs,
-                                                        tmp_path):
+                                                        tmp_path,
+                                                        fast_heartbeat):
     """A study whose cells run in the parent reports what each did."""
     dags, suite, emulator = study_inputs
 
     def live_study(cache):
-        telemetry = LiveTelemetry(heartbeat_s=0.1).start()
+        telemetry = LiveTelemetry().start()
         try:
             run_study(
                 dags, [suite], emulator, workers=1, cache=cache,

@@ -121,6 +121,27 @@ class TestOpenMetrics:
         assert 'repro_span_seconds_total{name="sched.allocate"}' in text
         assert text.endswith("# EOF")
 
+    def test_large_counts_print_every_digit(self, tmp_path):
+        from repro.obs.manifest import RunManifest
+
+        span = {"count": 2_345_678, "total_s": 1.5, "mean_s": 0.0,
+                "min_s": 0.0, "max_s": 0.0}
+        manifest = RunManifest(
+            metrics={
+                "counters": {"cache.cell.hits": 1_234_567, "sim.runs": 3},
+                "spans": {"study.cell": span},
+            }
+        )
+        path = tmp_path / "trace.jsonl"
+        path.write_text(
+            json.dumps({**manifest.to_dict(), "type": "manifest"}) + "\n"
+        )
+        lines = openmetrics_lines(path)
+        validate_openmetrics("\n".join(lines) + "\n")
+        assert 'repro_counter_total{name="cache.cell.hits"} 1234567' in lines
+        assert 'repro_counter_total{name="sim.runs"} 3' in lines
+        assert 'repro_span_seconds_count{name="study.cell"} 2345678' in lines
+
     def test_trace_without_manifest_errors(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('{"type": "event", "name": "x"}\n')

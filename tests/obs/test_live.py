@@ -110,7 +110,8 @@ class TestLiveStudyState:
 
     def test_straggler_flagged_once_per_cell(self, monkeypatch):
         monkeypatch.setattr(live, "MIN_SAMPLES", 2)
-        state = LiveStudyState(stall_after_s=1e9)
+        monkeypatch.setattr(live, "STALL_AFTER_BEATS", 10**9)
+        state = LiveStudyState()
         state.begin_study(10, 2)
         for k in range(2):
             state.fold(("finish", 1, 100.0 + k, k, "fast", 1.0))
@@ -125,8 +126,11 @@ class TestLiveStudyState:
         assert state.check_health(200.0) == []  # not re-raised
         assert state.counters["runner.stragglers"] == 1
 
-    def test_stall_flags_silent_pool_worker_only(self):
-        state = LiveStudyState(stall_after_s=3.0)
+    def test_stall_flags_silent_pool_worker_only(self, monkeypatch):
+        # Stalled after 6 missed beats of 0.5 s: 3 s of silence.
+        monkeypatch.setattr(live, "HEARTBEAT_S", 0.5)
+        monkeypatch.setattr(live, "STALL_AFTER_BEATS", 6)
+        state = LiveStudyState()
         state.begin_study(10, 2)
         state.fold(("start", 7, 100.0, 0, "pool-cell"))
         state.fold(("start", 0, 100.0, 1, "parent-cell"))  # local
@@ -175,11 +179,11 @@ class TestLiveTelemetry:
             (w["worker"], w["local"], w["cell"]) for w in snap["workers"]
         ] == [(0, True, None)]
 
-    def test_queue_events_reach_the_fold(self):
-        telemetry = LiveTelemetry(heartbeat_s=0.05).start()
+    def test_queue_events_reach_the_fold(self, fast_heartbeat):
+        telemetry = LiveTelemetry().start()
         try:
             queue = telemetry.connect(multiprocessing.get_context())
-            emitter = WorkerEmitter(queue, heartbeat_s=0.05)
+            emitter = WorkerEmitter(queue)
             telemetry.begin_study(1, 1)
             emitter.chunk_claimed(1)
             emitter.cell_started(0, "queued-cell")
@@ -197,18 +201,16 @@ class TestLiveTelemetry:
         finally:
             telemetry.close()
 
-    def test_close_is_idempotent_and_forces_done(self):
-        telemetry = LiveTelemetry(heartbeat_s=0.05).start()
+    def test_close_is_idempotent_and_forces_done(self, fast_heartbeat):
+        telemetry = LiveTelemetry().start()
         telemetry.begin_study(5, 1)
         telemetry.close()
         telemetry.close()
         assert telemetry.snapshot()["phase"] == "done"
 
-    def test_snapshot_file_round_trip(self, tmp_path):
+    def test_snapshot_file_round_trip(self, tmp_path, fast_heartbeat):
         path = tmp_path / "live.json"
-        telemetry = LiveTelemetry(
-            heartbeat_s=0.05, snapshot_path=path
-        ).start()
+        telemetry = LiveTelemetry(snapshot_path=path).start()
         telemetry.begin_study(1, 0)
         emitter = telemetry.emitter()
         emitter.cell_started(0, "a")
@@ -227,10 +229,11 @@ class TestLiveTelemetry:
         with pytest.raises(ValueError, match="not a live telemetry"):
             load_snapshot(path)
 
-    def test_straggler_event_reaches_listeners(self, monkeypatch):
+    def test_straggler_event_reaches_listeners(self, monkeypatch,
+                                               fast_heartbeat):
         monkeypatch.setattr(live, "STRAGGLER_FACTOR", 0.1)
         monkeypatch.setattr(live, "MIN_SAMPLES", 1)
-        telemetry = LiveTelemetry(heartbeat_s=0.05).start()
+        telemetry = LiveTelemetry().start()
         seen: list[dict] = []
         telemetry.listeners.append(seen.append)
         try:
@@ -274,6 +277,15 @@ def test_live_openmetrics_lines_validate():
     assert 'repro_counter_total{name="runner.stragglers"} 1' in text
 
 
+def test_live_openmetrics_counters_print_every_digit():
+    snap = LiveStudyState().snapshot()
+    snap["counters"] = {"runner.stalls": 2, "runner.stragglers": 1_234_567}
+    lines = live_openmetrics_lines(snap)
+    validate_openmetrics("\n".join(lines) + "\n")
+    assert 'repro_counter_total{name="runner.stragglers"} 1234567' in lines
+    assert 'repro_counter_total{name="runner.stalls"} 2' in lines
+
+
 def test_live_openmetrics_of_idle_state_validates():
     text = "\n".join(live_openmetrics_lines(LiveStudyState().snapshot()))
     validate_openmetrics(text + "\n")
@@ -294,12 +306,11 @@ def test_render_top_lists_workers():
     assert "in-flight cell" in top
 
 
-def test_progress_printer_writes_final_line():
-    telemetry = LiveTelemetry(heartbeat_s=0.05).start()
+def test_progress_printer_writes_final_line(monkeypatch, fast_heartbeat):
+    monkeypatch.setattr(live, "PROGRESS_INTERVAL_S", 0.05)
+    telemetry = LiveTelemetry().start()
     stream = io.StringIO()
-    printer = ProgressPrinter(
-        telemetry, stream=stream, interval_s=0.05
-    )
+    printer = ProgressPrinter(telemetry, stream=stream)
     try:
         telemetry.begin_study(1, 0)
         emitter = telemetry.emitter()

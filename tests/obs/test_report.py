@@ -11,6 +11,7 @@ from repro.obs.report import (
     load_trace,
     render_report,
     report_file,
+    report_json,
 )
 from repro.obs.sinks import JsonlSink
 
@@ -184,6 +185,41 @@ class TestRenderReport:
         text = report_file(path)
         assert "seed=1" in text
         assert "per-(algorithm, simulator) makespans:" in text
+
+
+class TestReportJson:
+    def test_cache_table_and_section_agree(self):
+        manifest = RunManifest(
+            metrics={
+                "counters": {"cache.cell.hits": 3, "cache.cell.misses": 1},
+                "spans": {},
+            }
+        )
+        text = render_report([], manifest)
+        assert ["cell", "3", "1", "75.0"] in [
+            line.split() for line in text.splitlines()
+        ]
+        assert report_json([], manifest)["cache"] == {
+            "cell": {"hits": 3.0, "misses": 1.0, "hit_rate_pct": 75.0}
+        }
+
+    def test_cache_section_carries_exact_counts(self):
+        manifest = RunManifest(
+            metrics={
+                "counters": {
+                    "cache.cell.hits": 1_234_567,
+                    "cache.cell.misses": 3,
+                },
+                "spans": {},
+            }
+        )
+        assert report_json([], manifest)["cache"] == {
+            "cell": {
+                "hits": 1234567.0,
+                "misses": 3.0,
+                "hit_rate_pct": 100.0 * 1_234_567 / 1_234_570,
+            }
+        }
 
 
 class TestReportFromRealRun:

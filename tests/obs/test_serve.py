@@ -19,10 +19,10 @@ from repro.obs.serve import (
 
 
 @pytest.fixture()
-def snapshot_path(tmp_path):
+def snapshot_path(tmp_path, fast_heartbeat):
     """A finished live snapshot on disk, as ``--live-out`` leaves it."""
     path = tmp_path / "live.json"
-    telemetry = LiveTelemetry(heartbeat_s=0.05, snapshot_path=path).start()
+    telemetry = LiveTelemetry(snapshot_path=path).start()
     telemetry.begin_study(2, 1)
     emitter = telemetry.emitter()
     emitter.cell_started(0, "analytic:mm/hcpa")

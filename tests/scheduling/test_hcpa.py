@@ -11,7 +11,7 @@ from repro.models.analytical import AnalyticalTaskModel
 from repro.platform.personalities import bayreuth_cluster
 from repro.scheduling.costs import SchedulingCosts
 from repro.scheduling.cpa import cpa_allocate
-from repro.scheduling.hcpa import ReferenceCluster, hcpa_allocate
+from repro.scheduling.hcpa import hcpa_allocate
 
 
 def costs_for(graph, num_nodes=32):
@@ -94,25 +94,3 @@ class TestBetaDamping:
         costs = costs_for(small_dag)
         with pytest.raises(ValueError, match="beta"):
             hcpa_allocate(small_dag, costs, beta=float("nan"))
-
-
-class TestReferenceCluster:
-    def test_identity_on_homogeneous_platform(self):
-        ref = ReferenceCluster(reference_flops=250e6, target_flops=250e6)
-        for p in (1, 5, 32):
-            assert ref.translate(p) == p
-
-    def test_slower_target_gets_more_processors(self):
-        ref = ReferenceCluster(reference_flops=500e6, target_flops=250e6)
-        assert ref.translate(4) == 8
-
-    def test_faster_target_still_gets_at_least_one(self):
-        ref = ReferenceCluster(reference_flops=100e6, target_flops=1e9)
-        assert ref.translate(1) == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ReferenceCluster(reference_flops=0.0, target_flops=1.0)
-        ref = ReferenceCluster(reference_flops=1.0, target_flops=1.0)
-        with pytest.raises(ValueError):
-            ref.translate(0)

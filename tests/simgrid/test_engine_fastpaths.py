@@ -23,8 +23,9 @@ from repro.scheduling.driver import schedule_dag
 from repro.simgrid import engine as engine_module
 from repro.simgrid.engine import Action, SimulationEngine
 from repro.simgrid.resources import Resource
-from repro.simgrid.sharing import solve_rates, solve_rates_reference
+from repro.simgrid.sharing import solve_rates
 from repro.simgrid.simulator import ApplicationSimulator
+from tests.reference_simgrid import solve_rates_reference
 
 
 class TestCapacityPruning:

@@ -1,4 +1,11 @@
-"""Tests for the ptask_L07 parallel-task action model."""
+"""Tests for the ptask_L07 parallel-task action model.
+
+The flow-list path (``ParallelTaskSpec`` and ``build_ptask_action``)
+is the oracle in ``tests/reference_simgrid.py``: the duration tests
+run it through the engine, and the property tests hold the
+simulator's builder, ``build_totals_ptask`` over
+``matrix_network_totals``, float-identical to it.
+"""
 
 import numpy as np
 import pytest
@@ -14,18 +21,16 @@ from repro.dag.kernels import MATADD, MATMUL
 from repro.platform.cluster import ClusterPlatform
 from repro.scheduling.schedule import Placement, Schedule
 from repro.simgrid.engine import SimulationEngine
-from repro.simgrid.ptask import (
-    ParallelTaskSpec,
-    build_matrix_ptask,
-    build_ptask_action,
-    build_totals_ptask,
-    comm_matrix_to_flows,
-    matrix_network_totals,
-    redistribution_flows,
-)
+from repro.simgrid.ptask import build_totals_ptask, matrix_network_totals
 from repro.simgrid.resources import NetworkTopology
 from repro.simgrid.simulator import ScheduleLowering
 from repro.util.errors import SimulationError
+from tests.reference_simgrid import (
+    ParallelTaskSpec,
+    build_ptask_action,
+    comm_matrix_to_flows,
+    redistribution_flows,
+)
 
 
 @pytest.fixture
@@ -42,6 +47,8 @@ def topo():
 
 
 class TestFlowMapping:
+    """How the oracle lowers byte matrices to flows."""
+
     def test_comm_matrix_to_flows_skips_zero_and_intra_host(self):
         B = np.array([[0.0, 5.0], [3.0, 0.0]])
         flows = comm_matrix_to_flows(B, [0, 0])
@@ -151,6 +158,9 @@ class TestPtaskDurations:
 
 
 class TestValidation:
+    """The oracle refuses negative inputs, so a property test cannot
+    compare the fused builder with a malformed flow list."""
+
     def test_negative_computation_rejected(self, topo):
         spec = ParallelTaskSpec(name="t", comp={0: -1.0})
         with pytest.raises(SimulationError):
@@ -216,9 +226,10 @@ def _volume(oracle_action):
 
 
 class TestFusedBuilderMatchesFlowList:
-    """``build_matrix_ptask``, ``matrix_network_totals`` and the edge
-    totals of a :class:`ScheduleLowering` claim float identity with
-    ``build_ptask_action`` over the same matrix's flow list."""
+    """``build_totals_ptask`` over ``matrix_network_totals`` and over
+    the edge totals of a :class:`ScheduleLowering` claims float
+    identity with ``build_ptask_action`` over the same matrix's flow
+    list."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -239,8 +250,9 @@ class TestFusedBuilderMatchesFlowList:
             latency,
         )
         rows = redistribution_matrix_rows(n, p_src, p_dst)
-        fused = build_matrix_ptask(
-            _ORACLE_TOPO, "fused", comp, rows, src, dst, extra_latency=latency
+        fused = build_totals_ptask(
+            _ORACLE_TOPO, "fused", comp,
+            matrix_network_totals(rows, src, dst), extra_latency=latency,
         )
         _assert_same_action(fused, oracle)
 
@@ -282,8 +294,9 @@ class TestFusedBuilderMatchesFlowList:
         oracle = _oracle(
             comp, comm_matrix_to_flows(np.array(matrix), hosts), latency
         )
-        fused = build_matrix_ptask(
-            _ORACLE_TOPO, "fused", comp, matrix, hosts, hosts,
+        fused = build_totals_ptask(
+            _ORACLE_TOPO, "fused", comp,
+            matrix_network_totals(matrix, hosts, hosts),
             extra_latency=latency,
         )
         _assert_same_action(fused, oracle)

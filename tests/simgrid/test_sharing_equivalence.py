@@ -2,9 +2,9 @@
 
 ``solve_rates`` (incremental loads, dirty-resource re-sums, fast paths)
 must return *bit-identical* rates to ``solve_rates_reference`` (the
-textbook loop) on every instance — the engine's determinism and the
-study's reproducibility rest on this.  Equality here is ``==`` on the
-floats, not approximate.
+textbook loop in ``tests/reference_simgrid.py``) on every instance —
+the engine's determinism and the study's reproducibility rest on this.
+Equality here is ``==`` on the floats, not approximate.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simgrid.sharing import solve_rates, solve_rates_reference
+from repro.simgrid.sharing import solve_rates
+from tests.reference_simgrid import solve_rates_reference
 
 
 @st.composite

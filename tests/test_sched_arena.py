@@ -5,10 +5,12 @@ flat-array loop of :mod:`repro.scheduling.arena`.  ``tests/reference_cpa.py``
 keeps the object allocation loop as an independent oracle.  These tests
 compare the two exactly — allocations, events, counters, timeline lines
 and profiler structure — on the paper's DAGs and on Hypothesis-generated
-ones, through each of the production loop's three branches:
+ones, under each of three recorder configurations (the production loop
+has one body; what is attached decides only which timings and probes
+wrap it):
 
-* ``no_recorder``: the disabled default recorder, where the DP and the
-  gain sweep are inlined — what every untraced study runs;
+* ``no_recorder``: the disabled default recorder — what every untraced
+  study runs;
 * ``recorder``: a recorder and timeline without a profiler
   (``--trace-out`` / ``--timeline-out``);
 * ``profiler``: a recorder, timeline and profiler (``--profile``).
@@ -75,7 +77,8 @@ def _costs(graph, platform=_PLATFORM, suite=_SUITE):
 
 
 def _observed_run(allocator, graph, costs, branch="profiler"):
-    """Allocate on one recorder branch; return every comparable facet.
+    """Allocate under one recorder configuration; return every
+    comparable facet.
 
     ``no_recorder`` yields the allocation alone, ``recorder`` adds
     events, counters and timeline lines, ``profiler`` adds the profile
