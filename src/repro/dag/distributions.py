@@ -11,15 +11,14 @@ When a producer on processor set P_src hands its matrix to a consumer on
 processor set P_dst, each destination processor must fetch the overlap
 of its column interval with every source processor's interval.  TGrid
 computes exactly these overlapping intervals to derive the point-to-point
-messages; :func:`redistribution_matrix` reproduces that computation and
-yields the byte matrix consumed by the SimGrid ``ptask_L07`` model.
+messages; :func:`redistribution_messages` reproduces that computation and
+yields the messages consumed by the SimGrid ``ptask_L07`` model, and
+:func:`redistribution_matrix` lays them out as a dense byte matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from repro.dag.kernels import BYTES_PER_ELEMENT
 __all__ = [
     "BlockDistribution",
     "redistribution_matrix",
-    "redistribution_matrix_rows",
+    "redistribution_messages",
     "redistribution_volume",
 ]
 
@@ -93,28 +92,21 @@ class BlockDistribution:
         return float(counts.max() / counts.mean())
 
 
-def redistribution_matrix(
+def redistribution_messages(
     n: int, p_src: int, p_dst: int
-) -> np.ndarray:
-    """Byte matrix of the redistribution between two block distributions.
+) -> list[list[tuple[int, float]]]:
+    """The messages of a redistribution between two block distributions.
 
-    Returns an array ``M`` of shape ``(p_src, p_dst)`` where ``M[i, j]``
-    is the number of bytes source rank ``i`` must send to destination
-    rank ``j`` — the length of the overlap of their column intervals
-    times ``n`` rows times 8 bytes.  Ranks are *local* to each task; the
-    mapping onto physical processors happens in the simulator, which also
-    elides messages whose endpoints share a physical node.
-
-    The result is memoised per ``(n, p_src, p_dst)`` — a study hits the
-    same few hundred combinations thousands of times — and returned as a
-    **read-only** array shared between callers; writing to it raises.
-    Copy before mutating.
+    Row ``i`` lists the ``(j, bytes)`` messages source rank ``i`` sends,
+    one per destination rank ``j`` whose column interval overlaps its
+    own, in rank order: ``bytes`` (a float) is the length of the overlap
+    times ``n`` rows times 8 bytes.  These are exactly the non-zero
+    entries of :func:`redistribution_matrix`, row by row — at most
+    ``p_src + p_dst - 1``, found by one merge scan of the two sorted
+    interval lists.  Ranks are *local* to each task; the simulator maps
+    them onto physical processors.  Nothing is cached here: the study
+    runner keeps one memo per study.
     """
-    return _redistribution_matrix_cached(n, p_src, p_dst)
-
-
-@lru_cache(maxsize=1024)
-def _redistribution_matrix_cached(n: int, p_src: int, p_dst: int) -> np.ndarray:
     BlockDistribution(n, p_src)  # argument validation
     BlockDistribution(n, p_dst)
     # Balanced interval boundaries, precomputed: rank k owns
@@ -122,9 +114,12 @@ def _redistribution_matrix_cached(n: int, p_src: int, p_dst: int) -> np.ndarray:
     # fraction of the per-overlap method-call cost.
     src_b = [k * n // p_src for k in range(p_src + 1)]
     dst_b = [k * n // p_dst for k in range(p_dst + 1)]
-    M = np.zeros((p_src, p_dst), dtype=float)
+    row_bytes = n * BYTES_PER_ELEMENT
+    rows: list[list[tuple[int, float]]] = []
     j = 0
     for i in range(p_src):
+        row: list[tuple[int, float]] = []
+        rows.append(row)
         s_lo = src_b[i]
         s_hi = src_b[i + 1]
         if s_lo == s_hi:
@@ -141,26 +136,29 @@ def _redistribution_matrix_cached(n: int, p_src: int, p_dst: int) -> np.ndarray:
             d_hi = dst_b[k + 1]
             overlap = min(s_hi, d_hi) - max(s_lo, d_lo)
             if overlap > 0:
-                M[i, k] = overlap * n * BYTES_PER_ELEMENT
+                row.append((k, float(overlap * row_bytes)))
             if d_hi >= s_hi:
                 break
             k += 1
-    M.setflags(write=False)
-    return M
+    return rows
 
 
-@lru_cache(maxsize=1024)
-def redistribution_matrix_rows(
+def redistribution_matrix(
     n: int, p_src: int, p_dst: int
-) -> list[list[float]]:
-    """:func:`redistribution_matrix` as cached plain-float row lists.
+) -> np.ndarray:
+    """Byte matrix of the redistribution between two block distributions.
 
-    The simulator's per-link totals iterate the matrix in Python;
-    ``tolist`` once per cache entry beats boxing an ndarray scalar per
-    element per call.  The nested lists are shared between callers —
-    **read-only** by convention (same contract as the read-only array).
+    Returns an array ``M`` of shape ``(p_src, p_dst)`` where ``M[i, j]``
+    is the number of bytes source rank ``i`` must send to destination
+    rank ``j`` — the length of the overlap of their column intervals
+    times ``n`` rows times 8 bytes, and zero where they do not overlap:
+    :func:`redistribution_messages` laid out densely.
     """
-    return _redistribution_matrix_cached(n, p_src, p_dst).tolist()
+    M = np.zeros((p_src, p_dst), dtype=float)
+    for i, row in enumerate(redistribution_messages(n, p_src, p_dst)):
+        for j, nbytes in row:
+            M[i, j] = nbytes
+    return M
 
 
 def redistribution_volume(n: int, p_src: int, p_dst: int) -> float:

@@ -248,6 +248,7 @@ def _run_cell(
     simulator: ApplicationSimulator,
     cache: ResultCache | None,
     keys: CellKeys | None,
+    messages: dict,
 ) -> tuple[RunRecord, bool]:
     """One grid cell: schedule, simulate, execute, record.
 
@@ -266,7 +267,8 @@ def _run_cell(
     with equal models share their entries.
 
     Both executions share one :class:`ScheduleLowering` of the final
-    schedule: the first that runs lowers (and validates) it.
+    schedule: the first that runs lowers (and validates) it, with the
+    study's ``messages`` memo.
     """
     cell = {"dag": graph.name, "algorithm": algorithm, "simulator": suite.name}
     hit = True
@@ -276,7 +278,7 @@ def _run_cell(
         hit = False
         with obs.span("study.schedule", **cell):
             schedule = schedule_dag(graph, costs, algorithm)
-        lowering = ScheduleLowering(graph, schedule)
+        lowering = ScheduleLowering(graph, schedule, _messages=messages)
         with obs.span("study.simulate", **cell):
             sim_trace = simulator.run(graph, schedule, lowering=lowering)
         with obs.span("study.execute", **cell):
@@ -327,9 +329,10 @@ class _CellRunner:
     cells are adjacent in grid order and in every chunk, so that one
     entry carries the memoised task times across the pair's
     algorithms.  (Cost evaluation emits no observability, so the memo
-    cannot change any counter.)  :meth:`run` is the only way a cell
-    runs, in the parent or in a pool worker, and the one place a cell's
-    live events are emitted.
+    cannot change any counter.)  Its ``messages`` memo of
+    redistributions lives and dies with the study.  :meth:`run` is the
+    only way a cell runs, in the parent or in a pool worker, and the one
+    place a cell's live events are emitted.
     """
 
     def __init__(
@@ -364,6 +367,7 @@ class _CellRunner:
             )
             for suite in suites
         ]
+        self.messages: dict = {}
         self._pair: tuple[int, int] | None = None
         self._costs: SchedulingCosts | None = None
         self._cell_keys: CellKeys | None = None
@@ -411,7 +415,7 @@ class _CellRunner:
             record, hit = _run_cell(
                 suite, params, graph, algorithm, self.emulator, obs,
                 self._costs, self.simulators[suite_idx], self.cache,
-                self._cell_keys,
+                self._cell_keys, self.messages,
             )
         if emitter is not None:
             emitter.cell_finished(pos, label, hit)

@@ -367,8 +367,14 @@ class LiveTelemetry:
         return self
 
     def close(self) -> None:
-        """Stop the drain thread and write the final snapshot."""
+        """Stop the drain thread, waking it with a ``None`` on the pool
+        queue if it waits there, and write the final snapshot."""
         self._stop.set()
+        if self._queue is not None and self._thread is not None:
+            try:
+                self._queue.put_nowait(None)
+            except Exception:  # closed at teardown: the get times out
+                pass
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
@@ -425,7 +431,8 @@ class LiveTelemetry:
                     # the periodic work.
                     drained = False
                 if drained:
-                    self._fold(event)
+                    if event is not None:  # None: close's wake-up
+                        self._fold(event)
                     # Opportunistically drain the backlog so a burst of
                     # events does not serialize one tick apiece.
                     for _ in range(512):
@@ -433,7 +440,8 @@ class LiveTelemetry:
                             event = queue.get_nowait()
                         except Exception:
                             break
-                        self._fold(event)
+                        if event is not None:
+                            self._fold(event)
             else:
                 self._stop.wait(tick)
             now = time.monotonic()

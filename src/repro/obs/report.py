@@ -267,6 +267,13 @@ def report_json(
     }
 
 
+def _count(value: float) -> str:
+    """``{:g}``, but every digit of an integral value of 10^6 or more."""
+    if abs(value) >= 1e6 and float(value).is_integer():
+        return str(int(value))
+    return f"{value:g}"
+
+
 def render_report(
     records: list[dict],
     manifest: RunManifest | None,
@@ -310,7 +317,7 @@ def render_report(
         lines.append(
             format_table(
                 ["counter", "value"],
-                [[name, f"{value:g}"] for name, value in ranked[:top]],
+                [[name, _count(value)] for name, value in ranked[:top]],
             )
         )
 
@@ -322,14 +329,14 @@ def render_report(
             format_table(
                 ["layer", "hits", "misses", "hit rate %"],
                 [
-                    [layer, f"{hits:g}", f"{misses:g}", f"{rate:.1f}"]
+                    [layer, _count(hits), _count(misses), f"{rate:.1f}"]
                     for layer, hits, misses, rate in cache_rows
                 ],
             )
         )
         for name in ("cache.bytes_read", "cache.bytes_written"):
             if name in counters:
-                lines.append(f"{name}: {counters[name]:g}")
+                lines.append(f"{name}: {_count(counters[name])}")
 
     spans = (
         manifest.metrics.get("spans", {}) if manifest is not None else {}
@@ -397,7 +404,7 @@ def render_report(
             format_table(
                 ["kind", "records"],
                 [
-                    [kind, f"{value:g}"]
+                    [kind, _count(value)]
                     for kind, value in sorted(timeline_counts.items())
                 ],
             )
@@ -411,7 +418,7 @@ def render_report(
         rate_s = f"{rate:.1f}" if rate is not None else "-"
         lines.append("")
         lines.append(
-            f"study throughput: {throughput['cells']:g} cells in "
+            f"study throughput: {_count(throughput['cells'])} cells in "
             f"{throughput['grid_s']:.3f} s = "
             f"{rate_s} cells/s end to end"
         )

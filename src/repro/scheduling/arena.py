@@ -28,8 +28,8 @@ this loop is compared against, bit for bit
 
 * bottom levels are a max/+ DP — exact in IEEE arithmetic, so partial
   re-propagation reproduces the full DP bit-for-bit;
-* ``T_A`` stays a *sequential left fold* (``sum``) over the per-task
-  areas in task order;
+* ``T_A`` stays a *sequential left fold* (a loop: ``sum()`` compensates
+  from Python 3.12 on) over the per-task areas in task order;
 * the gain sweep keeps first-occurrence-wins semantics (strictly
   greater gain wins);
 * HCPA caps and MCPA level sums are integers — exact either way.
@@ -328,7 +328,10 @@ def _grow_allocations(
         else:
             src = -1
             t_cp = 0.0
-        t_a = sum(areas) / agg_speed
+        area_sum = 0.0
+        for a in areas:
+            area_sum = area_sum + a
+        t_a = area_sum / agg_speed
         if t_cp <= stop_mult * t_a:
             stop_reason = "criterion"
             break

@@ -36,9 +36,12 @@ def average_area(costs: SchedulingCosts, alloc: dict[int, int]) -> float:
     On homogeneous clusters the denominator is the node count (the
     paper's setting).  On heterogeneous clusters it is the aggregate
     speed in reference-node units — HCPA's reference-cluster view of
-    the machine, which CPA's area bound generalises to naturally.
+    the machine, which CPA's area bound generalises to naturally.  The
+    areas are a left fold in ``alloc`` order, as in the allocation loop.
     """
-    total = sum(costs.work(t, p) for t, p in alloc.items())
+    total = 0.0
+    for t, p in alloc.items():
+        total = total + costs.work(t, p)
     return total / costs.platform.aggregate_speed
 
 

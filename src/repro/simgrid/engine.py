@@ -97,6 +97,7 @@ class Action:
         "start_time",
         "finish_time",
         "_seq",
+        "_share",
     )
 
     def __init__(
@@ -124,6 +125,7 @@ class Action:
         self.start_time = math.nan
         self.finish_time = math.nan
         self._seq = next(_action_counter)
+        self._share: float | None = None  # see SimulationEngine._fair_share
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -147,17 +149,13 @@ class SimulationEngine:
         # Rates must be recomputed before the next scan (working set or
         # resource pool changed since the last solve).
         self._rates_dirty = False
-        # Observability: the recorder is sampled once per engine (cheap)
-        # and every emission below is guarded by ``_obs.enabled`` so the
-        # hot loop pays one attribute load + branch when tracing is off —
-        # no event dicts are ever built on the disabled path.
+        # Observability, sampled once per engine: every emission below
+        # is guarded by ``_obs.enabled`` or, for the timeline and the
+        # profiler (None unless the recorder carries them), by ``is not
+        # None`` — one load and one branch on the disabled path, where
+        # no event dict is ever built.
         self._obs = get_recorder()
-        # Simulated-time timeline (None unless the recorder carries
-        # one); share emissions below guard with ``is not None`` — the
-        # same one-load-one-branch cost as the ``enabled`` checks.
         self._tl = self._obs.timeline
-        # Wall-clock profiler (None unless the recorder carries one);
-        # the solve probe guards with ``is not None`` likewise.
         self._prof = self._obs.profiler
         self.steps_taken = 0
         self.solver_calls = 0
@@ -242,39 +240,36 @@ class SimulationEngine:
             if cap_refs[res] != 1:
                 return None
         if not consumption:
-            # Resource-free work progresses at infinite rate, exactly as
-            # the solver rates it.
-            return math.inf
-        return self._fair_share(consumption)
+            return math.inf  # resource-free work, as the solver rates it
+        share = self._fair_share(action)
+        return None if share == math.inf else share
 
-    def _fair_share(self, consumption: dict[Resource, float]) -> float | None:
+    def _fair_share(self, action: Action) -> float:
         """``min(capacity / weight)`` over an action's resources: its
         max-min rate when no other working action uses them.
 
-        Computed with the exact expressions the solver uses, so the
-        rate is bit-identical.  None when every weight falls under the
-        solver's load epsilon (the solver would reject that instance;
-        let it).
+        The solver's expressions, so bit-identical; computed once per
+        action, since capacities never change.  ``inf`` when every
+        weight falls under the solver's load epsilon (the solver would
+        reject that instance; let it).
         """
-        best = math.inf
-        capacity = self._capacity
-        for res, w in consumption.items():
-            if w <= _LOAD_EPS:
-                continue
-            share = capacity[res] / w
-            if share < best:
-                best = share
-        if math.isinf(best):
-            return None
-        return best
+        share = action._share
+        if share is None:
+            share = math.inf
+            capacity = self._capacity
+            for res, w in action.consumption.items():
+                if w <= _LOAD_EPS:
+                    continue
+                res_share = capacity[res] / w
+                if res_share < share:
+                    share = res_share
+            action._share = share
+        return share
 
     def _set_standalone_rate(self, action: Action) -> bool:
-        """Rate a working-set entrant directly when it shares nothing.
-
-        The survivors' rates are unchanged (see
-        :meth:`_standalone_rate`).  Returns False when the caller must
-        schedule a full re-solve instead.
-        """
+        """Rate a working-set entrant directly when it shares nothing
+        (the survivors' rates stand, see :meth:`_standalone_rate`);
+        False when the caller must schedule a joint re-solve instead."""
         rate = self._standalone_rate(action)
         if rate is None:
             return False
@@ -288,10 +283,10 @@ class SimulationEngine:
 
         An action whose every resource has capacity refcount 1 gets its
         standalone rate (:meth:`_standalone_rate`); the others go to the
-        sharing solver, with ``validate=False``: the Action constructor
-        already drops non-positive weights, ``Resource`` rejects
-        non-positive capacities, and the refcounted ``_capacity``
-        covers every pending action's resources by construction.  The
+        sharing solver, with ``validate=False``: every action holds
+        positive weights only, ``Resource`` rejects non-positive
+        capacities, and the refcounted ``_capacity`` covers every
+        pending action's resources by construction.  The
         problem is separable, so both parts are bit-identical to one
         solve over the whole working set, and the solver is not called
         when no action shares a resource.  Nor is it called for a lone
@@ -308,9 +303,9 @@ class SimulationEngine:
             else:
                 action.rate = rate
         if len(shared) == 1:
-            ((action, consumption),) = shared.items()
-            rate = self._fair_share(consumption)
-            if rate is not None:
+            (action,) = shared
+            rate = self._fair_share(action)
+            if rate != math.inf:
                 action.rate = rate
                 return
         if shared:
@@ -372,11 +367,14 @@ class SimulationEngine:
             self._solve()
             self._rates_dirty = False
         inf = math.inf
+        # The time pass: each action's time to its next event, and dt.
         times: list[float] = []
+        append_time = times.append
         dt = inf
         for action in actions:
-            if action.latency_left > 0.0:
-                t = action.latency_left
+            latency = action.latency_left
+            if latency > 0.0:
+                t = latency
             elif action.remaining <= 0.0:
                 t = 0.0
             else:
@@ -387,10 +385,10 @@ class SimulationEngine:
                     t = 0.0
                 else:
                     t = action.remaining / rate
-            times.append(t)
+            append_time(t)
             if t < dt:
                 dt = t
-        if math.isinf(dt):
+        if dt == inf:
             names = [a.name for a in actions]
             raise SimulationError(
                 f"simulation stalled at t={self.now}: actions {names} can "
@@ -399,14 +397,14 @@ class SimulationEngine:
         if dt < 0:
             raise SimulationError(f"negative time step {dt}")
         self.now += dt
-        # An action "fires" this step if its time-to-event equals the
-        # minimum (within a relative tolerance, to absorb FP residue).
+        # The update pass.  An action "fires" this step if its
+        # time-to-event equals the minimum (within a relative
+        # tolerance, to absorb FP residue).
         threshold = dt * (1.0 + _REL_EPS) + _EPS * 1e-6
         completed: list[Action] = []
-        for i, action in enumerate(actions):
-            fires = times[i] <= threshold
+        for action, t in zip(actions, times):
             if action.latency_left > 0.0:
-                if fires:
+                if t <= threshold:
                     action.latency_left = 0.0
                     if action.remaining <= 0.0:
                         completed.append(action)
@@ -418,14 +416,16 @@ class SimulationEngine:
                         self._rates_dirty = True
                 else:
                     action.latency_left -= dt
-            else:
-                if fires:
-                    action.remaining = 0.0
-                    completed.append(action)
-                elif action.rate != inf:
-                    action.remaining = max(0.0, action.remaining - action.rate * dt)
-        # Deterministic completion order: creation order.
-        completed.sort(key=lambda a: a._seq)
+            elif t <= threshold:
+                action.remaining = 0.0
+                completed.append(action)
+            elif action.rate != inf:
+                left = action.remaining - action.rate * dt
+                action.remaining = left if left > 0.0 else 0.0  # max(0, left)
+        # Deterministic completion order: creation order (not always the
+        # store's insertion order).
+        if len(completed) > 1:
+            completed.sort(key=lambda a: a._seq)
         for action in completed:
             del actions[action]
             if action.consumption:

@@ -11,11 +11,12 @@ slowest processor or the most contended link bounds the whole task,
 exactly like a tightly-coupled data-parallel kernel.
 
 This module builds those actions on the star topology in two steps:
-:func:`matrix_network_totals` reduces a byte matrix to per-link totals,
-and :func:`build_totals_ptask` turns the totals plus the per-host
+:func:`sparse_network_totals` reduces a byte matrix, given by its
+non-zero entries row by row, to per-link totals, and
+:func:`build_totals_ptask` turns the totals plus the per-host
 computation into an engine :class:`~repro.simgrid.engine.Action` whose
-*work* is normalised to 1.0.  The flow-list path both are checked
-against, bit for bit, lives in ``tests/reference_simgrid.py``.
+*work* is normalised to 1.0.  The dense-matrix and flow-list paths both
+are checked against, bit for bit, live in ``tests/reference_simgrid.py``.
 """
 
 from __future__ import annotations
@@ -25,44 +26,42 @@ from typing import Callable, Optional, Sequence
 from repro.simgrid.engine import Action, SimulationEngine
 from repro.simgrid.resources import NetworkTopology, Resource
 
-__all__ = ["build_totals_ptask", "matrix_network_totals"]
+__all__ = ["build_totals_ptask", "sparse_network_totals"]
 
-#: ``(up_items, down_items, backbone_total)`` of :func:`matrix_network_totals`.
+#: ``(up_items, down_items, backbone_total)`` of :func:`sparse_network_totals`.
 NetworkTotals = tuple[list[tuple[int, float]], list[tuple[int, float]], float]
 
 
-def matrix_network_totals(
-    matrix_rows: Sequence[Sequence[float]],
+def sparse_network_totals(
+    rows: Sequence[Sequence[tuple[int, float]]],
     src_hosts: Sequence[int],
     dst_hosts: Sequence[int],
 ) -> NetworkTotals:
     """Per-link byte totals of a byte matrix on a star topology.
 
-    Returns ``(up_items, down_items, backbone_total)``: uplink
-    ``(src_host, bytes)`` totals in row order, downlink
-    ``(dst_host, bytes)`` totals in column order, and the total bytes
-    crossing the backbone.  Accumulation order is load-bearing: an
-    uplink total adds its row left-to-right, a downlink total adds its
-    column top-to-bottom, and the backbone total adds row-major —
-    exactly the order a per-flow accumulation visits them, so the sums
-    are floating-point identical to adding the matrix's flows one by
-    one.  Inputs are trusted: the matrix must be non-negative and shaped
-    ``(len(src_hosts), len(dst_hosts))``, as the distribution and model
-    helpers guarantee by construction.
+    ``rows`` holds the matrix's positive entries, row by row, each row
+    in column order; row ``i`` and column ``j`` run from
+    ``src_hosts[i]`` to ``dst_hosts[j]``.  Returns ``(up_items,
+    down_items, backbone_total)``: uplink ``(src_host, bytes)`` totals
+    in row order, downlink ``(dst_host, bytes)`` totals in column
+    order, and the total bytes crossing the backbone.  Accumulation
+    order is load-bearing: an uplink total adds its row left-to-right,
+    a downlink total adds its column top-to-bottom, and the backbone
+    total adds row-major — exactly the order a per-flow accumulation
+    visits them, so the sums are floating-point identical to adding the
+    matrix's flows one by one.  Inputs are trusted: entries must be
+    positive and in range, as the distribution helpers guarantee.
 
     ``down_items`` is empty whenever ``backbone_total`` is zero (no
     off-node traffic means no downlink entries either).
     """
     backbone_total = 0.0
-    n_dst = len(dst_hosts)
-    down_totals = [0.0] * n_dst
+    down_totals = [0.0] * len(dst_hosts)
     up_items: list[tuple[int, float]] = []
-    for i, src in enumerate(src_hosts):
-        row = matrix_rows[i]
+    for src, row in zip(src_hosts, rows):
         up_total = 0.0
-        for j in range(n_dst):
-            b = row[j]
-            if b > 0 and src != dst_hosts[j]:
+        for j, b in row:
+            if src != dst_hosts[j]:
                 up_total = up_total + b
                 backbone_total = backbone_total + b
                 down_totals[j] = down_totals[j] + b
@@ -70,10 +69,9 @@ def matrix_network_totals(
             up_items.append((src, up_total))
     down_items: list[tuple[int, float]] = []
     if backbone_total > 0.0:
-        for j in range(n_dst):
-            total = down_totals[j]
+        for dst, total in zip(dst_hosts, down_totals):
             if total > 0.0:
-                down_items.append((dst_hosts[j], total))
+                down_items.append((dst, total))
     return up_items, down_items, backbone_total
 
 
@@ -89,7 +87,7 @@ def build_totals_ptask(
     """The engine action of a parallel task.
 
     ``comp`` is ``{host: flops}``; ``totals`` is
-    :func:`matrix_network_totals` of the task's byte matrix, or None
+    :func:`sparse_network_totals` of the task's byte matrix, or None
     for a task without one, so a caller that runs the same matrix on
     the same hosts more than once computes its totals once.  The totals
     are only read.  The action's work is normalised to 1.0 and its
@@ -102,7 +100,7 @@ def build_totals_ptask(
     get = consumption.get
     for host, flops in comp.items():
         if flops > 0:
-            cpu = topology.cpu(host)
+            cpu = topology.cpus[host]
             consumption[cpu] = get(cpu, 0.0) + flops
     max_route_latency = 0.0
     if totals is not None:
@@ -118,13 +116,15 @@ def build_totals_ptask(
             downlinks = topology.downlinks
             for dst, total in down_items:
                 consumption[downlinks[dst]] = total
-    work = 0.0 if not consumption else 1.0
-    return Action(
+    action = Action(
         name=name,
-        work=work,
-        consumption=consumption,
+        work=0.0 if not consumption else 1.0,
         latency=extra_latency + max_route_latency,
         on_complete=on_complete,
         payload=payload,
     )
+    # Every weight is positive (flops > 0, totals > 0) and the dict is
+    # this action's alone: the action takes it as it is, uncopied.
+    action.consumption = consumption
+    return action
 

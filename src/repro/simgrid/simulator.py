@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.dag.distributions import redistribution_matrix_rows
+from repro.dag.distributions import redistribution_messages
 from repro.dag.graph import TaskGraph
 from repro.models.base import ModelKind, TaskTimeModel
 from repro.models.overheads import (
@@ -52,7 +52,7 @@ from repro.simgrid.engine import SimulationEngine
 from repro.simgrid.ptask import (
     NetworkTotals,
     build_totals_ptask,
-    matrix_network_totals,
+    sparse_network_totals,
 )
 from repro.simgrid.resources import NetworkTopology
 from repro.util.errors import SimulationError
@@ -134,8 +134,8 @@ class _Layout:
     * ``pending_hosts`` / ``pending_edges`` — each task's number of
       host-order predecessors and of input redistributions;
     * ``ready`` — the tasks with neither, in schedule order;
-    * ``edge_totals`` — each edge's :func:`matrix_network_totals` over
-      its redistribution matrix, which depend on the sizes and hosts
+    * ``edge_totals`` — each edge's :func:`sparse_network_totals` over
+      its redistribution messages, which depend on the sizes and hosts
       alone, not on bandwidth or on any cost model;
     * ``max_host`` — the highest host index the schedule uses.
     """
@@ -151,7 +151,8 @@ class _Layout:
     )
 
     def __init__(
-        self, graph: TaskGraph, schedule: Schedule, platform: ClusterPlatform
+        self, graph: TaskGraph, schedule: Schedule, platform: ClusterPlatform,
+        messages: dict,
     ) -> None:
         graph.validate()
         schedule.validate(graph, platform)
@@ -189,10 +190,11 @@ class _Layout:
         for src, dst in graph.edges():
             src_hosts = schedule.hosts(src)
             dst_hosts = schedule.hosts(dst)
-            rows = redistribution_matrix_rows(
-                graph.task(src).n, len(src_hosts), len(dst_hosts)
-            )
-            self.edge_totals[(src, dst)] = matrix_network_totals(
+            key = (graph.task(src).n, len(src_hosts), len(dst_hosts))
+            rows = messages.get(key)
+            if rows is None:
+                rows = messages[key] = redistribution_messages(*key)
+            self.edge_totals[(src, dst)] = sparse_network_totals(
                 rows, src_hosts, dst_hosts
             )
 
@@ -206,15 +208,20 @@ class ScheduleLowering:
     and the first run that needs the layout builds it; a cell replayed
     from the result cache never lowers at all.  Make it where
     the schedule is final: the layout is not rebuilt if the schedule
-    changes afterwards.
+    changes afterwards.  ``_messages`` is the study runner's memo of
+    :func:`redistribution_messages` by ``(n, p_src, p_dst)``, which the
+    layout reads and fills; by default the lowering keeps its own.
     """
 
-    __slots__ = ("graph", "schedule", "_layout")
+    __slots__ = ("graph", "schedule", "_layout", "_messages")
 
-    def __init__(self, graph: TaskGraph, schedule: Schedule) -> None:
+    def __init__(
+        self, graph: TaskGraph, schedule: Schedule, *, _messages: dict | None = None
+    ) -> None:
         self.graph = graph
         self.schedule = schedule
         self._layout: _Layout | None = None
+        self._messages = {} if _messages is None else _messages
 
     def layout(self, platform: ClusterPlatform) -> _Layout:
         """The pair's layout, validated against ``platform``.
@@ -226,7 +233,9 @@ class ScheduleLowering:
         """
         layout = self._layout
         if layout is None:
-            layout = self._layout = _Layout(self.graph, self.schedule, platform)
+            layout = self._layout = _Layout(
+                self.graph, self.schedule, platform, self._messages
+            )
         elif layout.max_host >= platform.num_nodes:
             self.schedule.validate(self.graph, platform)
         return layout
@@ -348,7 +357,8 @@ class ApplicationSimulator:
                     raise SimulationError(
                         f"comm matrix shape {B.shape} != ({p}, {p})"
                     )
-                totals = matrix_network_totals(B.tolist(), hosts, hosts)
+                rows = [[(j, b) for j, b in enumerate(r) if b > 0] for r in B.tolist()]
+                totals = sparse_network_totals(rows, hosts, hosts)
             else:
                 duration = self.task_model.duration(task, p)
                 if duration < 0:

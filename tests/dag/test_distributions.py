@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.dag.distributions import (
     BlockDistribution,
     redistribution_matrix,
+    redistribution_messages,
     redistribution_volume,
 )
 from repro.dag.kernels import BYTES_PER_ELEMENT, matrix_bytes
@@ -135,3 +136,43 @@ class TestRedistributionMatrix:
             assert M[i].sum() == pytest.approx(src.bytes_owned(i))
         for j in range(q):
             assert M[:, j].sum() == pytest.approx(dst.bytes_owned(j))
+
+
+def _overlap_matrix(n, p_src, p_dst):
+    """The redistribution matrix from ``BlockDistribution.interval``
+    overlaps, cell by cell."""
+    src = [BlockDistribution(n, p_src).interval(i) for i in range(p_src)]
+    dst = [BlockDistribution(n, p_dst).interval(j) for j in range(p_dst)]
+    return [
+        [
+            max(0, min(s_hi, d_hi) - max(s_lo, d_lo)) * n * BYTES_PER_ELEMENT
+            for d_lo, d_hi in dst
+        ]
+        for s_lo, s_hi in src
+    ]
+
+
+class TestRedistributionMessages:
+    @pytest.mark.parametrize("n", [7, 100, 2000, 3000])
+    def test_rows_are_the_positive_matrix_entries(self, n):
+        for p_src in range(1, 33):
+            for p_dst in range(1, 33):
+                dense = _overlap_matrix(n, p_src, p_dst)
+                rows = redistribution_messages(n, p_src, p_dst)
+                assert rows == [
+                    [(j, float(b)) for j, b in enumerate(row) if b > 0]
+                    for row in dense
+                ], (n, p_src, p_dst)
+                assert redistribution_matrix(n, p_src, p_dst).tolist() == dense
+
+    def test_entries_are_floats(self):
+        # The simulator adds them into float link totals and records
+        # the backbone total as a float volume.
+        for row in redistribution_messages(100, 3, 5):
+            assert all(type(b) is float for _j, b in row)
+
+    def test_invalid_parameters(self):
+        with pytest.raises(ValueError):
+            redistribution_messages(0, 1, 1)
+        with pytest.raises(ValueError):
+            redistribution_messages(10, 1, 0)

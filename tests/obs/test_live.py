@@ -208,6 +208,20 @@ class TestLiveTelemetry:
         telemetry.close()
         assert telemetry.snapshot()["phase"] == "done"
 
+    def test_close_wakes_a_drain_blocked_on_the_queue(self):
+        # At the real heartbeat: once the drain thread blocks in the
+        # pool queue's ``get``, only the wake-up ``close`` sends ends
+        # its wait before the heartbeat timeout does.
+        for _ in range(5):
+            telemetry = LiveTelemetry().start()
+            telemetry.connect(multiprocessing.get_context("fork"))
+            telemetry.begin_study(1, 1)
+            time.sleep(live.HEARTBEAT_S + 0.05)
+            t0 = time.monotonic()
+            telemetry.close()
+            assert time.monotonic() - t0 < 0.1
+            assert telemetry.snapshot()["phase"] == "done"
+
     def test_snapshot_file_round_trip(self, tmp_path, fast_heartbeat):
         path = tmp_path / "live.json"
         telemetry = LiveTelemetry(snapshot_path=path).start()

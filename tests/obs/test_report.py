@@ -222,6 +222,35 @@ class TestReportJson:
         }
 
 
+    def test_text_prints_large_counts_in_full(self):
+        span = {"count": 1, "total_s": 2.0, "mean_s": 2.0,
+                "min_s": 2.0, "max_s": 2.0}
+        manifest = RunManifest(
+            metrics={
+                "counters": {
+                    "cache.cell.hits": 1_234_567,
+                    "cache.cell.misses": 3,
+                    "cache.bytes_read": 9_876_543_210,
+                    "timeline.task": 2_000_001,
+                    "study.runs": 1_234_570,
+                    "sched.ratio": 2.5,
+                },
+                "spans": {"study.grid": span},
+            }
+        )
+        text = render_report([], manifest)
+        rows = [line.split() for line in text.splitlines()]
+        assert ["cache.cell.hits", "1234567"] in rows
+        assert ["cell", "1234567", "3", "100.0"] in rows
+        assert "cache.bytes_read: 9876543210" in text
+        assert ["task", "2000001"] in rows
+        assert "study throughput: 1234570 cells in 2.000 s" in text
+        # Below 10^6, and for fractions, the text is what {:g} prints.
+        assert ["cache.cell.misses", "3"] in rows
+        assert ["sched.ratio", "2.5"] in rows
+        assert "e+06" not in text and "e+09" not in text
+
+
 class TestReportFromRealRun:
     def test_engine_and_scheduler_signals_present(self, tmp_path):
         """A real traced simulation produces the documented event schema."""

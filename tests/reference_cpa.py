@@ -168,7 +168,8 @@ def allocation_loop(
     dp = CriticalPathDP(graph)
     agg_speed = costs.platform.aggregate_speed
     # ``cost``/``areas`` are keyed/ordered like ``alloc`` so the T_A
-    # re-sum adds the same floats in the same order as average_area().
+    # re-sum adds the same floats in the same order as average_area():
+    # both are explicit left folds.
     cost: dict[int, float] = {}
     areas: list[float] = []
     area_index: dict[int, int] = {}
@@ -201,7 +202,10 @@ def allocation_loop(
         else:
             bl = dp.bottom_levels(cost)
         t_cp = dp.length(bl)
-        t_a = sum(areas) / agg_speed
+        area = 0.0
+        for a in areas:
+            area = area + a
+        t_a = area / agg_speed
         if stop(t_cp, t_a, alloc):
             stop_reason = "criterion"
             break

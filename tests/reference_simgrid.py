@@ -9,13 +9,20 @@ is compared against, bit for bit:
   ``(src_host, dst_host, bytes)`` flow per matrix entry and adds each
   flow's bytes to every link of its route.  The simulator builds its
   actions with :func:`~repro.simgrid.ptask.build_totals_ptask` over
-  :func:`~repro.simgrid.ptask.matrix_network_totals` instead
+  :func:`~repro.simgrid.ptask.sparse_network_totals` instead
   (``tests/simgrid/test_ptask.py``);
+* :func:`matrix_network_totals` computes the same per-link totals from
+  the dense byte matrix, visiting every cell, against which
+  :func:`~repro.simgrid.ptask.sparse_network_totals` is checked;
 * :func:`solve_rates_reference` is the textbook bottleneck max-min loop
   that re-sums every resource's load in every round, against which
   :func:`~repro.simgrid.sharing.solve_rates` is property-tested
   (``tests/simgrid/test_sharing_equivalence.py``,
   ``tests/simgrid/test_engine_fastpaths.py``).
+
+Every float sum here is an explicit left fold, as in production: from
+Python 3.12 ``sum()`` over floats compensates its rounding, so it is not
+one.
 
 Nothing under ``src/`` imports this module.
 """
@@ -36,6 +43,7 @@ __all__ = [
     "ParallelTaskSpec",
     "build_ptask_action",
     "comm_matrix_to_flows",
+    "matrix_network_totals",
     "redistribution_flows",
     "solve_rates_reference",
 ]
@@ -135,6 +143,44 @@ def redistribution_flows(
     return flows
 
 
+def matrix_network_totals(
+    matrix_rows: Sequence[Sequence[float]],
+    src_hosts: Sequence[int],
+    dst_hosts: Sequence[int],
+) -> tuple[list[tuple[int, float]], list[tuple[int, float]], float]:
+    """Per-link byte totals of a dense byte matrix on a star topology.
+
+    Returns ``(up_items, down_items, backbone_total)`` as
+    :func:`~repro.simgrid.ptask.sparse_network_totals` does, from every
+    cell of the ``(len(src_hosts), len(dst_hosts))`` matrix: an uplink
+    total adds its row left-to-right, a downlink total adds its column
+    top-to-bottom, and the backbone total adds row-major, skipping
+    non-positive entries and intra-host pairs.
+    """
+    backbone_total = 0.0
+    n_dst = len(dst_hosts)
+    down_totals = [0.0] * n_dst
+    up_items: list[tuple[int, float]] = []
+    for i, src in enumerate(src_hosts):
+        row = matrix_rows[i]
+        up_total = 0.0
+        for j in range(n_dst):
+            b = row[j]
+            if b > 0 and src != dst_hosts[j]:
+                up_total = up_total + b
+                backbone_total = backbone_total + b
+                down_totals[j] = down_totals[j] + b
+        if up_total > 0.0:
+            up_items.append((src, up_total))
+    down_items: list[tuple[int, float]] = []
+    if backbone_total > 0.0:
+        for j in range(n_dst):
+            total = down_totals[j]
+            if total > 0.0:
+                down_items.append((dst_hosts[j], total))
+    return up_items, down_items, backbone_total
+
+
 def build_ptask_action(
     topology: NetworkTopology,
     spec: ParallelTaskSpec,
@@ -216,7 +262,10 @@ def solve_rates_reference(
         best_share = None
         best_res = None
         for res in active_res:
-            load = sum(w for a, w in usage[res].items() if a in unfixed)
+            load = 0.0
+            for a, w in usage[res].items():
+                if a in unfixed:
+                    load = load + w
             if load <= _EPS:
                 continue
             share = remaining_cap[res] / load

@@ -104,3 +104,49 @@ class TestAverageArea:
         costs = SchedulingCosts(g, platform, FlatModel())
         # area = 2 procs * 10 s / 4 nodes = 5.
         assert average_area(costs, {0: 2}) == pytest.approx(5.0)
+
+
+class FoldModel(TaskTimeModel):
+    """Task times of 1e16, 1 and 1 seconds, whatever the processor
+    count: a sum whose left fold and compensated value differ."""
+
+    name = "fold"
+
+    @property
+    def kind(self):
+        return ModelKind.MEASURED
+
+    def duration(self, task, p):
+        return (1e16, 1.0, 1.0)[task.task_id]
+
+
+class TestAreaIsALeftFold:
+    """``T_A`` adds the areas as a left fold: (1e16 + 1) + 1 rounds to
+    1e16 twice, where a compensated sum (``sum()`` from Python 3.12,
+    ``math.fsum``) gives 1e16 + 2."""
+
+    @staticmethod
+    def _costs():
+        g = TaskGraph()
+        for t in range(3):
+            g.add_task(Task(task_id=t, kernel=MATMUL, n=2000))
+        return g, SchedulingCosts(g, bayreuth_cluster(1), FoldModel())
+
+    def test_average_area(self):
+        _g, costs = self._costs()
+        assert costs.platform.aggregate_speed == 1.0
+        assert average_area(costs, {0: 1, 1: 1, 2: 1}) == 1e16
+
+    def test_allocation_loop_records_the_fold(self):
+        from repro.obs.recorder import Recorder, recording
+        from repro.obs.sinks import MemorySink
+        from repro.obs.timeline import Timeline
+
+        g, costs = self._costs()
+        recorder = Recorder(MemorySink(), timeline=Timeline())
+        with recording(recorder):
+            assert cpa_allocate(g, costs) == {0: 1, 1: 1, 2: 1}
+        (done,) = [
+            r for r in recorder.timeline.records if r["kind"] == "alloc_done"
+        ]
+        assert done["t_a"] == 1e16

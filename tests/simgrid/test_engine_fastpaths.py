@@ -55,6 +55,41 @@ class TestCapacityPruning:
             assert eng._capacity == {}
 
 
+class TestCompletionOrder:
+    def test_simultaneous_completions_fire_in_creation_order(self):
+        # Created a, b, c but added c, a, b: the three finish in one
+        # step and fire in creation order, not in the order they were
+        # added to the engine.
+        eng = SimulationEngine()
+        fired: list[str] = []
+        a, b, c = (
+            Action(name, work=0.0, latency=1.0,
+                   on_complete=lambda _eng, act: fired.append(act.name))
+            for name in "abc"
+        )
+        for action in (c, a, b):
+            eng.add_action(action)
+        assert eng.step()
+        assert fired == ["a", "b", "c"]
+        assert eng.now == 1.0
+        assert not eng.step()
+
+    def test_working_actions_too(self):
+        eng = SimulationEngine()
+        fired: list[str] = []
+        actions = [
+            Action(name, work=10.0,
+                   consumption={Resource(f"cpu_{name}", 10.0): 1.0},
+                   on_complete=lambda _eng, act: fired.append(act.name))
+            for name in "abc"
+        ]
+        for action in reversed(actions):
+            eng.add_action(action)
+        assert eng.run() == 1.0
+        assert fired == ["a", "b", "c"]
+        assert eng.steps_taken == 1
+
+
 class TestSolveSkipping:
     def test_disjoint_actions_never_joint_solve(self):
         eng = SimulationEngine()

@@ -4,7 +4,8 @@ The flow-list path (``ParallelTaskSpec`` and ``build_ptask_action``)
 is the oracle in ``tests/reference_simgrid.py``: the duration tests
 run it through the engine, and the property tests hold the
 simulator's builder, ``build_totals_ptask`` over
-``matrix_network_totals``, float-identical to it.
+``sparse_network_totals``, float-identical to it.  The dense
+``matrix_network_totals`` oracle pins the sparse totals themselves.
 """
 
 import numpy as np
@@ -14,14 +15,14 @@ from hypothesis import strategies as st
 
 from repro.dag.distributions import (
     redistribution_matrix,
-    redistribution_matrix_rows,
+    redistribution_messages,
 )
 from repro.dag.graph import Task, TaskGraph
 from repro.dag.kernels import MATADD, MATMUL
 from repro.platform.cluster import ClusterPlatform
 from repro.scheduling.schedule import Placement, Schedule
 from repro.simgrid.engine import SimulationEngine
-from repro.simgrid.ptask import build_totals_ptask, matrix_network_totals
+from repro.simgrid.ptask import build_totals_ptask, sparse_network_totals
 from repro.simgrid.resources import NetworkTopology
 from repro.simgrid.simulator import ScheduleLowering
 from repro.util.errors import SimulationError
@@ -29,6 +30,7 @@ from tests.reference_simgrid import (
     ParallelTaskSpec,
     build_ptask_action,
     comm_matrix_to_flows,
+    matrix_network_totals,
     redistribution_flows,
 )
 
@@ -225,8 +227,14 @@ def _volume(oracle_action):
     return oracle_action.consumption.get(_ORACLE_TOPO.backbone, 0.0)
 
 
+def _sparse(matrix):
+    """A dense matrix's positive entries, row by row, as the simulator
+    lowers a task's communication matrix."""
+    return [[(j, b) for j, b in enumerate(row) if b > 0] for row in matrix]
+
+
 class TestFusedBuilderMatchesFlowList:
-    """``build_totals_ptask`` over ``matrix_network_totals`` and over
+    """``build_totals_ptask`` over ``sparse_network_totals`` and over
     the edge totals of a :class:`ScheduleLowering` claims float
     identity with ``build_ptask_action`` over the same matrix's flow
     list."""
@@ -249,10 +257,10 @@ class TestFusedBuilderMatchesFlowList:
                                  src, dst),
             latency,
         )
-        rows = redistribution_matrix_rows(n, p_src, p_dst)
+        rows = redistribution_messages(n, p_src, p_dst)
         fused = build_totals_ptask(
             _ORACLE_TOPO, "fused", comp,
-            matrix_network_totals(rows, src, dst), extra_latency=latency,
+            sparse_network_totals(rows, src, dst), extra_latency=latency,
         )
         _assert_same_action(fused, oracle)
 
@@ -269,7 +277,7 @@ class TestFusedBuilderMatchesFlowList:
             .layout(_ORACLE_PLATFORM)
             .edge_totals[(0, 1)]
         )
-        assert totals == matrix_network_totals(rows, src, dst)
+        assert totals == sparse_network_totals(rows, src, dst)
         lowered = build_totals_ptask(
             _ORACLE_TOPO, "lowered", comp, totals, extra_latency=latency
         )
@@ -294,9 +302,48 @@ class TestFusedBuilderMatchesFlowList:
         oracle = _oracle(
             comp, comm_matrix_to_flows(np.array(matrix), hosts), latency
         )
+        totals = sparse_network_totals(_sparse(matrix), hosts, hosts)
+        assert totals == matrix_network_totals(matrix, hosts, hosts)
         fused = build_totals_ptask(
-            _ORACLE_TOPO, "fused", comp,
-            matrix_network_totals(matrix, hosts, hosts),
-            extra_latency=latency,
+            _ORACLE_TOPO, "fused", comp, totals, extra_latency=latency
         )
         _assert_same_action(fused, oracle)
+
+
+@st.composite
+def _overlapping_hosts(draw):
+    """Source and destination host sets sharing at least one host."""
+    p_src = draw(st.integers(1, 32))
+    p_dst = draw(st.integers(1, 32))
+    pool = draw(st.permutations(range(64)))
+    src = pool[:p_src]
+    shared = draw(st.integers(1, min(p_src, p_dst)))
+    dst = draw(st.permutations(src[:shared] + pool[p_src:p_src + p_dst - shared]))
+    return src, dst
+
+
+class TestSparseTotalsMatchDense:
+    """``sparse_network_totals`` over a redistribution's messages equals
+    the dense ``matrix_network_totals`` oracle over its matrix, float
+    for float, where the host sets overlap and intra-host messages drop
+    out."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.sampled_from([7, 100, 2000, 3000]), hosts=_overlapping_hosts())
+    def test_redistribution(self, n, hosts):
+        src, dst = hosts
+        assert set(src) & set(dst)
+        sparse = sparse_network_totals(
+            redistribution_messages(n, len(src), len(dst)), src, dst
+        )
+        dense = matrix_network_totals(
+            redistribution_matrix(n, len(src), len(dst)).tolist(), src, dst
+        )
+        assert sparse == dense
+
+    def test_same_hosts_same_split_moves_nothing(self):
+        hosts = (3, 1, 4)
+        totals = sparse_network_totals(
+            redistribution_messages(100, 3, 3), hosts, hosts
+        )
+        assert totals == ([], [], 0.0)

@@ -14,7 +14,9 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simgrid.sharing import solve_rates
+from repro.dag.distributions import redistribution_messages
+from repro.simgrid.ptask import sparse_network_totals
+from repro.simgrid.sharing import _EPS, solve_rates
 from tests.reference_simgrid import solve_rates_reference
 
 
@@ -104,3 +106,87 @@ def test_shared_bottleneck_chain():
     assert fast == solve_rates_reference(consumption, capacity)
     assert fast["a"] == fast["b"] == 1.0
     assert fast["c"] == 9.0
+
+
+# ----------------------------------------------------------------------
+# The shapes the engine produces
+# ----------------------------------------------------------------------
+_STAR_HOSTS = 32
+
+
+@st.composite
+def star_instances(draw):
+    """Working sets as the engine hands them to the solver.
+
+    A star topology of up to 32 hosts — a CPU, an uplink and a downlink
+    per host, and one backbone, 97 resources at most — carries 2 to 8
+    actions: tasks weighing exact flop counts on their hosts' CPUs, and
+    redistributions weighing exact byte counts (the per-link totals of
+    a block redistribution) on uplinks, the backbone and downlinks.
+    Some actions also carry a weight below the solver's load epsilon.
+    """
+    hosts = draw(st.integers(min_value=2, max_value=_STAR_HOSTS))
+    capacity: dict[str, float] = {"backbone": 1.25e9}
+    for h in range(hosts):
+        capacity[f"cpu{h}"] = 250e6
+        capacity[f"up{h}"] = capacity[f"down{h}"] = 1.25e8
+    host_sets = st.lists(
+        st.integers(0, hosts - 1), min_size=1, max_size=hosts, unique=True
+    )
+    consumption: dict[str, dict[str, float]] = {}
+    for a in range(draw(st.integers(min_value=2, max_value=8))):
+        weights: dict[str, float] = {}
+        n = draw(st.sampled_from([2000, 3000]))
+        if draw(st.booleans()):
+            src, dst = draw(host_sets), draw(host_sets)
+            up, down, backbone = sparse_network_totals(
+                redistribution_messages(n, len(src), len(dst)), src, dst
+            )
+            for h, nbytes in up:
+                weights[f"up{h}"] = nbytes
+            if backbone > 0.0:
+                weights["backbone"] = backbone
+            for h, nbytes in down:
+                weights[f"down{h}"] = nbytes
+        if not weights:
+            # A task, or a redistribution that stays on its hosts and
+            # so would hold no resource; the engine rates those itself.
+            task_hosts = draw(host_sets)
+            flops = 2.0 * n**3 / len(task_hosts)
+            for h in task_hosts:
+                weights[f"cpu{h}"] = flops
+        spare = sorted(set(capacity) - set(weights))
+        if spare and draw(st.integers(0, 3)) == 0:
+            res = draw(st.sampled_from(spare))
+            weights[res] = draw(
+                st.floats(min_value=1e-18, max_value=_EPS)
+            )
+        consumption[f"a{a}"] = weights
+    return consumption, capacity
+
+
+@given(star_instances())
+@settings(max_examples=200, deadline=None)
+def test_star_topology_solver_equals_reference(instance):
+    consumption, capacity = instance
+    fast = solve_rates(consumption, capacity, validate=False)
+    assert fast == solve_rates_reference(consumption, capacity)
+    assert fast == solve_rates(consumption, capacity)
+
+
+def test_loads_are_left_folds():
+    # ``x`` freezes first, on r0; r's load is then re-summed over the
+    # three actions left.  As a left fold, (1e16 + 1) + 1 rounds to 1e16
+    # twice, so they share r's 4e16 at exactly 4.0; a compensated sum
+    # (``sum()`` from Python 3.12, ``math.fsum``) gives 1e16 + 2 and a
+    # smaller share.
+    consumption = {
+        "x": {"r0": 1.0, "r": 1.0},
+        "p": {"r": 1e16},
+        "q": {"r": 1.0},
+        "s": {"r": 1.0},
+    }
+    capacity = {"r0": 1.0, "r": 4e16}
+    expected = {"x": 1.0, "p": 4.0, "q": 4.0, "s": 4.0}
+    assert solve_rates(consumption, capacity) == expected
+    assert solve_rates_reference(consumption, capacity) == expected
